@@ -137,6 +137,14 @@ def _make_provider(config: PipelineConfig):
     raise ConfigError(f"unknown provider {config.provider!r}")
 
 
+def _geocode(records, config: PipelineConfig) -> list[geocode.GeocodeResult]:
+    """Geocode the records that lack coordinates; one result per record."""
+    keys = geocode.read_keys(_require_file(config.keys, "keys"))
+    provider = _make_provider(config)
+    rate = config.rate if config.rate > 0 else None
+    return geocode.geocode_missing(records, provider, keys, rate=rate)
+
+
 # --- stage subcommands -------------------------------------------------
 
 
@@ -368,11 +376,7 @@ def cmd_impute_location(args) -> int:
 def cmd_geocode(args) -> int:
     config = PipelineConfig.load(None, _config_overrides(args))
     records = _load_records(config.corpus)
-    keys = geocode.read_keys(_require_file(config.keys, "keys"))
-    provider = _make_provider(config)
-    shards = geocode.shard(records, keys)
-    rate = config.rate if config.rate > 0 else None
-    results = geocode.geocode_batch(shards, provider, keys, rate=rate)
+    results = _geocode(records, config)
     geocode.write_results(results, args.out)
     if args.merged_out:
         geocode.apply_results(records, results)
@@ -410,10 +414,19 @@ def cmd_export(args) -> int:
 
 
 class _StageTimer:
+    """Per-stage rows whose seconds run back to back: each stage is timed
+    from the end of the previous one, so the rows cover all pipeline work.
+    A skipped stage gets no row, except `report`: records_final.tsv is
+    written under it whether or not it is skipped, so its row is always
+    there and covers at least that write."""
+
     def __init__(self):
         self.rows: list[tuple[str, int, float]] = []
+        self._mark = time.perf_counter()
 
-    def record(self, stage: str, count: int, seconds: float) -> None:
+    def record(self, stage: str, count: int) -> None:
+        now = time.perf_counter()
+        seconds, self._mark = now - self._mark, now
         self.rows.append((stage, count, seconds))
         log.info("stage=%s records=%d duration=%.3f", stage, count, seconds)
 
@@ -434,23 +447,19 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
     timer = _StageTimer()
     stage = "ingest"
     try:
-        t0 = time.perf_counter()
         records = _load_records(config.corpus)
         _write_missingness(records, out / "missingness_before.tsv")
-        timer.record("ingest", len(records), time.perf_counter() - t0)
-
         lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
+        timer.record("ingest", len(records))
 
         stage = "train"
         model = None
         if "train" not in skip:
             points, _ = build_labeled(records, lexicon, config.dim)
             if points:
-                t0 = time.perf_counter()
                 model = classify.train(config.method, points, _train_params(config), workers=config.workers)
-                timer.record("train", len(points), time.perf_counter() - t0)
-                model_path = config.model or str(out / "model.json")
-                classify.save_model(model, model_path)
+                classify.save_model(model, config.model or str(out / "model.json"))
+            timer.record("train", len(points))
         if model is None and config.model and Path(config.model).is_file():
             model = classify.load_model(config.model)
 
@@ -458,44 +467,37 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
         if "impute-category" not in skip:
             if model is None:
                 raise StageError("no model available for category imputation")
-            t0 = time.perf_counter()
             report = classify.impute_categories(records, model, lexicon, model.dim)
-            timer.record("impute-category", report.filled, time.perf_counter() - t0)
+            timer.record("impute-category", report.filled)
 
         stage = "build-gazetteer"
         tree = None
         if "build-gazetteer" not in skip:
             entries, _ = gazetteer.read_gazetteer(_require_file(config.gazetteer, "gazetteer"))
-            t0 = time.perf_counter()
             tree = gazetteer.build(entries)
-            timer.record("build-gazetteer", len(tree), time.perf_counter() - t0)
+            timer.record("build-gazetteer", len(tree))
 
         stage = "impute-location"
         if "impute-location" not in skip:
             if tree is None:
                 raise StageError("impute-location needs the gazetteer stage")
-            t0 = time.perf_counter()
             location_report = locimpute.impute_locations(records, tree, lexicon, workers=config.workers)
-            timer.record("impute-location", location_report.postcode_filled, time.perf_counter() - t0)
             location_report.write(out / "location_report.tsv")
+            timer.record("impute-location", location_report.postcode_filled)
 
         stage = "geocode"
         if "geocode" not in skip:
-            keys = geocode.read_keys(_require_file(config.keys, "keys"))
-            provider = _make_provider(config)
-            t0 = time.perf_counter()
-            shards = geocode.shard(records, keys)
-            rate = config.rate if config.rate > 0 else None
-            results = geocode.geocode_batch(shards, provider, keys, rate=rate)
+            results = _geocode(records, config)
             geocode.apply_results(records, results)
-            timer.record("geocode", len(results), time.perf_counter() - t0)
             geocode.write_results(results, out / "coordinates.tsv")
+            timer.record("geocode", len(results))
 
         stage = "report"
         write_records(records, out / "records_final.tsv")
         if "report" not in skip:
             _write_missingness(records, out / "missingness_after.tsv")
             _write_summary(records, out / "summary.tsv")
+        timer.record("report", len(records))
         timer.write(out / "timings.tsv")
     except (OSError, ValueError, StageError) as exc:
         timer.write(out / "timings.tsv")

@@ -6,22 +6,32 @@ counts as matched when its name contains, or is contained by, any query
 noun, and the matching degree is the weight sum of matched levels over the
 weight sum of levels present in the entry. Level weights are 8/4/2/1 from
 province down to street, so a match at any level outweighs all matches
-below it combined. Degrees are kept as exact fractions internally so that
-ties are detected exactly.
+below it combined. Degrees are compared as integers, so ties are detected
+exactly: each degree is scaled by a common multiple of every possible
+present weight, which leaves no remainder.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .records import POSTCODE_RE, EnterpriseRecord, RowDiagnostic
 from .segmenter import Lexicon, address_nouns, segment
 
 LEVELS = ("province", "city", "county", "street")
 LEVEL_WEIGHTS = {"province": 8, "city": 4, "county": 2, "street": 1}
+# Every present weight is an integer in 1..15, so matched * _DEGREE_SCALE
+# // present is the degree scaled exactly, with no rounding.
+_DEGREE_SCALE = math.lcm(*range(1, sum(LEVEL_WEIGHTS.values()) + 1))
+
+
+def _degree_key(matched: int, present: int) -> int:
+    """The matching degree as an exact integer: equal degrees, equal keys."""
+    return matched * _DEGREE_SCALE // present
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,6 +88,8 @@ class AddressTree:
         self.root: dict = {}
         self._by_postcode: dict[str, list[int]] = {}
         self._by_name: dict[str, set[int]] = {}
+        # per entry: its (weight, level, name) triples and their weight sum
+        self._scoring: list[tuple[tuple[tuple[int, str, str], ...], int]] = []
         for idx, entry in enumerate(self.entries):
             node = self.root
             for _, name in entry.levels():
@@ -86,8 +98,11 @@ class AddressTree:
             self._by_postcode.setdefault(entry.postcode, []).append(idx)
             for _, name in entry.levels():
                 self._by_name.setdefault(name, set()).add(idx)
+            levels = tuple((LEVEL_WEIGHTS[level], level, name) for level, name in entry.levels())
+            self._scoring.append((levels, sum(w for w, _, _ in levels)))
         self._names = tuple(self._by_name)
-        self._noun_cache: dict[str, frozenset[int]] = {}
+        self._noun_cache: dict[str, frozenset[str]] = {}
+        self._best_cache: dict[frozenset[str], tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -98,17 +113,13 @@ class AddressTree:
     def entries_for_postcode(self, postcode: str) -> tuple[PostcodeEntry, ...]:
         return tuple(self.entries[i] for i in self._by_postcode.get(postcode, ()))
 
-    def _candidates_for_noun(self, noun: str) -> frozenset[int]:
+    def _names_for_noun(self, noun: str) -> frozenset[str]:
+        """Level names that contain, or are contained by, the noun."""
         cached = self._noun_cache.get(noun)
-        if cached is not None:
-            return cached
-        hits: set[int] = set(self._by_name.get(noun, ()))
-        for name in self._names:
-            if name != noun and (noun in name or name in noun):
-                hits |= self._by_name[name]
-        result = frozenset(hits)
-        self._noun_cache[noun] = result
-        return result
+        if cached is None:
+            cached = frozenset(name for name in self._names if noun in name or name in noun)
+            self._noun_cache[noun] = cached
+        return cached
 
 
 def build(entries: Iterable[PostcodeEntry]) -> AddressTree:
@@ -123,30 +134,61 @@ def build(entries: Iterable[PostcodeEntry]) -> AddressTree:
     return AddressTree(checked)
 
 
-def match(nouns: Sequence[str], tree: AddressTree) -> list[MatchResult]:
-    """Candidates scored by weighted level overlap, best first.
+def _score(
+    nouns: frozenset[str], tree: AddressTree, within: Iterable[int] | None = None
+) -> Iterator[tuple[int, tuple[str, ...], int, int]]:
+    """(entry index, matched levels, matched weight, present weight) of
+    every entry with at least one matched level, for non-empty nouns;
+    only the entries indexed by `within` when it is given."""
+    names: set[str] = set()
+    for noun in nouns:
+        names |= tree._names_for_noun(noun)
+    if within is None:
+        candidates: set[int] = set()
+        for name in names:
+            candidates |= tree._by_name[name]
+        within = candidates
+    for idx in within:
+        levels, present = tree._scoring[idx]
+        matched = [(w, level) for w, level, name in levels if name in names]
+        if matched:
+            yield idx, tuple(level for _, level in matched), sum(w for w, _ in matched), present
+
+
+def match(nouns: Sequence[str], tree: AddressTree, postcode: str | None = None) -> list[MatchResult]:
+    """Candidates scored by weighted level overlap, best first; only the
+    entries of `postcode` when it is given.
 
     Ordering is degree descending, then postcode ascending, then path."""
-    if not nouns:
-        return []
-    candidate_ids: set[int] = set()
-    for noun in nouns:
-        if noun:
-            candidate_ids |= tree._candidates_for_noun(noun)
-    results = []
-    for idx in candidate_ids:
-        entry = tree.entries[idx]
-        matched = []
-        matched_weight = 0
-        present_weight = 0
-        for level, name in entry.levels():
-            present_weight += LEVEL_WEIGHTS[level]
-            if any(q in name or name in q for q in nouns if q):
-                matched.append(level)
-                matched_weight += LEVEL_WEIGHTS[level]
-        results.append(MatchResult(entry, tuple(matched), matched_weight, present_weight))
-    results.sort(key=lambda r: (-r.degree_exact, r.entry.postcode, r.entry.path()))
+    within = None if postcode is None else tree._by_postcode.get(postcode, ())
+    results = [
+        MatchResult(tree.entries[idx], levels, matched, present)
+        for idx, levels, matched, present in _score(frozenset(n for n in nouns if n), tree, within)
+    ]
+    results.sort(key=lambda r: (
+        -_degree_key(r.matched_weight, r.present_weight), r.entry.postcode, r.entry.path()
+    ))
     return results
+
+
+def best_postcodes(nouns: Iterable[str], tree: AddressTree) -> tuple[str, ...]:
+    """Sorted postcodes of the entries tied at the best matching degree;
+    () when nothing matches. Memoised on the tree per set of non-empty
+    nouns, which is all the result depends on."""
+    query = frozenset(n for n in nouns if n)
+    cached = tree._best_cache.get(query)
+    if cached is not None:
+        return cached
+    best, tied = 0, set()
+    for idx, _, matched, present in _score(query, tree):
+        key = _degree_key(matched, present)
+        if key > best:
+            best, tied = key, {tree.entries[idx].postcode}
+        elif key == best:
+            tied.add(tree.entries[idx].postcode)
+    result = tuple(sorted(tied))
+    tree._best_cache[query] = result
+    return result
 
 
 @dataclass(frozen=True)
@@ -168,8 +210,8 @@ def validate(
         evaluated += 1
         if rec.postcode in known:
             present += 1
-        results = match(address_nouns(segment(rec.address, lexicon)), tree)
-        if results and results[0].entry.postcode == rec.postcode:
+        best = best_postcodes(address_nouns(segment(rec.address, lexicon)), tree)
+        if best and best[0] == rec.postcode:
             matched += 1
     if evaluated == 0:
         return CoverageReport(0, 0.0, 0.0)
@@ -180,7 +222,7 @@ def read_gazetteer(path: str | Path) -> tuple[list[PostcodeEntry], list[RowDiagn
     """Parse a gazetteer TSV; malformed rows become diagnostics."""
     entries: list[PostcodeEntry] = []
     diagnostics: list[RowDiagnostic] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().rstrip("\n").rstrip("\r").split("\t")
         if header != list(LEVELS) + ["postcode"]:
             raise ValueError(f"{path}: expected columns {LEVELS + ('postcode',)}")

@@ -6,7 +6,8 @@ rate-limited. Quota accounting is an atomic check-and-increment on a
 shared counter that resets when the (injectable) clock's day changes, so
 no schedule can push a key past its daily quota. Every input record gets
 exactly one result; once a shard's key is exhausted its remaining records
-are all reported as quota-exhausted.
+are all reported as quota-exhausted. geocode_missing requests only records
+that lack coordinates: the others keep theirs and cost no quota.
 
 The default provider is an offline deterministic mock; an HTTP JSON
 provider with a templated URL is available for real services.
@@ -34,6 +35,7 @@ STATUS_OK = "ok"
 STATUS_NO_RESULT = "no-result"
 STATUS_QUOTA = "quota-exhausted"
 STATUS_PROVIDER_ERROR = "provider-error"
+STATUS_ORIGINAL = "original"  # the record already had coordinates; nothing was requested
 
 DEFAULT_DAILY_QUOTA = 6000
 DEFAULT_RATE = 5.0  # requests per second per key
@@ -294,6 +296,24 @@ def geocode_batch(
     return [result for chunk in per_shard for result in chunk]
 
 
+def geocode_missing(
+    records: Sequence[EnterpriseRecord],
+    provider,
+    keys: Sequence[ApiKey],
+    rate: float | None = DEFAULT_RATE,
+) -> list[GeocodeResult]:
+    """One result per record, in input order. Only records without
+    coordinates are sharded across the keys and requested; a record that
+    has coordinates gets a STATUS_ORIGINAL result carrying them."""
+    pending = [rec for rec in records if rec.coordinates is None]
+    fetched = iter(geocode_batch(shard(pending, keys), provider, keys, rate=rate))
+    return [
+        next(fetched) if rec.coordinates is None
+        else GeocodeResult(rec.id, *rec.coordinates, STATUS_ORIGINAL, provider.name, 0)
+        for rec in records
+    ]
+
+
 def apply_results(records: Sequence[EnterpriseRecord], results: Sequence[GeocodeResult]) -> int:
     """Attach ok coordinates to records (matched by id); returns the count."""
     by_id = {r.record_id: r for r in results}
@@ -334,6 +354,8 @@ def write_results(results: Sequence[GeocodeResult], path: str | Path) -> None:
 
 
 def ok_rate(results: Sequence[GeocodeResult]) -> float:
-    if not results:
+    """Share of requested records that got coordinates."""
+    requested = [r for r in results if r.status != STATUS_ORIGINAL]
+    if not requested:
         return 0.0
-    return sum(1 for r in results if r.status == STATUS_OK) / len(results)
+    return sum(1 for r in requested if r.status == STATUS_OK) / len(requested)

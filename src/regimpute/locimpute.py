@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .gazetteer import LEVEL_WEIGHTS, AddressTree, PostcodeEntry, match
+from .gazetteer import AddressTree, best_postcodes, match
 from .parallel import map_partitions, split
 from .records import EnterpriseRecord
 from .segmenter import Lexicon, address_nouns, segment
@@ -108,16 +108,9 @@ def impute_postcode(
     nouns = extract_query_nouns(record, lexicon)
     if not nouns:
         return None
-    results = match(nouns, tree)
-    if not results:
+    tied_postcodes = best_postcodes(nouns, tree)
+    if not tied_postcodes:
         return None
-    best = results[0].degree_exact
-    tied_postcodes: list[str] = []
-    for r in results:
-        if r.degree_exact != best:
-            break
-        if r.entry.postcode not in tied_postcodes:
-            tied_postcodes.append(r.entry.postcode)
     if len(tied_postcodes) == 1:
         return PostcodeImputation(tied_postcodes[0], SOURCE_VSM)
     evidence = (
@@ -128,18 +121,8 @@ def impute_postcode(
     query = frozenset(nouns)
     counts = {p: evidence.count_with(p, query) for p in tied_postcodes}
     if sum(counts.values()) == 0:
-        return PostcodeImputation(min(tied_postcodes), SOURCE_TIEBREAK, low_confidence=True)
+        return PostcodeImputation(tied_postcodes[0], SOURCE_TIEBREAK, low_confidence=True)
     return PostcodeImputation(select_tied_postcode(counts), SOURCE_TIEBREAK)
-
-
-def _entry_overlap(entry: PostcodeEntry, nouns: Sequence[str]) -> Fraction:
-    matched = 0
-    present = 0
-    for level, name in entry.levels():
-        present += LEVEL_WEIGHTS[level]
-        if any(q in name or name in q for q in nouns if q):
-            matched += LEVEL_WEIGHTS[level]
-    return Fraction(matched, present) if present else Fraction(0)
 
 
 def _ad_for_postcode(
@@ -148,13 +131,14 @@ def _ad_for_postcode(
     entries = tree.entries_for_postcode(postcode)
     if not entries:
         return None
-    if len(entries) == 1:
-        chosen = entries[0]
-    else:
-        nouns = extract_query_nouns(record, lexicon) if lexicon is not None else []
-        # Best own-noun overlap wins; entries are path-sorted, so min() on
-        # (-overlap, path) lands on the lexicographically first tie.
-        chosen = min(entries, key=lambda e: (-_entry_overlap(e, nouns), e.path()))
+    chosen = entries[0]
+    if len(entries) > 1 and lexicon is not None:
+        # Best own-noun degree wins, ties to the first path: match orders
+        # one postcode's entries that way, and an entry it does not return
+        # matches no noun, so path-sorted entries[0] is the fallback.
+        ranked = match(extract_query_nouns(record, lexicon), tree, postcode=postcode)
+        if ranked:
+            chosen = ranked[0].entry
     prefix = chosen.province + chosen.city + chosen.county
     ad_names = [n for n in (chosen.province, chosen.city, chosen.county) if n]
     if record.address and all(n in record.address for n in ad_names):

@@ -209,7 +209,7 @@ def ingest(path: str | Path) -> IngestResult:
     path = Path(path)
     records: list[EnterpriseRecord] = []
     diagnostics: list[RowDiagnostic] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         header = fh.readline().rstrip("\n").rstrip("\r")
         names = header.split("\t")
         columns = {name: i for i, name in enumerate(names)}

@@ -47,7 +47,7 @@ class Lexicon:
     @classmethod
     def from_tsv(cls, path: str | Path) -> "Lexicon":
         entries: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n").rstrip("\r")
                 if not line:

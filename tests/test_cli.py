@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from regimpute.cli import main
-from regimpute.records import ingest
+from regimpute.cli import PIPELINE_STAGES, main
+from regimpute.geocode import MockGeocoder
+from regimpute.records import ingest, write_records
 
 DIM = "2048"
 
@@ -158,6 +159,67 @@ def test_geocode_and_spatial_flow(synth_dir, tmp_path, capsys):
     assert doc["features"], "year-window export should keep most records"
 
 
+@pytest.fixture()
+def half_located(synth_dir, tmp_path):
+    """The synth corpus with every other record already georeferenced."""
+    records = ingest(synth_dir / "corpus.tsv").records
+    for rec in records[::2]:
+        rec.coordinates = (100.0 + len(rec.id) / 10, 30.0)
+    path = tmp_path / "half_located.tsv"
+    write_records(records, path)
+    return path, {rec.id: rec.coordinates for rec in records[::2]}
+
+
+@pytest.fixture()
+def requested(monkeypatch):
+    """Addresses the mock provider is asked for, in request order."""
+    addresses = []
+    real = MockGeocoder.geocode
+
+    def counting(self, address, api_key=None):
+        addresses.append(address)
+        return real(self, address, api_key=api_key)
+
+    monkeypatch.setattr(MockGeocoder, "geocode", counting)
+    return addresses
+
+
+def assert_located_kept(path, located):
+    records = ingest(path).records
+    for rec in records:
+        if rec.id in located:
+            assert rec.coordinates == located[rec.id]
+            assert rec.provenance_of("coordinates") == "original"
+        elif rec.coordinates is not None:
+            assert rec.provenance_of("coordinates") == "imputed"
+
+
+def test_geocode_skips_located_records(half_located, tmp_path, requested):
+    corpus, located = half_located
+    merged = tmp_path / "merged.tsv"
+    # quota covers exactly the records without coordinates
+    keys = write_keys(tmp_path / "keys.tsv", n=1, quota=800 - len(located))
+    code = main(["geocode", "--corpus", str(corpus), "--keys", str(keys), "--provider", "mock",
+                 "--out", str(tmp_path / "coords.tsv"), "--merged-out", str(merged)])
+    assert code == 0
+    assert len(requested) == 800 - len(located)
+    assert_located_kept(merged, located)
+    statuses = [line.split("\t")[3] for line in (tmp_path / "coords.tsv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert statuses.count("original") == len(located)
+    assert "quota-exhausted" not in statuses
+
+
+def test_pipeline_geocode_skips_located_records(synth_dir, half_located, tmp_path, requested):
+    corpus, located = half_located
+    keys = write_keys(tmp_path / "keys.tsv", n=1, quota=800 - len(located))
+    out = tmp_path / "run_located"
+    args = pipeline_args(synth_dir, out, keys)
+    args[args.index("--corpus") + 1] = str(corpus)
+    assert main(args + ["--skip", "train,impute-category,build-gazetteer,impute-location"]) == 0
+    assert len(requested) == 800 - len(located)
+    assert_located_kept(out / "records_final.tsv", located)
+
+
 def pipeline_args(synth_dir, out_dir, keys):
     return [
         "pipeline",
@@ -191,6 +253,19 @@ def test_pipeline_end_to_end(synth_dir, tmp_path):
     for line in (out / "summary.tsv").read_text(encoding="utf-8").splitlines()[1:]:
         _, original, imputed, missing, total = line.split("\t")
         assert int(original) + int(imputed) + int(missing) == int(total)
+
+
+@pytest.mark.parametrize("skip", [(), ("geocode",), ("report",)])
+def test_pipeline_timings_have_a_row_per_stage(synth_dir, tmp_path, skip):
+    keys = write_keys(tmp_path / "keys.tsv")
+    out = tmp_path / "timed"
+    args = pipeline_args(synth_dir, out, keys) + (["--skip", ",".join(skip)] if skip else [])
+    assert main(args) == 0
+    lines = (out / "timings.tsv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "stage\trecords\tseconds"
+    # records_final.tsv is always written under `report`, so it keeps its row
+    ran = [s for s in PIPELINE_STAGES if s not in skip or s == "report"]
+    assert [line.split("\t")[0] for line in lines[1:]] == ran
 
 
 def test_pipeline_skip_geocode(synth_dir, tmp_path):

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regimpute.gazetteer import (
+    LEVEL_WEIGHTS,
     AddressTree,
+    MatchResult,
     PostcodeEntry,
+    best_postcodes,
     build,
     match,
     read_gazetteer,
@@ -198,3 +203,93 @@ def test_read_gazetteer_header_check(tmp_path):
     path.write_text("a\tb\n", encoding="utf-8")
     with pytest.raises(ValueError, match="columns"):
         read_gazetteer(path)
+
+
+def test_read_gazetteer_accepts_utf8_bom(tmp_path):
+    path = tmp_path / "gaz.tsv"
+    write_gazetteer([WUHAN], path)
+    path.write_bytes("\ufeff".encode("utf-8") + path.read_bytes())
+    entries, diagnostics = read_gazetteer(path)
+    assert entries == [WUHAN]
+    assert not diagnostics
+
+
+# --- scorer properties against a Fraction-key oracle -----------------------
+
+
+def oracle_match(nouns, tree):
+    """Every entry scored by brute force, sorted on exact Fraction keys."""
+    results = []
+    for entry in tree.entries:
+        matched, matched_weight, present_weight = [], 0, 0
+        for level, name in entry.levels():
+            present_weight += LEVEL_WEIGHTS[level]
+            if any(q in name or name in q for q in nouns if q):
+                matched.append(level)
+                matched_weight += LEVEL_WEIGHTS[level]
+        if matched_weight:
+            results.append(MatchResult(entry, tuple(matched), matched_weight, present_weight))
+    results.sort(key=lambda r: (-r.degree_exact, r.entry.postcode, r.entry.path()))
+    return results
+
+
+def oracle_best(nouns, tree):
+    results = oracle_match(nouns, tree)
+    return tuple(sorted({r.entry.postcode for r in results if r.degree_exact == results[0].degree_exact}))
+
+
+def noun_lists(data, world):
+    """Lists of gazetteer level names and substrings of them (possibly empty)."""
+    names = sorted({name for entry in world.gazetteer for _, name in entry.levels()})
+    substring = st.sampled_from(names).flatmap(
+        lambda name: st.tuples(st.integers(0, len(name)), st.integers(0, len(name))).map(
+            lambda ij: name[min(ij):max(ij)]
+        )
+    )
+    return data.draw(st.lists(st.one_of(st.sampled_from(names), substring), max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_match_order_equals_fraction_oracle(data, small_world, small_tree):
+    nouns = noun_lists(data, small_world)
+    assert match(nouns, small_tree) == oracle_match(nouns, small_tree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_best_postcodes_is_oracle_top_group(data, small_world, small_tree):
+    nouns = noun_lists(data, small_world)
+    assert best_postcodes(nouns, small_tree) == oracle_best(nouns, small_tree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_best_postcodes_ignores_order_duplicates_and_empties(data, small_world):
+    nouns = noun_lists(data, small_world)
+    variant = data.draw(st.permutations(nouns + nouns[: data.draw(st.integers(0, len(nouns)))] + [""]))
+    # separate trees, so neither answer comes from the other's cache
+    assert best_postcodes(variant, build(small_world.gazetteer)) == best_postcodes(
+        nouns, build(small_world.gazetteer)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_best_postcodes_cached_call_agrees(data, small_world):
+    nouns = noun_lists(data, small_world)
+    tree = build(small_world.gazetteer)
+    first = best_postcodes(nouns, tree)
+    assert best_postcodes(list(reversed(nouns)), tree) == first == oracle_best(nouns, tree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_match_within_postcode_is_oracle_filtered(data, small_world):
+    # three postcodes shared by all entries, so each covers many paths
+    codes = sorted({e.postcode for e in small_world.gazetteer})[:3]
+    tree = build([replace(e, postcode=codes[i % 3]) for i, e in enumerate(small_world.gazetteer)])
+    nouns = noun_lists(data, small_world)
+    postcode = data.draw(st.sampled_from(codes))
+    expected = [r for r in oracle_match(nouns, tree) if r.entry.postcode == postcode]
+    assert match(nouns, tree, postcode=postcode) == expected

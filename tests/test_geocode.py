@@ -17,6 +17,7 @@ from regimpute.geocode import (
     ad_prefix_filter,
     apply_results,
     geocode_batch,
+    geocode_missing,
     ok_rate,
     read_keys,
     shard,
@@ -253,6 +254,36 @@ def test_ok_rate():
     ]
     assert ok_rate(results) == 0.5
     assert ok_rate([]) == 0.0
+    # records that kept their own coordinates were not requested
+    assert ok_rate(results + [GeocodeResult("c", 3.0, 4.0, "original", "mock", 0)]) == 0.5
+
+
+class CountingGeocoder(MockGeocoder):
+    def __init__(self):
+        super().__init__()
+        self.addresses = []
+
+    def geocode(self, address, api_key=None):
+        self.addresses.append(address)
+        return super().geocode(address, api_key)
+
+
+def test_geocode_missing_skips_located_records():
+    records = recs(4)
+    records[1].address = "located"
+    records[1].coordinates = (100.0, 30.0)
+    provider = CountingGeocoder()
+    # one request of quota per key: enough only if located records cost none
+    results = geocode_missing(records, provider, keys(3, quota=1), rate=None)
+    assert "located" not in provider.addresses
+    assert len(provider.addresses) == 3
+    assert [r.record_id for r in results] == ["r0", "r1", "r2", "r3"]
+    assert results[1] == GeocodeResult("r1", 100.0, 30.0, "original", "mock", 0)
+    assert all(r.status == "ok" for i, r in enumerate(results) if i != 1)
+    assert apply_results(records, results) == 3
+    assert records[1].coordinates == (100.0, 30.0)
+    assert records[1].provenance_of("coordinates") == "original"
+    assert records[0].provenance_of("coordinates") == "imputed"
 
 
 def test_http_provider_json_digging():
