@@ -82,19 +82,15 @@ def impute_categories(
     """Fill absent categories in place from the record names.
 
     Records that already carry a category are untouched; records with no
-    name cannot be vectorized and are only counted."""
-    missing = filled = skipped = 0
-    for rec in records:
-        if rec.category is not None:
-            continue
-        missing += 1
-        if not rec.name:
-            skipped += 1
-            continue
-        rec.category = predict(model, vectorize_name(rec.name, lexicon, dim)).label
+    name cannot be vectorized and are only counted. The named records are
+    predicted in one batch."""
+    missing = [rec for rec in records if rec.category is None]
+    named = [rec for rec in missing if rec.name]
+    labels = predict_labels(model, [vectorize_name(rec.name, lexicon, dim) for rec in named])
+    for rec, label in zip(named, labels):
+        rec.category = model.classes[label]
         rec.mark_imputed("category")
-        filled += 1
-    return CategoryImputeReport(len(records), missing, filled, skipped)
+    return CategoryImputeReport(len(records), len(missing), len(named), len(missing) - len(named))
 
 
 __all__ = [

@@ -138,6 +138,9 @@ def predict_labels(model: TrainedModel, vectors: Sequence[SparseVector]) -> np.n
     """Batch label indices; vectorized for the linear methods."""
     if not len(vectors):
         return np.zeros(0, dtype=np.int64)
+    for vector in vectors:
+        if vector.dim != model.dim:
+            raise ValueError(f"vector dim {vector.dim} does not match model dim {model.dim}")
     method = model.method
     if method in ("naive_bayes", "logistic_regression", "linear_svm"):
         X = to_csr(vectors, model.dim)

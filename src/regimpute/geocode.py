@@ -315,12 +315,14 @@ def geocode_missing(
 
 
 def apply_results(records: Sequence[EnterpriseRecord], results: Sequence[GeocodeResult]) -> int:
-    """Attach ok coordinates to records (matched by id); returns the count."""
-    by_id = {r.record_id: r for r in results}
+    """Attach ok coordinates to records; returns the count. Results pair
+    with records by position, as geocode_missing returns them, so records
+    that share an id each keep their own result."""
+    if len(records) != len(results):
+        raise ValueError(f"{len(results)} results for {len(records)} records")
     applied = 0
-    for rec in records:
-        res = by_id.get(rec.id)
-        if res is not None and res.status == STATUS_OK:
+    for rec, res in zip(records, results):
+        if res.status == STATUS_OK:
             rec.coordinates = (res.lon, res.lat)
             rec.mark_imputed("coordinates")
             applied += 1

@@ -1,4 +1,5 @@
-"""In-process partitioned map-reduce: partition, independent map, merge.
+"""In-process partitioned map: split, map each partition independently;
+callers merge the per-partition results in partition order.
 
 Workers are forked processes so CPU-bound maps actually run in parallel.
 Partitions are handed to workers through fork-inherited memory, not
@@ -12,7 +13,6 @@ identical results.
 from __future__ import annotations
 
 import multiprocessing
-from functools import reduce
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -66,18 +66,3 @@ def map_partitions(
     finally:
         _FORK_PAYLOAD = None
 
-
-def map_reduce(
-    items: Sequence[T],
-    map_fn: Callable[[Sequence[T]], R],
-    reduce_fn: Callable[[R, R], R],
-    workers: int = 1,
-    parts: int | None = None,
-) -> R:
-    """Partition items, map each partition, fold results left to right.
-
-    The fold order is fixed (partition order) so floating-point reductions
-    are reproducible; integer reductions are order-independent anyway."""
-    partitions = split(items, parts if parts is not None else workers)
-    results = map_partitions(partitions, map_fn, workers)
-    return reduce(reduce_fn, results)

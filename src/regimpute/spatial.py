@@ -7,10 +7,12 @@ band is widened accordingly). Distances are Euclidean in projected planar
 units; geographic coordinates are projected with an equirectangular
 approximation about the mean latitude before analysis.
 
-Pair counting is exact: both the blockwise-vectorized path and the
-grid-bucket path used above GRID_THRESHOLD points compare squared
-distances to squared radii, so they agree with a naive double loop
-pair for pair.
+Pairs are counted by scipy's k-d tree (cKDTree.count_neighbors), which
+holds no array of pair distances. The count is exact: for Euclidean
+distance the tree compares squared distances with squared radii, as a
+naive double loop does, and the two agree pair for pair. Tests pin this
+with brute-force double loops on random points and with a property on
+integer-lattice points whose pair distances land exactly on the radii.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ import numpy as np
 from .records import EnterpriseRecord
 
 EARTH_RADIUS_KM = 6371.0088
-GRID_THRESHOLD = 10_000
-_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -95,66 +95,17 @@ def _check_radii(radii: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def _pair_d2_blockwise(pts: np.ndarray, max_d2: float) -> np.ndarray:
-    """Squared distances of unordered pairs with d^2 <= max_d2."""
-    n = pts.shape[0]
-    chunks = []
-    for start in range(0, n, _BLOCK):
-        block = pts[start : start + _BLOCK]
-        rest = pts[start:]
-        dx = block[:, 0, None] - rest[None, :, 0]
-        dy = block[:, 1, None] - rest[None, :, 1]
-        d2 = dx * dx + dy * dy
-        iu = np.triu_indices(block.shape[0], k=1, m=rest.shape[0])
-        vals = d2[iu]
-        chunks.append(vals[vals <= max_d2])
-    return np.concatenate(chunks) if chunks else np.zeros(0)
-
-
-def _pair_d2_grid(pts: np.ndarray, max_d2: float) -> np.ndarray:
-    """Same pair set as the blockwise path, found via grid buckets."""
-    cell = math.sqrt(max_d2)
-    if cell <= 0:
-        return np.zeros(0)
-    keys = np.floor(pts / cell).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, (cx, cy) in enumerate(keys):
-        buckets.setdefault((int(cx), int(cy)), []).append(i)
-    out = []
-    for (cx, cy), members in buckets.items():
-        local = pts[members]
-        # pairs within the cell
-        if len(members) > 1:
-            dx = local[:, 0, None] - local[None, :, 0]
-            dy = local[:, 1, None] - local[None, :, 1]
-            d2 = (dx * dx + dy * dy)[np.triu_indices(len(members), k=1)]
-            out.append(d2[d2 <= max_d2])
-        # pairs against forward neighbor cells (each cell pair visited once)
-        for nx, ny in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
-            other = buckets.get((nx, ny))
-            if not other:
-                continue
-            dx = local[:, 0, None] - pts[other][None, :, 0]
-            dy = local[:, 1, None] - pts[other][None, :, 1]
-            d2 = (dx * dx + dy * dy).ravel()
-            out.append(d2[d2 <= max_d2])
-    return np.concatenate(out) if out else np.zeros(0)
-
-
 def ripley_k(points: PointSet, radii: Sequence[float]) -> KCurve:
     """K estimates at the given radii; fatal for fewer than two points."""
+    # imported here: scipy.spatial takes ~0.25 s to load and the CLI imports this module at start-up
+    from scipy.spatial import cKDTree
+
     if points.n < 2:
         raise ValueError("ripley_k needs at least two points")
     arr = _check_radii(radii)
-    max_d2 = float(arr[-1]) ** 2
-    pts = points.points
-    if points.n > GRID_THRESHOLD:
-        d2 = _pair_d2_grid(pts, max_d2)
-    else:
-        d2 = _pair_d2_blockwise(pts, max_d2)
-    d2.sort()
-    # ordered pairs = 2 * unordered; compare d^2 <= r^2
-    counts = 2 * np.searchsorted(d2, arr * arr, side="right")
+    tree = cKDTree(points.points)
+    # ordered pairs within r, less the n self-pairs (i == j, d = 0)
+    counts = tree.count_neighbors(tree, arr) - points.n
     scale = points.region.area / (points.n**2)
     return KCurve(tuple(float(r) for r in arr), tuple(float(scale * c) for c in counts))
 

@@ -36,6 +36,8 @@ def test_predict_rejects_dim_mismatch(train_set):
     model = classify.train("naive_bayes", train_set)
     with pytest.raises(ValueError, match="dim"):
         predict(model, sv(32, (0, 1)))
+    with pytest.raises(ValueError, match="dim"):
+        predict_labels(model, [sv(32, (0, 1))])
 
 
 def test_probabilistic_scores_sum_to_one(train_set, probe_set):

@@ -286,6 +286,24 @@ def test_geocode_missing_skips_located_records():
     assert records[0].provenance_of("coordinates") == "imputed"
 
 
+def test_apply_results_pairs_duplicate_ids_by_position():
+    records = [
+        EnterpriseRecord(id="dup", address="located", coordinates=(100.0, 30.0)),
+        EnterpriseRecord(id="dup", address="湖北省武汉市江岸区 南京路16号"),
+    ]
+    results = geocode_missing(records, MockGeocoder(), keys(1), rate=None)
+    assert apply_results(records, results) == 1
+    assert records[0].coordinates == (100.0, 30.0)
+    assert records[0].provenance_of("coordinates") == "original"
+    assert records[1].coordinates == (results[1].lon, results[1].lat)
+    assert records[1].provenance_of("coordinates") == "imputed"
+
+
+def test_apply_results_rejects_length_mismatch():
+    with pytest.raises(ValueError, match="results"):
+        apply_results(recs(2), [GeocodeResult("r0", 100.0, 30.0, "ok", "mock", 1)])
+
+
 def test_http_provider_json_digging():
     provider = HttpGeocoder("http://example/{address}/{key}")
     doc = {"result": {"location": {"lng": 114.3, "lat": 30.6}}}

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from regimpute.parallel import map_partitions, map_reduce, split
+from regimpute.parallel import map_partitions, split
 
 
 @given(st.integers(0, 200), st.integers(1, 12))
@@ -33,18 +33,3 @@ def test_forked_map_equals_sequential_map():
     fn = lambda chunk: sum(x * x for x in chunk)
     assert map_partitions(parts, fn, workers=4) == map_partitions(parts, fn, workers=1)
 
-
-def test_map_reduce_folds_in_partition_order():
-    order = map_reduce(
-        list(range(10)),
-        map_fn=lambda chunk: [list(chunk)],
-        reduce_fn=lambda a, b: a + b,
-        workers=1,
-        parts=3,
-    )
-    assert order == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
-
-
-def test_map_reduce_sum():
-    total = map_reduce(list(range(101)), sum, lambda a, b: a + b, workers=2, parts=5)
-    assert total == 5050

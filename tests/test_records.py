@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from regimpute.categories import CATEGORIES
 from regimpute.records import (
+    TRACKED_FIELDS,
     EnterpriseRecord,
     GroundTruth,
     ingest,
@@ -157,6 +160,42 @@ def test_roundtrip_field_for_field(tmp_path, small_corpus):
         imputed_a = {k for k, v in a.provenance.items() if v == "imputed"}
         imputed_b = {k for k, v in b.provenance.items() if v == "imputed"}
         assert imputed_a == imputed_b
+
+
+# Values ingest can produce: non-empty text without the TSV separators,
+# known category symbols, 6-digit postcodes, finite coordinates, the
+# reg_year parsed from data_source, and provenance that lists imputed fields.
+_TEXT = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\t\r\n"), min_size=1, max_size=12
+)
+
+
+@st.composite
+def _records(draw):
+    data_source = draw(st.none() | _TEXT | st.integers(1890, 2110).map(lambda y: f"{y}年注册"))
+    coordinate = st.floats(allow_nan=False, allow_infinity=False)
+    imputed = draw(st.sets(st.sampled_from(TRACKED_FIELDS)))
+    return EnterpriseRecord(
+        id=draw(_TEXT),
+        name=draw(st.none() | _TEXT),
+        category=draw(st.none() | st.sampled_from(CATEGORIES)),
+        address=draw(st.none() | _TEXT),
+        postcode=draw(st.none() | st.from_regex(r"[0-9]{6}", fullmatch=True)),
+        data_source=data_source,
+        reg_year=parse_reg_year(data_source),
+        coordinates=draw(st.none() | st.tuples(coordinate, coordinate)),
+        provenance={name: "imputed" for name in imputed},
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(_records(), max_size=5))
+def test_write_then_ingest_is_identity(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("roundtrip") / "records.tsv"
+    write_records(records, path)
+    back = ingest(path)
+    assert back.diagnostics == []
+    assert back.records == records
 
 
 def test_write_rejects_embedded_tabs(tmp_path):

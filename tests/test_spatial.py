@@ -2,18 +2,20 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regimpute.records import EnterpriseRecord
 from regimpute.spatial import (
     KCurve,
     PointSet,
     Rect,
-    _pair_d2_blockwise,
-    _pair_d2_grid,
     export_geojson,
     project_equirectangular,
     ripley_k,
@@ -70,25 +72,50 @@ def test_matches_double_loop_exactly_up_to_200_points():
         assert list(curve.k) == expected  # exact float equality
 
 
-def test_grid_path_equals_blockwise_path():
-    rng = np.random.default_rng(5)
-    pts = rng.random((3000, 2))
-    for max_r in (0.03, 0.2):
-        a = np.sort(_pair_d2_blockwise(pts, max_r * max_r))
-        b = np.sort(_pair_d2_grid(pts, max_r * max_r))
-        assert np.array_equal(a, b)
+def row_block_counts(pts, radii):
+    """Ordered-pair counts (i != j, d^2 <= r^2) by a numpy double loop over
+    row blocks; the same comparison as brute_force_k, fast enough for 10k
+    points."""
+    n, block = pts.shape[0], 256
+    counts = [0] * len(radii)
+    for start in range(0, n, block):
+        rows = pts[start : start + block]
+        dx = rows[:, 0, None] - pts[None, :, 0]
+        dy = rows[:, 1, None] - pts[None, :, 1]
+        d2 = dx * dx + dy * dy
+        for k, r in enumerate(radii):
+            counts[k] += int(np.count_nonzero(d2 <= r * r))
+    return [c - n for c in counts]  # drop the i == j pairs, d = 0
 
 
 def test_large_input_uses_grid_and_matches_brute_force_counts():
     rng = np.random.default_rng(8)
-    pts = rng.random((10_050, 2))  # just over the grid threshold
+    pts = rng.random((10_050, 2))
     ps = PointSet(pts, Rect(0.0, 0.0, 1.0, 1.0))
     radii = [0.01, 0.02]
     curve = ripley_k(ps, radii)
-    d2 = np.sort(_pair_d2_blockwise(pts, radii[-1] ** 2))
-    for r, k in zip(radii, curve.k):
-        count = 2 * np.searchsorted(d2, r * r, side="right")
-        assert k == pytest.approx(count / (ps.n**2), rel=1e-12)
+    scale = 1.0 / (ps.n * ps.n)
+    assert list(curve.k) == [scale * c for c in row_block_counts(pts, radii)]
+
+
+# Integer radii, which lattice pair distances hit exactly (5 for a 3-4
+# offset), and sqrt(k) radii, whose square may round to either side of k.
+_LATTICE_RADII = st.one_of(
+    st.integers(1, 8).map(float),
+    st.integers(1, 72).map(math.sqrt),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pts=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=40),
+    radii=st.sets(_LATTICE_RADII, min_size=1, max_size=6),
+)
+def test_lattice_points_match_double_loop_exactly(pts, radii):
+    points = [(float(x), float(y)) for x, y in pts]
+    radii = sorted(radii)
+    curve = ripley_k(PointSet(np.array(points), Rect(0.0, 0.0, 6.0, 6.0)), radii)
+    assert list(curve.k) == brute_force_k(points, 36.0, radii)
 
 
 def test_monotone_in_radius():
@@ -131,6 +158,14 @@ def test_input_validation():
         ripley_k(ps, [0.0, 0.1])
     with pytest.raises(ValueError):
         PointSet(np.array([[2.0, 0.0]]), Rect(0.0, 0.0, 1.0, 1.0))
+
+
+def test_cli_import_does_not_load_scipy_spatial():
+    # the k-d tree is imported on first use, so CLI start-up does not pay for it
+    code = "import sys, regimpute.cli; print('scipy.spatial' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_projection_scales_longitude_by_latitude():
