@@ -2,11 +2,13 @@
 
 Loss is mean cross-entropy plus (l2/2)*||W||^2; the bias is not
 regularized. Weights start at zero and the step size decays as step/sqrt(t),
-so training is deterministic. Gradients are accumulated over data
+so training is deterministic. Training runs on the active hash columns
+only: a column no training vector touches gets a zero gradient, so its
+weight stays exactly 0 and is not stored. Gradients are accumulated over data
 partitions and summed in fixed partition order: partitioning changes
 nothing semantically and keeps floating-point results reproducible for a
-given partition count. Partitions are evaluated in-process; shipping dense
-K x dim gradients between processes every iteration would cost more than
+given partition count. Partitions are evaluated in-process; shipping
+K x columns gradients between processes every iteration would cost more than
 the matrix work saves at the scales this library targets.
 """
 
@@ -19,7 +21,7 @@ from scipy import sparse
 
 from ..parallel import split
 from ..vectorizer import LabeledPoint
-from .model import TrainedModel, check_training_data, infer_classes, pack_points, softmax
+from .model import TrainedModel, check_training_data, infer_classes, pack_active, softmax
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -87,8 +89,8 @@ def train_lr(
         raise ValueError("l2 must be >= 0")
     classes = tuple(classes) if classes is not None else infer_classes(data)
     parts = parts if parts is not None else max(workers, 1)
-    X, y = pack_points(data, dim, classes)
-    W = np.zeros((len(classes), dim))
+    columns, X, y = pack_active(data, dim, classes)
+    W = np.zeros((len(classes), len(columns)))
     b = np.zeros(len(classes))
     for t in range(1, iters + 1):
         grad_w, grad_b = lr_gradient(W, b, X, y, l2, parts=parts)
@@ -105,5 +107,5 @@ def train_lr(
         dim=dim,
         classes=classes,
         params={"iters": iters, "step": step, "l2": l2},
-        state={"weights": W, "bias": b},
+        state={"columns": columns, "weights": W, "bias": b},
     )

@@ -5,11 +5,18 @@ probabilistic methods (naive_bayes, logistic_regression) scores are
 posterior probabilities summing to 1; linear_svm reports raw margins,
 decision_tree the leaf class distribution, random_forest vote fractions.
 Argmax ties always break toward the earliest class in the class list.
+
+Logistic regression and the linear SVM keep weights only for the active
+hash columns, the sorted columns their training data touches
+(state["columns"]); a column outside them has weight exactly 0, so
+prediction drops it. Naive Bayes stays dense: an unseen column still has
+a non-zero smoothed likelihood.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -20,10 +27,11 @@ from scipy import sparse
 from ..categories import CATEGORIES
 from ..vectorizer import LabeledPoint, SparseVector
 
+_LINEAR = ("naive_bayes", "logistic_regression", "linear_svm")
 METHODS = ("naive_bayes", "logistic_regression", "linear_svm", "decision_tree", "random_forest")
 
 _FORMAT = "regimpute-model"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -93,6 +101,37 @@ def pack_points(data: Sequence[LabeledPoint], dim: int, classes: Sequence[str]):
     return X, y
 
 
+def _onto_columns(X: sparse.csr_matrix, columns: np.ndarray) -> sparse.csr_matrix:
+    """X re-indexed onto the sorted `columns`; entries elsewhere are dropped.
+
+    Kept entries stay in their row order, so products with the compact
+    matrix add the same terms in the same order as with X."""
+    pos = np.searchsorted(columns, X.indices)
+    keep = pos < len(columns)
+    keep[keep] = columns[pos[keep]] == X.indices[keep]
+    indptr = np.concatenate(([0], np.cumsum(keep)))[X.indptr]
+    return sparse.csr_matrix((X.data[keep], pos[keep], indptr), shape=(X.shape[0], len(columns)))
+
+
+def pack_active(data: Sequence[LabeledPoint], dim: int, classes: Sequence[str]):
+    """(active columns, csr matrix on those columns, int label array).
+
+    The active columns, those some vector has an entry in, come from one
+    bincount: O(nnz + dim), no sort."""
+    X, y = pack_points(data, dim, classes)
+    columns = np.flatnonzero(np.bincount(X.indices, minlength=dim))
+    return columns, _onto_columns(X, columns), y
+
+
+def _linear_scores(model: TrainedModel, vectors: Sequence[SparseVector]) -> np.ndarray:
+    """Per-class linear scores X @ W.T + b, one row per vector."""
+    X = to_csr(vectors, model.dim)
+    state = model.state
+    if model.method == "naive_bayes":
+        return X @ state["log_likelihood"].T + state["log_prior"]
+    return _onto_columns(X, state["columns"]) @ state["weights"].T + state["bias"]
+
+
 def _tree_scores(node: dict, vector: SparseVector) -> np.ndarray:
     feats = dict(vector.entries)
     while not node["leaf"]:
@@ -106,17 +145,9 @@ def score_vector(model: TrainedModel, vector: SparseVector) -> np.ndarray:
     if vector.dim != model.dim:
         raise ValueError(f"vector dim {vector.dim} does not match model dim {model.dim}")
     method = model.method
-    if method == "naive_bayes":
-        z = model.state["log_prior"].copy()
-        table = model.state["log_likelihood"]
-        for i, c in vector.entries:
-            z += c * table[:, i]
-        return softmax(z)
-    if method in ("logistic_regression", "linear_svm"):
-        z = model.state["bias"].copy()
-        for i, c in vector.entries:
-            z += c * model.state["weights"][:, i]
-        return softmax(z) if method == "logistic_regression" else z
+    if method in _LINEAR:
+        z = _linear_scores(model, [vector])[0]
+        return z if method == "linear_svm" else softmax(z)
     if method == "decision_tree":
         return _tree_scores(model.state["root"], vector)
     if method == "random_forest":
@@ -141,14 +172,8 @@ def predict_labels(model: TrainedModel, vectors: Sequence[SparseVector]) -> np.n
     for vector in vectors:
         if vector.dim != model.dim:
             raise ValueError(f"vector dim {vector.dim} does not match model dim {model.dim}")
-    method = model.method
-    if method in ("naive_bayes", "logistic_regression", "linear_svm"):
-        X = to_csr(vectors, model.dim)
-        if method == "naive_bayes":
-            Z = X @ model.state["log_likelihood"].T + model.state["log_prior"]
-        else:
-            Z = X @ model.state["weights"].T + model.state["bias"]
-        return np.argmax(Z, axis=1)
+    if model.method in _LINEAR:
+        return np.argmax(_linear_scores(model, vectors), axis=1)
     return np.array([int(np.argmax(score_vector(model, v))) for v in vectors], dtype=np.int64)
 
 
@@ -182,8 +207,20 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         "params": _encode(model.params),
         "state": _encode(model.state),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False, separators=(",", ":"))
+    _write_atomic(Path(path), json.dumps(doc, ensure_ascii=False, separators=(",", ":")))
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write to a temporary file beside `path`, then rename it over `path`,
+    so a failed write leaves any previous file whole and no partial one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_model(path: str | Path) -> TrainedModel:

@@ -1,7 +1,8 @@
 """One-vs-rest linear SVM trained by full-batch subgradient descent.
 
 Comparison-grade baseline. Defaults: 50 iterations, unit step with
-1/sqrt(t) decay, regularization 0.01.
+1/sqrt(t) decay, regularization 0.01. Like logistic regression it trains
+and stores weights for the active hash columns only.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from ..vectorizer import LabeledPoint
-from .model import TrainedModel, check_training_data, infer_classes, pack_points
+from .model import TrainedModel, check_training_data, infer_classes, pack_active
 
 SVM_DEFAULTS = {"iters": 50, "step": 1.0, "reg": 0.01}
 
@@ -25,13 +26,13 @@ def train_svm(
 ) -> TrainedModel:
     dim = check_training_data(data)
     classes = tuple(classes) if classes is not None else infer_classes(data)
-    X, y = pack_points(data, dim, classes)
+    columns, X, y = pack_active(data, dim, classes)
     n = X.shape[0]
     k = len(classes)
     # Y[i, c] = +1 for the true class, -1 elsewhere
     Y = -np.ones((n, k))
     Y[np.arange(n), y] = 1.0
-    W = np.zeros((k, dim))
+    W = np.zeros((k, len(columns)))
     b = np.zeros(k)
     for t in range(1, iters + 1):
         margins = (X @ W.T + b) * Y
@@ -46,5 +47,5 @@ def train_svm(
         dim=dim,
         classes=classes,
         params={"iters": iters, "step": step, "reg": reg},
-        state={"weights": W, "bias": b},
+        state={"columns": columns, "weights": W, "bias": b},
     )

@@ -52,9 +52,13 @@ class PostcodeImputation:
 
 def extract_query_nouns(record: EnterpriseRecord, lexicon: Lexicon) -> list[str]:
     """Address nouns from data_source, address and name, de-duplicated."""
+    return _query_nouns((record.data_source, record.address, record.name), lexicon)
+
+
+def _query_nouns(texts: Sequence[str | None], lexicon: Lexicon) -> list[str]:
     seen: set[str] = set()
     nouns: list[str] = []
-    for text in (record.data_source, record.address, record.name):
+    for text in texts:
         if not text:
             continue
         for noun in address_nouns(segment(text, lexicon)):
@@ -65,22 +69,34 @@ def extract_query_nouns(record: EnterpriseRecord, lexicon: Lexicon) -> list[str]
 
 
 class PostcodeEvidence:
-    """Noun sets of postcode-bearing records, indexed by postcode."""
+    """Noun sets of postcode-bearing records, indexed by postcode.
 
-    def __init__(self, noun_sets: Mapping[str, list[frozenset[str]]]):
-        self._sets = dict(noun_sets)
+    Construction only groups each record's (data_source, address, name)
+    under its postcode. A postcode's records are segmented on the first
+    count_with for that postcode and their noun sets cached, since only
+    tie-breaks read the evidence and they ask about few postcodes."""
+
+    def __init__(self, texts: Mapping[str, list[tuple[str | None, ...]]], lexicon: Lexicon):
+        self._texts = dict(texts)
+        self._lexicon = lexicon
+        self._sets: dict[str, list[frozenset[str]]] = {}
 
     @classmethod
     def from_records(cls, records: Sequence[EnterpriseRecord], lexicon: Lexicon) -> "PostcodeEvidence":
-        sets: dict[str, list[frozenset[str]]] = {}
+        texts: dict[str, list[tuple[str | None, ...]]] = {}
         for rec in records:
             if rec.postcode:
-                sets.setdefault(rec.postcode, []).append(frozenset(extract_query_nouns(rec, lexicon)))
-        return cls(sets)
+                texts.setdefault(rec.postcode, []).append((rec.data_source, rec.address, rec.name))
+        return cls(texts, lexicon)
 
     def count_with(self, postcode: str, query: frozenset[str]) -> int:
         """Records carrying this postcode whose nouns include the query's."""
-        return sum(1 for nouns in self._sets.get(postcode, ()) if query <= nouns)
+        sets = self._sets.get(postcode)
+        if sets is None:
+            sets = self._sets[postcode] = [
+                frozenset(_query_nouns(t, self._lexicon)) for t in self._texts.get(postcode, ())
+            ]
+        return sum(1 for nouns in sets if query <= nouns)
 
 
 def tie_break_probabilities(counts: Sequence[int]) -> list[Fraction]:

@@ -2,12 +2,15 @@
 
 The hash is FNV-1a (32-bit) over the UTF-8 bytes of each word, reduced
 modulo the vector dimension. Counts accumulate per index; collisions are
-accepted silently. The default dimension is 15,000.
+accepted silently. The default dimension is 15,000. Word hashes are
+memoised: names reuse a small vocabulary, and the byte loop of fnv1a_32,
+the reference implementation, is slow in pure Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .records import EnterpriseRecord
@@ -37,8 +40,13 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
+@lru_cache(maxsize=1 << 16)
+def _word_hash(word: str) -> int:
+    return fnv1a_32(word.encode("utf-8"))
+
+
 def hash_index(word: str, dim: int) -> int:
-    return fnv1a_32(word.encode("utf-8")) % dim
+    return _word_hash(word) % dim
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,7 +86,7 @@ def hash_vector(words: Iterable[str], dim: int = DEFAULT_DIM) -> SparseVector:
         raise ValueError("dim must be >= 1")
     counts: dict[int, int] = {}
     for word in words:
-        index = fnv1a_32(word.encode("utf-8")) % dim
+        index = hash_index(word, dim)
         counts[index] = counts.get(index, 0) + 1
     return SparseVector(dim, tuple(sorted(counts.items())))
 

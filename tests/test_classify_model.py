@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
 import pytest
 
 from regimpute import classify
+from regimpute.classify import model as model_module
 from regimpute.classify import (
     impute_categories,
     load_model,
@@ -13,6 +15,7 @@ from regimpute.classify import (
     predict_labels,
     save_model,
 )
+from regimpute.classify.model import softmax, to_csr
 from regimpute.records import EnterpriseRecord
 from regimpute.synth import synth_labeled_points
 from regimpute.vectorizer import LabeledPoint, SparseVector, build_labeled
@@ -126,3 +129,74 @@ def test_infer_classes_uses_canonical_category_order():
     assert classify.infer_classes(points) == ("AFAHF", "RE", "OI")
     other = [LabeledPoint("zzz", sv(4, (0, 1))), LabeledPoint("aaa", sv(4, (1, 1)))]
     assert classify.infer_classes(other) == ("aaa", "zzz")
+
+
+@pytest.mark.parametrize("method", ["logistic_regression", "linear_svm"])
+def test_linear_predictions_equal_dense_reference(train_set, method):
+    # train on half the columns, so probes also hit columns never seen
+    points = [p for p in train_set if all(i < 32 for i, _ in p.vector.entries)]
+    model = classify.train(method, points, {"iters": 10})
+    columns = model.state["columns"]
+    dense = np.zeros((model.n_classes, model.dim))
+    dense[:, columns] = model.state["weights"]
+    rng = np.random.default_rng(8)
+    vectors = [
+        sv(64, *((int(i), int(rng.integers(1, 4))) for i in rng.choice(64, 4, replace=False)))
+        for _ in range(300)
+    ] + [SparseVector(64, ())]
+    assert any(i not in columns for v in vectors for i, _ in v.entries)
+    Z = to_csr(vectors, model.dim) @ dense.T + model.state["bias"]
+    assert predict_labels(model, vectors).tolist() == np.argmax(Z, axis=1).tolist()
+    for vector, z in zip(vectors, Z):
+        want = z if method == "linear_svm" else softmax(z)
+        assert predict(model, vector).scores == tuple(want.tolist())
+
+
+def test_load_rejects_version_1_model_file(tmp_path, train_set):
+    path = tmp_path / "model.json"
+    save_model(classify.train("logistic_regression", train_set, {"iters": 2}), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["format_version"] = 1
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="not a supported model file"):
+        load_model(path)
+
+
+class _HalfWriter:
+    """File handle that writes half of its first chunk, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError("disk full")
+
+
+def _refuse_rename(*args):
+    raise OSError("rename refused")
+
+
+@pytest.mark.parametrize("fault", ["write", "rename"])
+def test_failed_save_keeps_previous_file_and_leaves_no_temporary(tmp_path, train_set, monkeypatch, fault):
+    path = tmp_path / "model.json"
+    save_model(classify.train("naive_bayes", train_set), path)
+    before = path.read_bytes()
+    if fault == "write":
+        monkeypatch.setattr(
+            model_module, "open", lambda *a, **k: _HalfWriter(open(*a, **k)), raising=False
+        )
+    else:
+        monkeypatch.setattr(model_module.os, "replace", _refuse_rename)
+    with pytest.raises(OSError):
+        save_model(classify.train("logistic_regression", train_set, {"iters": 2}), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

@@ -105,3 +105,37 @@ def test_forest_deterministic_for_seed():
 def test_unknown_method_is_fatal():
     with pytest.raises(ValueError, match="unknown"):
         train_comparison("kernel_svm", separable_points())
+
+
+def test_svm_weights_on_active_columns_equal_dense_reference():
+    from regimpute.classify import train_svm
+    from regimpute.classify.model import pack_points
+
+    rng = np.random.default_rng(3)
+    dim, classes = 300, ("A", "B", "C")
+    points = [
+        LabeledPoint(
+            classes[rng.integers(3)],
+            sv(dim, *((int(i), int(rng.integers(1, 4))) for i in rng.choice(dim, 3, replace=False))),
+        )
+        for _ in range(70)
+    ]
+    model = train_svm(points, iters=25, step=1.0, reg=0.01, classes=classes)
+    # the one-vs-rest subgradient update over the full-dim matrix
+    X, y = pack_points(points, dim, classes)
+    n, k = X.shape[0], len(classes)
+    Y = -np.ones((n, k))
+    Y[np.arange(n), y] = 1.0
+    W, b = np.zeros((k, dim)), np.zeros(k)
+    for t in range(1, 26):
+        active = ((X @ W.T + b) * Y < 1.0) * Y
+        grad_w = 0.01 * W - (active.T @ X) / n
+        grad_b = -active.sum(axis=0) / n
+        lr = 1.0 / np.sqrt(t)
+        W -= lr * grad_w
+        b -= lr * grad_b
+    columns = sorted({i for p in points for i, _ in p.vector.entries})
+    assert model.state["columns"].tolist() == columns
+    assert np.array_equal(model.state["weights"], W[:, columns])
+    assert np.array_equal(model.state["bias"], b)
+    assert not np.delete(W, columns, axis=1).any()

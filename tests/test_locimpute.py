@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from regimpute import locimpute
 from regimpute.gazetteer import PostcodeEntry, build
 from regimpute.locimpute import (
     PostcodeEvidence,
@@ -103,6 +104,41 @@ def test_tie_with_counts_three_one(demo_tree, demo_lexicon):
     rec = EnterpriseRecord(id="q", address="南京路9号")
     result = impute_postcode(rec, demo_tree, evidence, demo_lexicon)
     assert result.postcode == "430014"  # P = 3/4 wins
+
+
+def test_lazy_evidence_matches_eager_counts(small_corpus, small_world):
+    records, _ = small_corpus
+    lexicon = small_world.lexicon
+    eager: dict[str, list[frozenset[str]]] = {}
+    for rec in records:
+        if rec.postcode:
+            eager.setdefault(rec.postcode, []).append(frozenset(extract_query_nouns(rec, lexicon)))
+    queries = {frozenset(extract_query_nouns(rec, lexicon)) for rec in records}
+    queries |= {frozenset({noun}) for q in queries for noun in q}
+    evidence = PostcodeEvidence.from_records(records, lexicon)
+    for postcode in sorted(eager) + ["000000"]:
+        for query in queries:
+            want = sum(1 for nouns in eager.get(postcode, ()) if query <= nouns)
+            assert evidence.count_with(postcode, query) == want, (postcode, query)
+
+
+def test_evidence_segments_only_postcodes_asked_about(demo_lexicon, monkeypatch):
+    corpus = [
+        EnterpriseRecord(id="c1", address="南京路1号", name="武汉", postcode="430014"),
+        EnterpriseRecord(id="c2", address="南京路2号", postcode="430014"),
+        EnterpriseRecord(id="c3", address="中山路3号", data_source="广东", postcode="510030"),
+        EnterpriseRecord(id="c4", address="南京路4号"),
+    ]
+    segmented = []
+    real = locimpute.segment
+    monkeypatch.setattr(locimpute, "segment", lambda text, lex: segmented.append(text) or real(text, lex))
+    evidence = PostcodeEvidence.from_records(corpus, demo_lexicon)
+    assert segmented == []
+    assert evidence.count_with("430014", frozenset({"南京路"})) == 2
+    assert segmented == ["南京路1号", "武汉", "南京路2号"]
+    assert evidence.count_with("430014", frozenset({"武汉"})) == 1
+    assert evidence.count_with("999999", frozenset({"南京路"})) == 0
+    assert len(segmented) == 3  # cached per postcode; 510030 never segmented
 
 
 def test_tie_without_evidence_low_confidence(demo_tree, demo_lexicon):

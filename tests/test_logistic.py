@@ -140,3 +140,29 @@ def test_to_csr_materializes_counts():
     assert dense.shape == (2, 5)
     assert dense[0].tolist() == [2.0, 0.0, 0.0, 1.0, 0.0]
     assert dense[1].tolist() == [0.0] * 5
+
+
+def dense_reference(points, classes, dim, iters, step, l2, parts):
+    """Gradient descent over the full-dim matrix, as train_lr once ran it."""
+    X, y = pack_points(points, dim, classes)
+    W = np.zeros((len(classes), dim))
+    b = np.zeros(len(classes))
+    for t in range(1, iters + 1):
+        gw, gb = lr_gradient(W, b, X, y, l2, parts=parts)
+        lr = step / np.sqrt(t)
+        W -= lr * gw
+        b -= lr * gb
+    return W, b
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+def test_weights_on_active_columns_equal_dense_reference(parts):
+    rng = np.random.default_rng(11)
+    classes, points = random_dataset(rng, n=80, dim=400, k=3)
+    model = train_lr(points, iters=30, step=1.0, l2=0.05, parts=parts)
+    W, b = dense_reference(points, classes, 400, 30, 1.0, 0.05, parts)
+    columns = sorted({i for p in points for i, _ in p.vector.entries})
+    assert model.state["columns"].tolist() == columns
+    assert np.array_equal(model.state["weights"], W[:, columns])
+    assert np.array_equal(model.state["bias"], b)
+    assert not np.delete(W, columns, axis=1).any()  # what the model leaves out is 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from regimpute import vectorizer
 from regimpute.records import EnterpriseRecord
 from regimpute.segmenter import Lexicon
 from regimpute.vectorizer import (
@@ -68,6 +69,17 @@ def test_repeated_word_accumulates():
 def test_multibyte_words_hash_on_utf8_bytes():
     word = "物业"
     assert hash_index(word, 15000) == reference_fnv1a_32(word.encode("utf-8")) % 15000
+
+
+def test_word_hash_is_computed_once_per_word(monkeypatch):
+    calls = []
+    real = vectorizer.fnv1a_32
+    monkeypatch.setattr(vectorizer, "fnv1a_32", lambda data: calls.append(data) or real(data))
+    words = ["哈希缓存甲", "哈希缓存乙", "哈希缓存甲", "哈希缓存甲"]
+    vec = hash_vector(words, 97)
+    assert hash_index("哈希缓存乙", 13) == real("哈希缓存乙".encode("utf-8")) % 13
+    assert sorted(calls) == sorted(w.encode("utf-8") for w in set(words))
+    assert vec.total == 4
 
 
 def test_indices_bounded_by_dim():
