@@ -16,7 +16,6 @@ a non-zero smoothed likelihood.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -25,6 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from ..categories import CATEGORIES
+from ..records import atomic_writer
 from ..vectorizer import LabeledPoint, SparseVector
 
 _LINEAR = ("naive_bayes", "logistic_regression", "linear_svm")
@@ -207,20 +207,8 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         "params": _encode(model.params),
         "state": _encode(model.state),
     }
-    _write_atomic(Path(path), json.dumps(doc, ensure_ascii=False, separators=(",", ":")))
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write to a temporary file beside `path`, then rename it over `path`,
-    so a failed write leaves any previous file whole and no partial one."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_writer(path) as fh:
+        fh.write(json.dumps(doc, ensure_ascii=False, separators=(",", ":")))
 
 
 def load_model(path: str | Path) -> TrainedModel:

@@ -317,54 +317,35 @@ def _location_setup(args):
     tree = gazetteer.build(entries)
     lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
     records = _load_records(config.corpus)
-    return config, tree, lexicon, records
+    return tree, lexicon, records
 
 
 def cmd_impute_postcode(args) -> int:
-    _, tree, lexicon, records = _location_setup(args)
+    tree, lexicon, records = _location_setup(args)
     evidence = locimpute.PostcodeEvidence.from_records(records, lexicon)
-    filled = failed = 0
+    report = locimpute.LocationReport(total=len(records))
     for rec in records:
-        if rec.postcode:
-            continue
-        result = locimpute.impute_postcode(rec, tree, evidence, lexicon)
-        if result is None:
-            failed += 1
-            continue
-        rec.postcode = result.postcode
-        rec.mark_imputed("postcode")
-        filled += 1
+        locimpute.fill_postcode(rec, tree, evidence, lexicon, report)
     write_records(records, args.out)
-    print(f"filled\t{filled}")
-    print(f"failed\t{failed}")
+    print(f"filled\t{report.postcode_filled}")
+    print(f"failed\t{report.postcode_failed}")
     return EXIT_OK
 
 
 def cmd_impute_ad(args) -> int:
-    _, tree, lexicon, records = _location_setup(args)
-    assigned = failed = 0
+    tree, lexicon, records = _location_setup(args)
+    report = locimpute.LocationReport(total=len(records))
     for rec in records:
-        if not rec.postcode:
-            continue
-        loc = locimpute.impute_ad(rec, tree, lexicon)
-        if loc is None:
-            failed += 1
-        elif loc.source != locimpute.SOURCE_ORIGINAL:
-            if rec.address is None:
-                rec.mark_imputed("address")
-            else:
-                rec.mark_imputed("ad")
-            rec.address = loc.full_address
-            assigned += 1
+        locimpute.fill_ad(rec, tree, lexicon, report)
     write_records(records, args.out)
-    print(f"assigned\t{assigned}")
-    print(f"failed\t{failed}")
+    print(f"assigned\t{report.ad_assigned}")
+    print(f"failed\t{report.ad_failed}")
     return EXIT_OK
 
 
 def cmd_impute_location(args) -> int:
-    config, tree, lexicon, records = _location_setup(args)
-    report = locimpute.impute_locations(records, tree, lexicon, workers=config.workers)
+    tree, lexicon, records = _location_setup(args)
+    report = locimpute.impute_locations(records, tree, lexicon)
     write_records(records, args.out)
     if args.report:
         report.write(args.report)
@@ -481,7 +462,7 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
         if "impute-location" not in skip:
             if tree is None:
                 raise StageError("impute-location needs the gazetteer stage")
-            location_report = locimpute.impute_locations(records, tree, lexicon, workers=config.workers)
+            location_report = locimpute.impute_locations(records, tree, lexicon)
             location_report.write(out / "location_report.tsv")
             timer.record("impute-location", location_report.postcode_filled)
 
@@ -537,11 +518,9 @@ def cmd_pipeline(args) -> int:
 
 # --- argument parsing ---------------------------------------------------
 
-_CONFIG_FLAGS = (
-    "corpus", "lexicon", "gazetteer", "keys", "model", "output_dir", "method",
-    "dim", "workers", "seed", "alpha", "iters", "step", "l2", "rate",
-    "provider", "url_template",
-)
+# flag name -> argparse type, both from PipelineConfig (load converts the
+# same way, with the type of the current value)
+_CONFIG_FLAGS = {f.name: type(f.default) for f in dc_fields(PipelineConfig)}
 
 
 def _config_overrides(args) -> dict:
@@ -549,10 +528,8 @@ def _config_overrides(args) -> dict:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    types = {"dim": int, "workers": int, "seed": int, "alpha": float, "iters": int,
-             "step": float, "l2": float, "rate": float}
     for name in names:
-        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=types.get(name, str), default=None)
+        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=_CONFIG_FLAGS[name], default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -635,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True)
         if name == "impute-location":
             p.add_argument("--report")
-        _add_config_flags(p, "corpus", "lexicon", "gazetteer", "workers")
+        _add_config_flags(p, "corpus", "lexicon", "gazetteer")
         p.set_defaults(func=func)
 
     p = sub.add_parser("geocode", help="geocode record addresses")

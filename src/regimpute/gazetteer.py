@@ -85,16 +85,11 @@ class AddressTree:
         self.entries: tuple[PostcodeEntry, ...] = tuple(
             sorted(set(entries), key=lambda e: (e.path(), e.postcode))
         )
-        self.root: dict = {}
         self._by_postcode: dict[str, list[int]] = {}
         self._by_name: dict[str, set[int]] = {}
         # per entry: its (weight, level, name) triples and their weight sum
         self._scoring: list[tuple[tuple[tuple[int, str, str], ...], int]] = []
         for idx, entry in enumerate(self.entries):
-            node = self.root
-            for _, name in entry.levels():
-                node = node.setdefault(name, {})
-            node.setdefault("__postcodes__", set()).add(entry.postcode)
             self._by_postcode.setdefault(entry.postcode, []).append(idx)
             for _, name in entry.levels():
                 self._by_name.setdefault(name, set()).add(idx)

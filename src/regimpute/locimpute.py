@@ -13,6 +13,10 @@ AD imputation looks the (possibly just imputed) postcode up in the tree
 and combines the resulting province/city/county prefix with the record's
 street-level address; the assembled full address is "<prefix> <street
 part>" with a single space between the two parts.
+
+A batch is filled in one pass, record by record: fill_postcode, then
+fill_ad, each applied as soon as it has a result and counted in a
+LocationReport. The single-step commands call the same two steps.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .gazetteer import AddressTree, best_postcodes, match
-from .parallel import map_partitions, split
+# Unused here: perfbench's tracer patches this name when it installs
+# (ROADMAP item 6), so it stays importable until the tracer drops it.
+from .parallel import map_partitions  # noqa: F401
 from .records import EnterpriseRecord
 from .segmenter import Lexicon, address_nouns, segment
 
@@ -141,10 +147,14 @@ def impute_postcode(
     return PostcodeImputation(select_tied_postcode(counts), SOURCE_TIEBREAK)
 
 
-def _ad_for_postcode(
-    postcode: str, record: EnterpriseRecord, tree: AddressTree, lexicon: Lexicon | None
+def impute_ad(
+    record: EnterpriseRecord, tree: AddressTree, lexicon: Lexicon | None = None
 ) -> ImputedLocation | None:
-    entries = tree.entries_for_postcode(postcode)
+    """AD levels for a record's postcode; None when the postcode is unknown
+    to the tree (caller flags the record)."""
+    if not record.postcode:
+        raise ValueError(f"record {record.id} has no postcode")
+    entries = tree.entries_for_postcode(record.postcode)
     if not entries:
         return None
     chosen = entries[0]
@@ -152,7 +162,7 @@ def _ad_for_postcode(
         # Best own-noun degree wins, ties to the first path: match orders
         # one postcode's entries that way, and an entry it does not return
         # matches no noun, so path-sorted entries[0] is the fallback.
-        ranked = match(extract_query_nouns(record, lexicon), tree, postcode=postcode)
+        ranked = match(extract_query_nouns(record, lexicon), tree, postcode=record.postcode)
         if ranked:
             chosen = ranked[0].entry
     prefix = chosen.province + chosen.city + chosen.county
@@ -167,24 +177,6 @@ def _ad_for_postcode(
         chosen.province, chosen.city, chosen.county, chosen.street,
         f"{prefix} {street_part}", SOURCE_POSTCODE_LOOKUP,
     )
-
-
-def impute_ad(
-    record: EnterpriseRecord, tree: AddressTree, lexicon: Lexicon | None = None
-) -> ImputedLocation | None:
-    """AD levels for a record's postcode; None when the postcode is unknown
-    to the tree (caller flags the record)."""
-    if not record.postcode:
-        raise ValueError(f"record {record.id} has no postcode")
-    return _ad_for_postcode(record.postcode, record, tree, lexicon)
-
-
-@dataclass(frozen=True)
-class _Plan:
-    postcode: PostcodeImputation | None
-    postcode_failed: bool
-    location: ImputedLocation | None
-    ad_failed: bool
 
 
 @dataclass
@@ -223,71 +215,62 @@ class LocationReport:
                 fh.write(f"{key}\t{value}\n")
 
 
-def _plan_record(
-    rec: EnterpriseRecord, tree: AddressTree, evidence: PostcodeEvidence, lexicon: Lexicon
-) -> _Plan:
-    imputation = None
-    postcode_failed = False
-    effective = rec.postcode
-    if not effective:
-        imputation = impute_postcode(rec, tree, evidence, lexicon)
-        if imputation is None:
-            postcode_failed = True
+def fill_postcode(
+    rec: EnterpriseRecord,
+    tree: AddressTree,
+    evidence: PostcodeEvidence,
+    lexicon: Lexicon,
+    report: LocationReport,
+) -> None:
+    """Impute rec's postcode in place if it has none; count the outcome."""
+    if rec.postcode:
+        return
+    report.postcode_missing += 1
+    imputation = impute_postcode(rec, tree, evidence, lexicon)
+    if imputation is None:
+        report.postcode_failed += 1
+        return
+    rec.postcode = imputation.postcode
+    rec.mark_imputed("postcode")
+    report.postcode_filled += 1
+    report.postcode_sources[imputation.source] = report.postcode_sources.get(imputation.source, 0) + 1
+    if imputation.low_confidence:
+        report.low_confidence += 1
+
+
+def fill_ad(rec: EnterpriseRecord, tree: AddressTree, lexicon: Lexicon, report: LocationReport) -> None:
+    """Give rec, in place, the full address impute_ad assembles from its
+    postcode, unless the address already names those AD levels; skip a
+    record with no postcode; count the outcome."""
+    if not rec.postcode:
+        return
+    loc = impute_ad(rec, tree, lexicon)
+    if loc is None:
+        report.ad_failed += 1
+    elif loc.source == SOURCE_ORIGINAL:
+        report.ad_original += 1
+    else:
+        if rec.address is None:
+            report.address_filled += 1
+            rec.mark_imputed("address")
         else:
-            effective = imputation.postcode
-    location = None
-    ad_failed = False
-    if effective:
-        location = _ad_for_postcode(effective, rec, tree, lexicon)
-        ad_failed = location is None
-    return _Plan(imputation, postcode_failed, location, ad_failed)
+            rec.mark_imputed("ad")
+        rec.address = loc.full_address
+        report.ad_assigned += 1
 
 
 def impute_locations(
-    records: Sequence[EnterpriseRecord],
-    tree: AddressTree,
-    lexicon: Lexicon,
-    workers: int = 1,
+    records: Sequence[EnterpriseRecord], tree: AddressTree, lexicon: Lexicon
 ) -> LocationReport:
-    """Fill postcodes then AD info for a whole batch, in place.
+    """Fill postcodes then AD info for a whole batch, in place, one record
+    at a time; per-record failures are counted, never raised.
 
-    Records are planned independently (data-parallel over partitions)
-    against evidence frozen at batch start, then updates are applied in
-    one pass; per-record failures are counted, never raised."""
+    Tie-break evidence is taken from the batch before any record changes
+    and keeps its own copy of the texts, so filling a record cannot change
+    a later record's result."""
     evidence = PostcodeEvidence.from_records(records, lexicon)
-    partitions = split(records, workers)
-    planned = map_partitions(
-        partitions, lambda part: [_plan_record(r, tree, evidence, lexicon) for r in part], workers
-    )
-    plans = [plan for chunk in planned for plan in chunk]
-
     report = LocationReport(total=len(records))
-    for rec, plan in zip(records, plans):
-        if plan.postcode is not None or plan.postcode_failed:
-            report.postcode_missing += 1
-        if plan.postcode is not None:
-            rec.postcode = plan.postcode.postcode
-            rec.mark_imputed("postcode")
-            report.postcode_filled += 1
-            report.postcode_sources[plan.postcode.source] = (
-                report.postcode_sources.get(plan.postcode.source, 0) + 1
-            )
-            if plan.postcode.low_confidence:
-                report.low_confidence += 1
-        elif plan.postcode_failed:
-            report.postcode_failed += 1
-        if plan.ad_failed:
-            report.ad_failed += 1
-        elif plan.location is not None:
-            loc = plan.location
-            if loc.source == SOURCE_ORIGINAL:
-                report.ad_original += 1
-            else:
-                if rec.address is None:
-                    report.address_filled += 1
-                    rec.mark_imputed("address")
-                else:
-                    rec.mark_imputed("ad")
-                rec.address = loc.full_address
-                report.ad_assigned += 1
+    for rec in records:
+        fill_postcode(rec, tree, evidence, lexicon, report)
+        fill_ad(rec, tree, lexicon, report)
     return report

@@ -3,15 +3,19 @@
 The record file format is UTF-8 tab-separated text with a header row. The
 six core columns are id, name, category, address, postcode, data_source;
 lon, lat and provenance columns are written by downstream stages and read
-back when present. Empty cells mean "absent".
+back when present. Empty cells mean "absent". Record files, like model
+files, are written through atomic_writer, so a failed write leaves no
+partial file.
 """
 
 from __future__ import annotations
 
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .categories import normalize_category
 
@@ -239,9 +243,26 @@ def _clean(value: str | None) -> str:
     return value
 
 
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """A text handle on a temporary file beside `path`, renamed over `path`
+    when the block ends cleanly. On any failure the temporary file is
+    removed, so a previous file at `path` stays whole and no partial one
+    is left."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_records(records: Iterable[EnterpriseRecord], path: str | Path) -> None:
-    """Write records as TSV; ingest() of the result reproduces them."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write records as TSV, atomically; ingest() of the result reproduces them."""
+    with atomic_writer(path) as fh:
         fh.write("\t".join(_ALL_COLUMNS) + "\n")
         for rec in records:
             lon = repr(rec.coordinates[0]) if rec.coordinates else ""

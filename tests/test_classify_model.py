@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from regimpute import classify
-from regimpute.classify import model as model_module
+from regimpute import records as records_module
 from regimpute.classify import (
     impute_categories,
     load_model,
@@ -192,10 +192,10 @@ def test_failed_save_keeps_previous_file_and_leaves_no_temporary(tmp_path, train
     before = path.read_bytes()
     if fault == "write":
         monkeypatch.setattr(
-            model_module, "open", lambda *a, **k: _HalfWriter(open(*a, **k)), raising=False
+            records_module, "open", lambda *a, **k: _HalfWriter(open(*a, **k)), raising=False
         )
     else:
-        monkeypatch.setattr(model_module.os, "replace", _refuse_rename)
+        monkeypatch.setattr(records_module.os, "replace", _refuse_rename)
     with pytest.raises(OSError):
         save_model(classify.train("logistic_regression", train_set, {"iters": 2}), path)
     assert path.read_bytes() == before

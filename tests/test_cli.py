@@ -120,6 +120,12 @@ def test_impute_postcode_and_ad_split_stages(synth_dir, tmp_path):
     with_pc = [r for r in records if r.postcode]
     assert all(" " in (r.address or "") or r.address is None or
                r.provenance_of("ad") == "original" for r in with_pc[:50])
+    # the two steps in turn write what the combined stage writes
+    combined = tmp_path / "located.tsv"
+    code = main(["impute-location", *corpus_args(synth_dir),
+                 "--gazetteer", str(synth_dir / "gazetteer.tsv"), "--out", str(combined)])
+    assert code == 0
+    assert done.read_bytes() == combined.read_bytes()
 
 
 def test_speedup_subcommand(tmp_path, capsys):

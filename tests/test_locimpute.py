@@ -245,7 +245,7 @@ def test_impute_locations_deterministic(small_world, small_tree, small_config):
     r1, _ = synth(small_config)
     r2, _ = synth(small_config)
     impute_locations(r1, small_tree, small_world.lexicon)
-    impute_locations(r2, small_tree, small_world.lexicon, workers=3)
+    impute_locations(r2, small_tree, small_world.lexicon)
     assert r1 == r2
 
 

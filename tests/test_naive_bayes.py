@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regimpute.classify import merge_stats, partial_stats, predict, train_nb
 from regimpute.parallel import split
@@ -167,6 +168,25 @@ def test_workers_do_not_change_the_model():
     forked = train_nb(points, classes=classes, workers=3)
     assert np.array_equal(sequential.state["log_prior"], forked.state["log_prior"])
     assert np.array_equal(sequential.state["log_likelihood"], forked.state["log_likelihood"])
+
+
+@st.composite
+def _labeled_points(draw):
+    dim = draw(st.integers(1, 8))
+    counts = st.dictionaries(st.integers(0, dim - 1), st.integers(1, 50), max_size=dim)
+    rows = draw(st.lists(st.tuples(st.sampled_from("ABC"), counts), min_size=1, max_size=40))
+    return [LabeledPoint(label, sv(dim, *c.items())) for label, c in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=_labeled_points(), data=st.data())
+def test_any_partition_count_gives_the_single_pass_model(points, data):
+    # ROADMAP item 4: partitioned counts merge bit for bit, for any count
+    parts = data.draw(st.integers(1, len(points)), label="parts")
+    whole = train_nb(points, classes=("A", "B", "C"), workers=1, parts=1)
+    split_model = train_nb(points, classes=("A", "B", "C"), workers=1, parts=parts)
+    for key in ("log_prior", "log_likelihood", "class_counts"):
+        assert np.array_equal(split_model.state[key], whole.state[key])
 
 
 def test_scaling_invariance_of_argmax():

@@ -204,6 +204,17 @@ def test_write_rejects_embedded_tabs(tmp_path):
         write_records([rec], tmp_path / "x.tsv")
 
 
+def test_failed_write_keeps_previous_file_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "records.tsv"
+    write_records([EnterpriseRecord(id="1", name="old"), EnterpriseRecord(id="2", name="old")], path)
+    before = path.read_bytes()
+    bad = [EnterpriseRecord(id="1", name="new"), EnterpriseRecord(id="2", name="bad\tname")]
+    with pytest.raises(ValueError, match="tab"):
+        write_records(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["records.tsv"]
+
+
 def test_ground_truth_roundtrip(tmp_path):
     truth = GroundTruth()
     truth.set("E1", "category", "RE")
