@@ -85,11 +85,3 @@ for _sym in CATEGORIES:
 def normalize_category(label: str) -> str | None:
     """Resolve a raw category cell to its canonical symbol, or None."""
     return _ALIASES.get(_squash(label))
-
-
-def english_name(symbol: str) -> str:
-    return _ENGLISH[symbol]
-
-
-def chinese_name(symbol: str) -> str:
-    return _CHINESE[symbol]

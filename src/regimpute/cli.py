@@ -16,11 +16,12 @@ import logging
 import os
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
 from . import classify, evaluate, gazetteer, geocode, locimpute, spatial
-from .records import GroundTruth, ingest, missingness, write_records
+from .records import GroundTruth, atomic_writer, ingest, missingness, write_records, write_tsv
 from .segmenter import Lexicon, address_nouns, segment
 from .synth import SynthConfig, synth, synth_labeled_points, synth_world
 from .vectorizer import DEFAULT_DIM, build_labeled, vectorize_name, write_vectors
@@ -67,7 +68,7 @@ class PipelineConfig:
         values: dict[str, str] = {}
         if path:
             try:
-                with open(path, encoding="utf-8") as fh:
+                with open(path, encoding="utf-8-sig") as fh:
                     for line_no, line in enumerate(fh, start=1):
                         line = line.strip()
                         if not line or line.startswith("#"):
@@ -190,14 +191,10 @@ def cmd_segment(args) -> int:
     else:
         records = _load_records(args.corpus)
         texts = [(r.id, r.name or "") for r in records]
-    sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
+    with atomic_writer(args.out) if args.out else nullcontext(sys.stdout) as sink:
         for rec_id, text in texts:
             for token in segment(text, lexicon):
                 sink.write(f"{rec_id}\t{token.surface}\t{token.pos}\t{token.span[0]}\t{token.span[1]}\n")
-    finally:
-        if args.out:
-            sink.close()
     return EXIT_OK
 
 
@@ -412,10 +409,9 @@ class _StageTimer:
         log.info("stage=%s records=%d duration=%.3f", stage, count, seconds)
 
     def write(self, path: Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("stage\trecords\tseconds\n")
-            for stage, count, seconds in self.rows:
-                fh.write(f"{stage}\t{count}\t{seconds:.3f}\n")
+        write_tsv(path, ("stage", "records", "seconds"), (
+            (stage, str(count), f"{seconds:.3f}") for stage, count, seconds in self.rows
+        ))
 
 
 def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
@@ -490,24 +486,22 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
 
 def _write_missingness(records, path: Path) -> None:
     report = missingness(records)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("field\tmissing_fraction\n")
-        for field_name, fraction in report.missing.items():
-            fh.write(f"{field_name}\t{fraction!r}\n")
+    write_tsv(path, ("field", "missing_fraction"), (
+        (field_name, repr(fraction)) for field_name, fraction in report.missing.items()
+    ))
 
 
 def _write_summary(records, path: Path) -> None:
     total = len(records)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("field\toriginal\timputed\tmissing\ttotal\n")
-        for field_name in ("category", "postcode", "address", "coordinates"):
-            imputed = sum(1 for r in records if r.provenance_of(field_name) == "imputed")
-            if field_name == "coordinates":
-                absent = sum(1 for r in records if r.coordinates is None)
-            else:
-                absent = sum(1 for r in records if getattr(r, field_name) is None)
-            original = total - imputed - absent
-            fh.write(f"{field_name}\t{original}\t{imputed}\t{absent}\t{total}\n")
+    rows = []
+    for field_name in ("category", "postcode", "address", "coordinates"):
+        imputed = sum(1 for r in records if r.provenance_of(field_name) == "imputed")
+        if field_name == "coordinates":
+            absent = sum(1 for r in records if r.coordinates is None)
+        else:
+            absent = sum(1 for r in records if getattr(r, field_name) is None)
+        rows.append((field_name, str(total - imputed - absent), str(imputed), str(absent), str(total)))
+    write_tsv(path, ("field", "original", "imputed", "missing", "total"), rows)
 
 
 def cmd_pipeline(args) -> int:

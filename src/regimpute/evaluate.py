@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import classify
-from .records import EnterpriseRecord, GroundTruth
+from .records import EnterpriseRecord, GroundTruth, write_tsv
 from .vectorizer import LabeledPoint
 
 
@@ -28,12 +28,6 @@ class FoldPlan:
     k: int
     assignments: tuple[int, ...]  # record index -> fold id
     seed: int
-
-    def fold_sizes(self) -> list[int]:
-        sizes = [0] * self.k
-        for fold in self.assignments:
-            sizes[fold] += 1
-        return sizes
 
 
 def kfold(n: int, k: int, seed: int) -> FoldPlan:
@@ -78,20 +72,19 @@ class EvalReport:
 
     def write(self, directory: str | Path, prefix: str = "eval") -> None:
         directory = Path(directory)
-        with open(directory / f"{prefix}_summary.tsv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("metric\tvalue\n")
-            fh.write(f"overall_accuracy\t{self.overall_accuracy!r}\n")
-            fh.write(f"test_total\t{self.total}\n")
-            fh.write(f"partitions\t{self.partitions}\n")
-        with open(directory / f"{prefix}_per_class.tsv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("class\ttest_count\taccuracy\n")
-            per_class = self.per_class_accuracy()
-            for i, cls in enumerate(self.classes):
-                fh.write(f"{cls}\t{int(self.confusion[i].sum())}\t{per_class[cls]!r}\n")
-        with open(directory / f"{prefix}_confusion.tsv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("true\\pred\t" + "\t".join(self.classes) + "\n")
-            for i, cls in enumerate(self.classes):
-                fh.write(cls + "\t" + "\t".join(str(int(v)) for v in self.confusion[i]) + "\n")
+        write_tsv(directory / f"{prefix}_summary.tsv", ("metric", "value"), (
+            ("overall_accuracy", repr(self.overall_accuracy)),
+            ("test_total", str(self.total)),
+            ("partitions", str(self.partitions)),
+        ))
+        per_class = self.per_class_accuracy()
+        write_tsv(directory / f"{prefix}_per_class.tsv", ("class", "test_count", "accuracy"), (
+            (cls, str(int(self.confusion[i].sum())), repr(per_class[cls]))
+            for i, cls in enumerate(self.classes)
+        ))
+        write_tsv(directory / f"{prefix}_confusion.tsv", ("true\\pred", *self.classes), (
+            (cls, *(str(int(v)) for v in self.confusion[i])) for i, cls in enumerate(self.classes)
+        ))
 
 
 def cross_validate(
@@ -155,10 +148,9 @@ class SpeedupCurve:
         raise KeyError(workers)
 
     def write(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("workers\tseconds\tspeedup\n")
-            for p in self.points:
-                fh.write(f"{p.workers}\t{p.seconds!r}\t{p.ratio!r}\n")
+        write_tsv(path, ("workers", "seconds", "speedup"), (
+            (str(p.workers), repr(p.seconds), repr(p.ratio)) for p in self.points
+        ))
 
 
 def speedup(
@@ -214,7 +206,6 @@ def category_accuracy(
 
 
 def write_category_accuracy(rows: Sequence[ClassAccuracy], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("class\timputed\tcorrect\taccuracy\n")
-        for row in rows:
-            fh.write(f"{row.category}\t{row.imputed}\t{row.correct}\t{row.accuracy!r}\n")
+    write_tsv(path, ("class", "imputed", "correct", "accuracy"), (
+        (row.category, str(row.imputed), str(row.correct), repr(row.accuracy)) for row in rows
+    ))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .records import POSTCODE_RE, EnterpriseRecord, RowDiagnostic
+from .records import POSTCODE_RE, EnterpriseRecord, RowDiagnostic, read_tsv, write_tsv
 from .segmenter import Lexicon, address_nouns, segment
 
 LEVELS = ("province", "city", "county", "street")
@@ -217,29 +217,22 @@ def read_gazetteer(path: str | Path) -> tuple[list[PostcodeEntry], list[RowDiagn
     """Parse a gazetteer TSV; malformed rows become diagnostics."""
     entries: list[PostcodeEntry] = []
     diagnostics: list[RowDiagnostic] = []
-    with open(path, encoding="utf-8-sig") as fh:
-        header = fh.readline().rstrip("\n").rstrip("\r").split("\t")
-        if header != list(LEVELS) + ["postcode"]:
-            raise ValueError(f"{path}: expected columns {LEVELS + ('postcode',)}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != 5:
-                diagnostics.append(RowDiagnostic(line_no, f"expected 5 cells, got {len(cells)}"))
-                continue
-            entry = PostcodeEntry(*cells)
-            reason = entry.check()
-            if reason:
-                diagnostics.append(RowDiagnostic(line_no, reason))
-                continue
-            entries.append(entry)
+    rows = read_tsv(path)
+    if next(rows, (1, []))[1] != list(LEVELS) + ["postcode"]:
+        raise ValueError(f"{path}: expected columns {LEVELS + ('postcode',)}")
+    for line_no, cells in rows:
+        if len(cells) != 5:
+            diagnostics.append(RowDiagnostic(line_no, f"expected 5 cells, got {len(cells)}"))
+            continue
+        entry = PostcodeEntry(*cells)
+        reason = entry.check()
+        if reason:
+            diagnostics.append(RowDiagnostic(line_no, reason))
+            continue
+        entries.append(entry)
     return entries, diagnostics
 
 
 def write_gazetteer(entries: Iterable[PostcodeEntry], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\t".join(LEVELS + ("postcode",)) + "\n")
-        for e in entries:
-            fh.write(f"{e.province}\t{e.city}\t{e.county}\t{e.street}\t{e.postcode}\n")
+    rows = ((e.province, e.city, e.county, e.street, e.postcode) for e in entries)
+    write_tsv(path, LEVELS + ("postcode",), rows)

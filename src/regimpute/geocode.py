@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .parallel import split
-from .records import EnterpriseRecord
+from .records import EnterpriseRecord, read_tsv, write_tsv
 from .vectorizer import fnv1a_64
 
 STATUS_OK = "ok"
@@ -332,27 +332,30 @@ def apply_results(records: Sequence[EnterpriseRecord], results: Sequence[Geocode
 def read_keys(path: str | Path) -> list[ApiKey]:
     """Key file: key<TAB>daily_quota per line."""
     keys = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected key<TAB>quota")
-            keys.append(ApiKey(parts[0], int(parts[1])))
+    for line_no, cells in read_tsv(path):
+        if cells[0].startswith("#"):
+            continue
+        if len(cells) != 2:
+            raise ValueError(f"{path}:{line_no}: expected key<TAB>quota")
+        try:
+            quota = int(cells[1])
+        except ValueError:
+            quota = -1
+        if quota < 0:
+            raise ValueError(f"{path}:{line_no}: quota must be a non-negative integer")
+        keys.append(ApiKey(cells[0], quota))
     if not keys:
         raise ValueError(f"{path}: no keys")
     return keys
 
 
 def write_results(results: Sequence[GeocodeResult], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("id\tlon\tlat\tstatus\n")
-        for r in results:
-            lon = repr(r.lon) if r.lon is not None else ""
-            lat = repr(r.lat) if r.lat is not None else ""
-            fh.write(f"{r.record_id}\t{lon}\t{lat}\t{r.status}\n")
+    rows = (
+        (r.record_id, None if r.lon is None else repr(r.lon),
+         None if r.lat is None else repr(r.lat), r.status)
+        for r in results
+    )
+    write_tsv(path, ("id", "lon", "lat", "status"), rows)
 
 
 def ok_rate(results: Sequence[GeocodeResult]) -> float:

@@ -30,7 +30,7 @@ from .gazetteer import AddressTree, best_postcodes, match
 # Unused here: perfbench's tracer patches this name when it installs
 # (ROADMAP item 6), so it stays importable until the tracer drops it.
 from .parallel import map_partitions  # noqa: F401
-from .records import EnterpriseRecord
+from .records import EnterpriseRecord, write_tsv
 from .segmenter import Lexicon, address_nouns, segment
 
 SOURCE_ORIGINAL = "original"
@@ -209,10 +209,7 @@ class LocationReport:
         return out
 
     def write(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("metric\tvalue\n")
-            for key, value in self.rows():
-                fh.write(f"{key}\t{value}\n")
+        write_tsv(path, ("metric", "value"), self.rows())
 
 
 def fill_postcode(

@@ -1,11 +1,14 @@
-"""Record data model, TSV ingestion/serialization, and missingness statistics.
+"""Record data model, missingness statistics, and the package's file I/O.
 
-The record file format is UTF-8 tab-separated text with a header row. The
-six core columns are id, name, category, address, postcode, data_source;
-lon, lat and provenance columns are written by downstream stages and read
-back when present. Empty cells mean "absent". Record files, like model
-files, are written through atomic_writer, so a failed write leaves no
-partial file.
+Every file the package writes goes through atomic_writer (TSV tables through
+write_tsv, which refuses a cell holding a tab or a line break), so a failed
+write leaves any previous file whole and no partial one. Every TSV file it
+reads goes through read_tsv, which accepts a UTF-8 byte-order mark.
+
+The record file is UTF-8 tab-separated text with a header row. The six
+core columns are id, name, category, address, postcode, data_source; lon,
+lat and provenance columns are written by downstream stages and read back
+when present. Empty cells mean "absent".
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -124,24 +128,18 @@ class GroundTruth:
         return len(self.values)
 
     def write(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("id\tfield\tvalue\n")
-            for (rid, field_name), value in self.values.items():
-                fh.write(f"{_clean(rid)}\t{_clean(field_name)}\t{_clean(value)}\n")
+        write_tsv(path, ("id", "field", "value"), ((rid, f, v) for (rid, f), v in self.values.items()))
 
     @classmethod
     def read(cls, path: str | Path) -> "GroundTruth":
         truth = cls()
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            if header != ["id", "field", "value"]:
-                raise ValueError(f"{path}: not a ground-truth sidecar")
-            for line in fh:
-                line = line.rstrip("\n").rstrip("\r")
-                if not line:
-                    continue
-                rid, field_name, value = line.split("\t")
-                truth.set(rid, field_name, value)
+        rows = read_tsv(path)
+        if next(rows, (1, []))[1] != ["id", "field", "value"]:
+            raise ValueError(f"{path}: not a ground-truth sidecar")
+        for line_no, cells in rows:
+            if len(cells) != 3:
+                raise ValueError(f"{path}:{line_no}: expected id<TAB>field<TAB>value")
+            truth.set(*cells)
         return truth
 
 
@@ -210,37 +208,34 @@ def _parse_row(columns: dict[str, int], cells: list[str]) -> EnterpriseRecord:
 def ingest(path: str | Path) -> IngestResult:
     """Read a record TSV. Malformed rows are skipped with a diagnostic;
     an unreadable file or a header missing core columns is fatal."""
-    path = Path(path)
     records: list[EnterpriseRecord] = []
     diagnostics: list[RowDiagnostic] = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        header = fh.readline().rstrip("\n").rstrip("\r")
-        names = header.split("\t")
-        columns = {name: i for i, name in enumerate(names)}
-        missing_cols = [c for c in _CORE_COLUMNS if c not in columns]
-        if missing_cols:
-            raise ValueError(f"{path}: header lacks columns {missing_cols}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(names):
-                diagnostics.append(RowDiagnostic(line_no, f"expected {len(names)} cells, got {len(cells)}"))
-                continue
-            try:
-                records.append(_parse_row(columns, cells))
-            except ValueError as exc:
-                diagnostics.append(RowDiagnostic(line_no, str(exc)))
+    rows = read_tsv(path)
+    _, names = next(rows, (1, []))
+    columns = {name: i for i, name in enumerate(names)}
+    missing_cols = [c for c in _CORE_COLUMNS if c not in columns]
+    if missing_cols:
+        raise ValueError(f"{path}: header lacks columns {missing_cols}")
+    for line_no, cells in rows:
+        if len(cells) != len(names):
+            diagnostics.append(RowDiagnostic(line_no, f"expected {len(names)} cells, got {len(cells)}"))
+            continue
+        try:
+            records.append(_parse_row(columns, cells))
+        except ValueError as exc:
+            diagnostics.append(RowDiagnostic(line_no, str(exc)))
     return IngestResult(records, diagnostics)
 
 
-def _clean(value: str | None) -> str:
-    if value is None:
-        return ""
-    if "\t" in value or "\n" in value or "\r" in value:
-        raise ValueError(f"field value contains tab/newline: {value!r}")
-    return value
+def read_tsv(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) for each non-empty line of a UTF-8 TSV file,
+    header included. A leading byte-order mark and CRLF line ends are
+    accepted; cells are not stripped."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if line:
+                yield line_no, line.split("\t")
 
 
 @contextmanager
@@ -260,22 +255,28 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+def write_tsv(
+    path: str | Path, header: Sequence[str] | None, rows: Iterable[Sequence[str | None]]
+) -> None:
+    """Write an optional header row, then `rows`, through atomic_writer.
+    A None cell is written empty; a cell holding a tab or a line break
+    raises ValueError and leaves any previous file at `path` as it was."""
+    with atomic_writer(path) as fh:
+        for row in rows if header is None else chain((header,), rows):
+            if None in row:
+                row = ["" if cell is None else cell for cell in row]
+            line = "\t".join(row)
+            if line.count("\t") != len(row) - 1 or "\n" in line or "\r" in line:
+                raise ValueError(f"a cell contains a tab or line break: {row!r}")
+            fh.write(line + "\n")
+
+
 def write_records(records: Iterable[EnterpriseRecord], path: str | Path) -> None:
     """Write records as TSV, atomically; ingest() of the result reproduces them."""
-    with atomic_writer(path) as fh:
-        fh.write("\t".join(_ALL_COLUMNS) + "\n")
-        for rec in records:
-            lon = repr(rec.coordinates[0]) if rec.coordinates else ""
-            lat = repr(rec.coordinates[1]) if rec.coordinates else ""
-            cells = (
-                _clean(rec.id),
-                _clean(rec.name),
-                _clean(rec.category),
-                _clean(rec.address),
-                _clean(rec.postcode),
-                _clean(rec.data_source),
-                lon,
-                lat,
-                _format_provenance(rec.provenance),
-            )
-            fh.write("\t".join(cells) + "\n")
+    write_tsv(path, _ALL_COLUMNS, (
+        (rec.id, rec.name, rec.category, rec.address, rec.postcode, rec.data_source,
+         repr(rec.coordinates[0]) if rec.coordinates else None,
+         repr(rec.coordinates[1]) if rec.coordinates else None,
+         _format_provenance(rec.provenance))
+        for rec in records
+    ))

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .records import read_tsv, write_tsv
+
 POS_TAGS = ("n", "v", "vn", "ns", "x")
 FEATURE_TAGS = frozenset({"n", "v", "vn"})
 
@@ -47,24 +49,17 @@ class Lexicon:
     @classmethod
     def from_tsv(cls, path: str | Path) -> "Lexicon":
         entries: dict[str, str] = {}
-        with open(path, encoding="utf-8-sig") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n").rstrip("\r")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{line_no}: expected word<TAB>pos")
-                word, tag = parts
-                if word in entries and entries[word] != tag:
-                    raise ValueError(f"{path}:{line_no}: conflicting tags for {word!r}")
-                entries[word] = tag
+        for line_no, cells in read_tsv(path):
+            if len(cells) != 2:
+                raise ValueError(f"{path}:{line_no}: expected word<TAB>pos")
+            word, tag = cells
+            if word in entries and entries[word] != tag:
+                raise ValueError(f"{path}:{line_no}: conflicting tags for {word!r}")
+            entries[word] = tag
         return cls(entries)
 
     def to_tsv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for word in sorted(self.entries):
-                fh.write(f"{word}\t{self.entries[word]}\n")
+        write_tsv(path, None, ((word, self.entries[word]) for word in sorted(self.entries)))
 
 
 def segment(text: str, lexicon: Lexicon) -> list[Token]:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import EnterpriseRecord
+from .records import EnterpriseRecord, atomic_writer, write_tsv
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -80,10 +80,8 @@ class KCurve:
     k: tuple[float, ...]
 
     def write(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("r\tK\tpi_r2\n")
-            for r, k in zip(self.radii, self.k):
-                fh.write(f"{r!r}\t{k!r}\t{math.pi * r * r!r}\n")
+        rows = ((repr(r), repr(k), repr(math.pi * r * r)) for r, k in zip(self.radii, self.k))
+        write_tsv(path, ("r", "K", "pi_r2"), rows)
 
 
 def _check_radii(radii: Sequence[float]) -> np.ndarray:
@@ -156,6 +154,6 @@ def export_geojson(
             }
         )
     doc = {"type": "FeatureCollection", "features": features}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_writer(path) as fh:
         json.dump(doc, fh, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
     return ExportReport(len(features), skipped)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .records import EnterpriseRecord
+from .records import EnterpriseRecord, write_tsv
 from .segmenter import Lexicon, feature_words, segment
 
 DEFAULT_DIM = 15_000
@@ -130,7 +130,6 @@ def write_vectors(
     rows: Iterable[tuple[str, str, SparseVector]], path
 ) -> None:
     """Dump (id, label, vector) rows as id<TAB>label<TAB>idx:count,..."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for rec_id, label, vec in rows:
-            body = ",".join(f"{i}:{c}" for i, c in vec.entries)
-            fh.write(f"{rec_id}\t{label}\t{body}\n")
+    write_tsv(path, None, (
+        (rec_id, label, ",".join(f"{i}:{c}" for i, c in vec.entries)) for rec_id, label, vec in rows
+    ))

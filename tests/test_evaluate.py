@@ -18,12 +18,12 @@ from regimpute.vectorizer import LabeledPoint, SparseVector, build_labeled
 
 def test_kfold_each_fold_one_index():
     plan = kfold(10, 10, seed=1)
-    assert sorted(plan.fold_sizes()) == [1] * 10
+    assert sorted(plan.assignments.count(f) for f in range(plan.k)) == [1] * 10
 
 
 def test_kfold_103_into_10():
     plan = kfold(103, 10, seed=1)
-    sizes = plan.fold_sizes()
+    sizes = [plan.assignments.count(f) for f in range(plan.k)]
     assert sorted(set(sizes)) == [10, 11]
     assert sizes.count(10) == 7
     assert sizes.count(11) == 3

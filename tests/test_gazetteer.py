@@ -200,15 +200,6 @@ def test_read_gazetteer_header_check(tmp_path):
         read_gazetteer(path)
 
 
-def test_read_gazetteer_accepts_utf8_bom(tmp_path):
-    path = tmp_path / "gaz.tsv"
-    write_gazetteer([WUHAN], path)
-    path.write_bytes("\ufeff".encode("utf-8") + path.read_bytes())
-    entries, diagnostics = read_gazetteer(path)
-    assert entries == [WUHAN]
-    assert not diagnostics
-
-
 # --- scorer properties against a Fraction-key oracle -----------------------
 
 

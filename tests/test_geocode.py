@@ -247,6 +247,14 @@ def test_keys_io_and_results_io(tmp_path):
         read_keys(empty)
 
 
+@pytest.mark.parametrize("quota", ["lots", "-5", "1.5", ""])
+def test_read_keys_rejects_bad_quota(tmp_path, quota):
+    key_file = tmp_path / "keys.tsv"
+    key_file.write_text(f"alpha\t6000\nbeta\t{quota}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"keys\.tsv:2: quota must be a non-negative integer"):
+        read_keys(key_file)
+
+
 def test_ok_rate():
     results = [
         GeocodeResult("a", 1.0, 2.0, "ok", "mock", 1),

@@ -228,9 +228,8 @@ def test_ground_truth_roundtrip(tmp_path):
     assert sorted(back.ids_for("category")) == ["E1"]
 
 
-def test_ingest_accepts_utf8_bom(tmp_path):
-    path = tmp_path / "bom.tsv"
-    path.write_text("\ufeff" + HEADER + "\n1\t武汉物业管理有限公司\tRE\t南京路16号\t430014\t\n", encoding="utf-8")
-    result = ingest(path)
-    assert result.error_count == 0
-    assert [r.id for r in result.records] == ["1"]
+def test_ground_truth_read_rejects_malformed_row(tmp_path):
+    path = tmp_path / "truth.tsv"
+    path.write_text("id\tfield\tvalue\nE1\tcategory\tRE\nE2\tpostcode\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"truth\.tsv:3: expected id<TAB>field<TAB>value"):
+        GroundTruth.read(path)

@@ -109,9 +109,3 @@ def test_lexicon_tsv_conflicting_tags(tmp_path):
     path.write_text("aa\tn\naa\tv\n", encoding="utf-8")
     with pytest.raises(ValueError, match="conflicting"):
         Lexicon.from_tsv(path)
-
-
-def test_lexicon_tsv_accepts_utf8_bom(tmp_path):
-    path = tmp_path / "lex.tsv"
-    path.write_text("\ufeff武汉\tns\n物业\tn\n", encoding="utf-8")
-    assert Lexicon.from_tsv(path).entries == {"武汉": "ns", "物业": "n"}
