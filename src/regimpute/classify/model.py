@@ -74,8 +74,9 @@ def check_training_data(data: Sequence[LabeledPoint]) -> int:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def to_csr(vectors: Sequence[SparseVector], dim: int) -> sparse.csr_matrix:
@@ -212,7 +213,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         doc = json.load(fh)
     if doc.get("format") != _FORMAT or doc.get("format_version") != _FORMAT_VERSION:
         raise ValueError(f"{path}: not a supported model file")

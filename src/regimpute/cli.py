@@ -16,12 +16,11 @@ import logging
 import os
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
 from . import classify, evaluate, gazetteer, geocode, locimpute, spatial
-from .records import GroundTruth, atomic_writer, ingest, missingness, write_records, write_tsv
+from .records import GroundTruth, ingest, missingness, tsv_line, write_records, write_tsv
 from .segmenter import Lexicon, address_nouns, segment
 from .synth import SynthConfig, synth, synth_labeled_points, synth_world
 from .vectorizer import DEFAULT_DIM, build_labeled, vectorize_name, write_vectors
@@ -191,10 +190,15 @@ def cmd_segment(args) -> int:
     else:
         records = _load_records(args.corpus)
         texts = [(r.id, r.name or "") for r in records]
-    with atomic_writer(args.out) if args.out else nullcontext(sys.stdout) as sink:
-        for rec_id, text in texts:
-            for token in segment(text, lexicon):
-                sink.write(f"{rec_id}\t{token.surface}\t{token.pos}\t{token.span[0]}\t{token.span[1]}\n")
+    rows = [
+        (rec_id, token.surface, token.pos, str(token.span[0]), str(token.span[1]))
+        for rec_id, text in texts
+        for token in segment(text, lexicon)
+    ]
+    if args.out:
+        write_tsv(args.out, None, rows)
+    else:
+        sys.stdout.write("".join(map(tsv_line, rows)))  # every row checked before any is printed
     return EXIT_OK
 
 
@@ -299,7 +303,7 @@ def cmd_validate_gazetteer(args) -> int:
     # than three address nouns is street-only or coarser and is screened out
     complete = [
         r for r in records
-        if r.postcode and r.address and len(address_nouns(segment(r.address, lexicon))) >= 3
+        if r.postcode and r.address and len(address_nouns(r.address, lexicon)) >= 3
     ]
     report = gazetteer.validate(tree, complete, lexicon)
     print(f"evaluated\t{report.evaluated}")

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .records import POSTCODE_RE, EnterpriseRecord, RowDiagnostic, read_tsv, write_tsv
-from .segmenter import Lexicon, address_nouns, segment
+from .segmenter import Lexicon, address_nouns
 
 LEVELS = ("province", "city", "county", "street")
 LEVEL_WEIGHTS = {"province": 8, "city": 4, "county": 2, "street": 1}
@@ -205,7 +205,7 @@ def validate(
         evaluated += 1
         if rec.postcode in known:
             present += 1
-        best = best_postcodes(address_nouns(segment(rec.address, lexicon)), tree)
+        best = best_postcodes(address_nouns(rec.address, lexicon), tree)
         if best and best[0] == rec.postcode:
             matched += 1
     if evaluated == 0:

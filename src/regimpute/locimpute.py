@@ -27,11 +27,12 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .gazetteer import AddressTree, best_postcodes, match
-# Unused here: perfbench's tracer patches this name when it installs
-# (ROADMAP item 6), so it stays importable until the tracer drops it.
-from .parallel import map_partitions  # noqa: F401
 from .records import EnterpriseRecord, write_tsv
-from .segmenter import Lexicon, address_nouns, segment
+from .segmenter import Lexicon, address_nouns
+# Unused here: perfbench's tracer patches these names when it installs
+# (ROADMAP item 1), so they stay importable until the tracer drops them.
+from .parallel import map_partitions  # noqa: F401
+from .segmenter import segment  # noqa: F401
 
 SOURCE_ORIGINAL = "original"
 SOURCE_POSTCODE_LOOKUP = "postcode-lookup"
@@ -67,7 +68,7 @@ def _query_nouns(texts: Sequence[str | None], lexicon: Lexicon) -> list[str]:
     for text in texts:
         if not text:
             continue
-        for noun in address_nouns(segment(text, lexicon)):
+        for noun in address_nouns(text, lexicon):
             if noun not in seen:
                 seen.add(noun)
                 nouns.append(noun)

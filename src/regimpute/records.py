@@ -255,20 +255,26 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+def tsv_line(row: Sequence[str | None]) -> str:
+    """One TSV line, newline included. A None cell is written empty; a
+    cell holding a tab or a line break raises ValueError."""
+    if None in row:
+        row = ["" if cell is None else cell for cell in row]
+    line = "\t".join(row)
+    if line.count("\t") != len(row) - 1 or "\n" in line or "\r" in line:
+        raise ValueError(f"a cell contains a tab or line break: {row!r}")
+    return line + "\n"
+
+
 def write_tsv(
     path: str | Path, header: Sequence[str] | None, rows: Iterable[Sequence[str | None]]
 ) -> None:
-    """Write an optional header row, then `rows`, through atomic_writer.
-    A None cell is written empty; a cell holding a tab or a line break
-    raises ValueError and leaves any previous file at `path` as it was."""
+    """Write an optional header row, then `rows`, through atomic_writer, each
+    line checked by tsv_line; a bad cell leaves any previous file at `path`
+    as it was."""
     with atomic_writer(path) as fh:
         for row in rows if header is None else chain((header,), rows):
-            if None in row:
-                row = ["" if cell is None else cell for cell in row]
-            line = "\t".join(row)
-            if line.count("\t") != len(row) - 1 or "\n" in line or "\r" in line:
-                raise ValueError(f"a cell contains a tab or line break: {row!r}")
-            fh.write(line + "\n")
+            fh.write(tsv_line(row))
 
 
 def write_records(records: Iterable[EnterpriseRecord], path: str | Path) -> None:

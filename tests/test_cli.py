@@ -46,6 +46,32 @@ def test_segment_text_mode(synth_dir, capsys, demo_lexicon_path):
     assert any("\t武汉\tns\t" in line for line in lines)
 
 
+@pytest.mark.parametrize("text", ["武汉\t物业", "武汉\n物业", "武汉\r物业"])
+def test_segment_rejects_text_with_a_tab_or_line_break(tmp_path, capsys, demo_lexicon_path, text):
+    base = ["segment", "--lexicon", str(demo_lexicon_path), "--text", text]
+    assert main(base) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    out = tmp_path / "tokens.tsv"
+    assert main([*base, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_segment_rows_have_five_cells_on_both_sinks(tmp_path, capsys, demo_lexicon_path):
+    base = ["segment", "--lexicon", str(demo_lexicon_path), "--text", "湖北省武汉市 南京路16号"]
+    assert main(base) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "tokens.tsv"
+    assert main([*base, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == printed
+    rows = [line.split("\t") for line in printed.splitlines()]
+    assert rows[0] == ["-", "湖北省", "ns", "0", "3"]
+    assert all(len(row) == 5 for row in rows)
+    assert "".join(row[1] for row in rows) == "湖北省武汉市 南京路16号"
+
+
 def test_vectorize_subcommand(synth_dir, tmp_path, capsys):
     out = tmp_path / "vectors.tsv"
     code = main(["vectorize", *corpus_args(synth_dir), "--dim", DIM, "--out", str(out)])

@@ -11,6 +11,7 @@ import pytest
 
 import regimpute
 from regimpute import records as records_module
+from regimpute.classify import load_model
 from regimpute.cli import PipelineConfig, _StageTimer, _write_missingness, _write_summary, build_parser
 from regimpute.evaluate import ClassAccuracy, EvalReport, SpeedupCurve, SpeedupPoint, write_category_accuracy
 from regimpute.gazetteer import PostcodeEntry, read_gazetteer, write_gazetteer
@@ -130,6 +131,11 @@ def _read_corpus(path: Path):
     return [(r.id, r.category, r.address) for r in result.records], result.diagnostics
 
 
+def _read_model(path: Path):
+    model = load_model(path)
+    return model.method, model.dim, model.classes, model.params
+
+
 # name -> (file text after the mark, reader, what the reader returns)
 READERS = {
     "corpus": (
@@ -146,6 +152,12 @@ READERS = {
     "truth": ("id\tfield\tvalue\nE1\tcategory\tRE\n", lambda p: GroundTruth.read(p).values, {("E1", "category"): "RE"}),
     "keys": ("key-a\t5\n", lambda p: [(k.key_id, k.daily_quota) for k in read_keys(p)], [("key-a", 5)]),
     "config": ("method=naive_bayes\n", lambda p: PipelineConfig.load(str(p)).method, "naive_bayes"),
+    "model": (
+        '{"format":"regimpute-model","format_version":2,"method":"naive_bayes","dim":4,'
+        '"classes":["RE"],"params":{"alpha":1.0},"state":{}}',
+        _read_model,
+        ("naive_bayes", 4, ("RE",), {"alpha": 1.0}),
+    ),
 }
 
 

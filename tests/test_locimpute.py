@@ -130,8 +130,8 @@ def test_evidence_segments_only_postcodes_asked_about(demo_lexicon, monkeypatch)
         EnterpriseRecord(id="c4", address="南京路4号"),
     ]
     segmented = []
-    real = locimpute.segment
-    monkeypatch.setattr(locimpute, "segment", lambda text, lex: segmented.append(text) or real(text, lex))
+    real = locimpute.address_nouns
+    monkeypatch.setattr(locimpute, "address_nouns", lambda text, lex: segmented.append(text) or real(text, lex))
     evidence = PostcodeEvidence.from_records(corpus, demo_lexicon)
     assert segmented == []
     assert evidence.count_with("430014", frozenset({"南京路"})) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from regimpute.classify import lr_gradient, lr_loss, predict, train_lr
 from regimpute.classify.model import pack_points, to_csr
+from regimpute.parallel import split
 from regimpute.vectorizer import LabeledPoint, SparseVector
 
 
@@ -166,3 +167,75 @@ def test_weights_on_active_columns_equal_dense_reference(parts):
     assert np.array_equal(model.state["weights"], W[:, columns])
     assert np.array_equal(model.state["bias"], b)
     assert not np.delete(W, columns, axis=1).any()  # what the model leaves out is 0
+
+
+def repeated_rows_dataset(rng, n=150, pool=12, dim=40, k=4):
+    """n points drawn from a pool of few vectors, so most rows repeat, each
+    copy with its own random label. The pool holds pairs of vectors on the
+    same columns with different counts."""
+    classes = tuple("ABCD"[:k])
+    vectors = []
+    for _ in range(pool // 2):
+        idx = rng.choice(dim, size=int(rng.integers(1, 5)), replace=False)
+        counts = rng.integers(1, 4, size=len(idx))
+        for twin in (0, 1):
+            vectors.append(sv(dim, *((int(i), int(c) + twin) for i, c in zip(idx, counts))))
+    points = [LabeledPoint(classes[rng.integers(k)], vectors[rng.integers(pool)]) for _ in range(n)]
+    return classes, points
+
+
+def all_rows_gradient(W, b, X, y, l2, parts):
+    """lr_gradient with the softmax taken on every row, blocks as split gives them."""
+    grad_w = np.zeros_like(W)
+    grad_b = np.zeros(W.shape[0])
+    start = 0
+    for block in split(range(X.shape[0]), parts):
+        Xb, yb = X[start : start + len(block)], y[start : start + len(block)]
+        start += len(block)
+        z = Xb @ W.T + b
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        probs = e / e.sum(axis=1, keepdims=True)
+        probs[np.arange(Xb.shape[0]), yb] -= 1.0
+        grad_w += probs.T @ Xb
+        grad_b += probs.sum(axis=0)
+    return grad_w / X.shape[0] + l2 * W, grad_b / X.shape[0]
+
+
+def all_rows_loss(W, b, X, y, l2):
+    z = X @ W.T + b
+    z = z - z.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-logp[np.arange(X.shape[0]), y].sum() / X.shape[0] + 0.5 * l2 * (W * W).sum())
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+def test_training_on_repeated_rows_equals_softmax_on_every_row(parts):
+    rng = np.random.default_rng(5)
+    classes, points = repeated_rows_dataset(rng)
+    X, y = pack_points(points, 40, classes)
+    assert len({(p.vector.entries) for p in points}) <= 12 < X.shape[0]
+    W = np.zeros((len(classes), 40))
+    b = np.zeros(len(classes))
+    for t in range(1, 41):
+        gw, gb = all_rows_gradient(W, b, X, y, 0.02, parts)
+        W -= (1.0 / np.sqrt(t)) * gw
+        b -= (1.0 / np.sqrt(t)) * gb
+    model = train_lr(points, iters=40, step=1.0, l2=0.02, parts=parts)
+    columns = model.state["columns"]
+    assert np.array_equal(model.state["weights"], W[:, columns])
+    assert np.array_equal(model.state["bias"], b)
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+def test_loss_and_gradient_equal_their_every_row_forms(parts):
+    rng = np.random.default_rng(9)
+    classes, points = repeated_rows_dataset(rng)
+    X, y = pack_points(points, 40, classes)
+    for _ in range(5):
+        W = rng.normal(scale=0.8, size=(len(classes), 40))
+        b = rng.normal(scale=0.5, size=len(classes))
+        gw, gb = lr_gradient(W, b, X, y, 0.01, parts=parts)
+        rw, rb = all_rows_gradient(W, b, X, y, 0.01, parts)
+        assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
+        assert lr_loss(W, b, X, y, 0.01) == all_rows_loss(W, b, X, y, 0.01)

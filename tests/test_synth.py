@@ -72,7 +72,7 @@ def test_names_recoverable_by_segmentation():
             continue
         tokens = segment(rec.name, world.lexicon)
         assert "".join(t.surface for t in tokens) == rec.name
-        cats = {reverse[w] for w in feature_words(tokens) if w in reverse}
+        cats = {reverse[w] for w in feature_words(rec.name, world.lexicon) if w in reverse}
         expected = rec.category or truth.get(rec.id, "category")
         assert cats == {expected}
         checked += 1
@@ -87,7 +87,7 @@ def test_name_city_noun_matches_true_city():
         if not rec.name:
             continue
         city = truth.get(rec.id, "ad").split("/")[1]
-        assert address_nouns(segment(rec.name, world.lexicon)) == [city]
+        assert address_nouns(rec.name, world.lexicon) == [city]
 
 
 def test_gazetteer_consistent_with_records():
