@@ -27,23 +27,12 @@ from .naive_bayes import NBStats, merge_stats, partial_stats, train_nb
 from .svm import train_svm
 from .tree import train_forest, train_tree
 
-COMPARISON_METHODS = ("linear_svm", "decision_tree", "random_forest")
-
-_COMPARISON_TRAINERS = {
+_TRAINERS = {
+    "logistic_regression": train_lr,
     "linear_svm": train_svm,
     "decision_tree": train_tree,
     "random_forest": train_forest,
 }
-
-
-def train_comparison(
-    method: str, data: Sequence[LabeledPoint], params: dict | None = None
-) -> TrainedModel:
-    """Train one of the comparison baselines with its standard defaults."""
-    trainer = _COMPARISON_TRAINERS.get(method)
-    if trainer is None:
-        raise ValueError(f"unknown comparison method {method!r}")
-    return trainer(data, **(params or {}))
 
 
 def train(
@@ -51,17 +40,17 @@ def train(
     data: Sequence[LabeledPoint],
     params: dict | None = None,
     workers: int = 1,
-    parts: int | None = None,
     classes: Sequence[str] | None = None,
 ) -> TrainedModel:
-    """Method-dispatching trainer used by the CLI and the evaluation harness."""
+    """Method-dispatching trainer used by the CLI and the evaluation harness.
+
+    Only Naive Bayes forks: its counts split across `workers` processes.
+    The other methods train in-process and ignore `workers`."""
     params = dict(params or {})
     if method == "naive_bayes":
-        return train_nb(data, workers=workers, parts=parts, classes=classes, **params)
-    if method == "logistic_regression":
-        return train_lr(data, workers=workers, parts=parts, classes=classes, **params)
-    if method in _COMPARISON_TRAINERS:
-        return _COMPARISON_TRAINERS[method](data, classes=classes, **params)
+        return train_nb(data, workers=workers, classes=classes, **params)
+    if method in _TRAINERS:
+        return _TRAINERS[method](data, classes=classes, **params)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -95,7 +84,6 @@ def impute_categories(
 
 __all__ = [
     "CategoryImputeReport",
-    "COMPARISON_METHODS",
     "NBStats",
     "Prediction",
     "TrainedModel",
@@ -111,7 +99,6 @@ __all__ = [
     "save_model",
     "score_vector",
     "train",
-    "train_comparison",
     "train_forest",
     "train_lr",
     "train_nb",

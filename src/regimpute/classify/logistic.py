@@ -4,19 +4,15 @@ Loss is mean cross-entropy plus (l2/2)*||W||^2; the bias is not
 regularized. Weights start at zero and the step size decays as step/sqrt(t),
 so training is deterministic. Training runs on the active hash columns
 only: a column no training vector touches gets a zero gradient, so its
-weight stays exactly 0 and is not stored. Gradients are accumulated over data
-partitions and summed in fixed partition order: partitioning changes
-nothing semantically and keeps floating-point results reproducible for a
-given partition count. Partitions are evaluated in-process; shipping
-K x columns gradients between processes every iteration would cost more than
-the matrix work saves at the scales this library targets.
+weight stays exactly 0 and is not stored. Each iteration is one product
+over the whole training matrix, in-process and in row order, so the model
+does not depend on any worker count.
 
 Names repeat, so many training rows are equal. The logits and the softmax
 read one row each, so they are computed once per distinct row and gathered
-back; the gradient's products and sums still run over every row in block
-order and add the same terms in the same order, so the result is bit for
-bit that of a softmax over every row. The distinct rows and the blocks are
-found once per training run.
+back; the gradient's product and sums still run over every row, so the
+result is bit for bit that of a softmax over every row. The distinct rows
+are found once per training run.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 
-from ..parallel import split
 from ..vectorizer import LabeledPoint
 from .model import TrainedModel, check_training_data, infer_classes, pack_active, softmax
 
@@ -38,16 +33,15 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 class _Rows(NamedTuple):
     """X as the training loop reads it: the distinct rows, each row's index
-    among them, the labels, and the contiguous (X block, inverse block,
-    y block) triples in row order."""
+    among them, the labels, and X itself."""
 
     distinct: sparse.csr_matrix
     inverse: np.ndarray
     y: np.ndarray
-    blocks: list[tuple[sparse.csr_matrix, np.ndarray, np.ndarray]]
+    X: sparse.csr_matrix
 
 
-def _rows(X: sparse.csr_matrix, y: np.ndarray, parts: int = 1) -> _Rows:
+def _rows(X: sparse.csr_matrix, y: np.ndarray) -> _Rows:
     """Rows are equal when their stored indices and values are, in order,
     so a distinct row's logits are bit for bit those of each copy."""
     indptr = X.indptr.tolist()
@@ -65,13 +59,7 @@ def _rows(X: sparse.csr_matrix, y: np.ndarray, parts: int = 1) -> _Rows:
         count=X.shape[0],
     )
     _, keep = np.unique(inverse, return_index=True)  # the first copy of each
-    blocks = []
-    start = 0
-    for block in split(range(X.shape[0]), parts):
-        stop = start + len(block)
-        blocks.append((X[start:stop], inverse[start:stop], y[start:stop]))
-        start = stop
-    return _Rows(X[keep], inverse, y, blocks)
+    return _Rows(X[keep], inverse, y, X)
 
 
 def _loss(W: np.ndarray, b: np.ndarray, rows: _Rows, l2: float) -> float:
@@ -82,17 +70,11 @@ def _loss(W: np.ndarray, b: np.ndarray, rows: _Rows, l2: float) -> float:
 
 def _gradient(W: np.ndarray, b: np.ndarray, rows: _Rows, l2: float) -> tuple[np.ndarray, np.ndarray]:
     """Softmax once per distinct row, gathered back to every row; the
-    products and sums then run over all rows in block order."""
-    probs_distinct = softmax(rows.distinct @ W.T + b)
-    grad_w = np.zeros_like(W)
-    grad_b = np.zeros(W.shape[0])
-    for Xb, inverse, yb in rows.blocks:
-        probs = probs_distinct.take(inverse, axis=0)
-        probs[np.arange(len(inverse)), yb] -= 1.0
-        grad_w += probs.T @ Xb
-        grad_b += probs.sum(axis=0)
-    n = len(rows.inverse)
-    return grad_w / n + l2 * W, grad_b / n
+    product and sums then run over all rows."""
+    probs = softmax(rows.distinct @ W.T + b).take(rows.inverse, axis=0)
+    n = len(probs)
+    probs[np.arange(n), rows.y] -= 1.0
+    return probs.T @ rows.X / n + l2 * W, probs.sum(axis=0) / n
 
 
 def lr_loss(W: np.ndarray, b: np.ndarray, X: sparse.csr_matrix, y: np.ndarray, l2: float) -> float:
@@ -101,18 +83,10 @@ def lr_loss(W: np.ndarray, b: np.ndarray, X: sparse.csr_matrix, y: np.ndarray, l
 
 
 def lr_gradient(
-    W: np.ndarray,
-    b: np.ndarray,
-    X: sparse.csr_matrix,
-    y: np.ndarray,
-    l2: float,
-    parts: int = 1,
+    W: np.ndarray, b: np.ndarray, X: sparse.csr_matrix, y: np.ndarray, l2: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of lr_loss w.r.t. (W, b).
-
-    With parts > 1 the unnormalized gradient is computed per block and
-    summed in block order before dividing by n."""
-    return _gradient(W, b, _rows(X, y, parts), l2)
+    """Analytic gradient of lr_loss w.r.t. (W, b)."""
+    return _gradient(W, b, _rows(X, y), l2)
 
 
 def train_lr(
@@ -120,8 +94,6 @@ def train_lr(
     iters: int = 100,
     step: float = 1.0,
     l2: float = 0.01,
-    workers: int = 1,
-    parts: int | None = None,
     classes: Sequence[str] | None = None,
 ) -> TrainedModel:
     """Run gradient descent from zero weights; fatal on non-finite loss."""
@@ -133,9 +105,8 @@ def train_lr(
     if l2 < 0:
         raise ValueError("l2 must be >= 0")
     classes = tuple(classes) if classes is not None else infer_classes(data)
-    parts = parts if parts is not None else max(workers, 1)
     columns, X, y = pack_active(data, dim, classes)
-    rows = _rows(X, y, parts)
+    rows = _rows(X, y)
     W = np.zeros((len(classes), len(columns)))
     b = np.zeros(len(classes))
     for t in range(1, iters + 1):

@@ -4,7 +4,9 @@ Sufficient statistics are integer count tables, so partial statistics
 computed over data partitions merge by plain addition: the merged result
 is bit-identical to single-pass counting regardless of partitioning or
 merge order. That property is what makes the data-parallel training path
-exact rather than approximate.
+exact rather than approximate. train_nb counts one partition per worker,
+each in a forked process when workers > 1; it is the package's only
+training path that forks.
 
 Smoothing uses a single Laplace constant alpha for both the feature
 likelihoods, log((count(c,j)+alpha)/(total_c+alpha*dim)), and the class
@@ -59,15 +61,15 @@ def train_nb(
     data: Sequence[LabeledPoint],
     alpha: float = 1.0,
     workers: int = 1,
-    parts: int | None = None,
     classes: Sequence[str] | None = None,
 ) -> TrainedModel:
-    """Fit multinomial NB; partitioned counting when workers > 1."""
+    """Fit multinomial NB on one partition per worker, counted in forked
+    processes when workers > 1."""
     dim = check_training_data(data)
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     classes = tuple(classes) if classes is not None else infer_classes(data)
-    partitions = split(data, parts if parts is not None else workers)
+    partitions = split(data, workers)
     stats = merge_stats(map_partitions(partitions, lambda p: partial_stats(p, classes, dim), workers))
 
     n = int(stats.doc_counts.sum())

@@ -14,8 +14,6 @@ import numpy as np
 from ..vectorizer import LabeledPoint
 from .model import TrainedModel, check_training_data, infer_classes, pack_active
 
-SVM_DEFAULTS = {"iters": 50, "step": 1.0, "reg": 0.01}
-
 
 def train_svm(
     data: Sequence[LabeledPoint],

@@ -18,8 +18,6 @@ from ..vectorizer import LabeledPoint
 from .model import TrainedModel, check_training_data, infer_classes
 
 THRESHOLDS = (0.5, 1.5, 2.5)
-TREE_DEFAULTS = {"max_depth": 30, "min_gain": 0.0075}
-FOREST_DEFAULTS = {"max_depth": 30, "min_gain": 0.0075, "n_trees": 100}
 
 
 def _entropy(counts: np.ndarray, total: int) -> float:

@@ -91,6 +91,8 @@ class PipelineConfig:
                     setattr(config, key, type(current)(value))
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {key}: {value!r}") from exc
+        if config.method not in classify.model.METHODS:
+            raise ConfigError(f"unknown method {config.method!r}")
         return config
 
 
@@ -137,12 +139,10 @@ def _make_provider(config: PipelineConfig):
     raise ConfigError(f"unknown provider {config.provider!r}")
 
 
-def _geocode(records, config: PipelineConfig) -> list[geocode.GeocodeResult]:
+def _geocode(records, provider, keys: Path, rate: float) -> list[geocode.GeocodeResult]:
     """Geocode the records that lack coordinates; one result per record."""
-    keys = geocode.read_keys(_require_file(config.keys, "keys"))
-    provider = _make_provider(config)
-    rate = config.rate if config.rate > 0 else None
-    return geocode.geocode_missing(records, provider, keys, rate=rate)
+    rate = rate if rate > 0 else None
+    return geocode.geocode_missing(records, provider, geocode.read_keys(keys), rate=rate)
 
 
 # --- stage subcommands -------------------------------------------------
@@ -358,7 +358,7 @@ def cmd_impute_location(args) -> int:
 def cmd_geocode(args) -> int:
     config = PipelineConfig.load(None, _config_overrides(args))
     records = _load_records(config.corpus)
-    results = _geocode(records, config)
+    results = _geocode(records, _make_provider(config), _require_file(config.keys, "keys"), config.rate)
     geocode.write_results(results, args.out)
     if args.merged_out:
         geocode.apply_results(records, results)
@@ -423,6 +423,14 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
     unknown = skip - set(PIPELINE_STAGES)
     if unknown:
         raise ConfigError(f"unknown pipeline stages in --skip: {sorted(unknown)}")
+    # every configuration error is raised here, before any stage writes
+    _require_file(config.corpus, "corpus")
+    lexicon_path = _require_file(config.lexicon, "lexicon")
+    if "build-gazetteer" not in skip:
+        gazetteer_path = _require_file(config.gazetteer, "gazetteer")
+    if "geocode" not in skip:
+        provider = _make_provider(config)
+        keys = _require_file(config.keys, "keys")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     timer = _StageTimer()
@@ -430,7 +438,7 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
     try:
         records = _load_records(config.corpus)
         _write_missingness(records, out / "missingness_before.tsv")
-        lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
+        lexicon = Lexicon.from_tsv(lexicon_path)
         timer.record("ingest", len(records))
 
         stage = "train"
@@ -454,7 +462,7 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
         stage = "build-gazetteer"
         tree = None
         if "build-gazetteer" not in skip:
-            entries, _ = gazetteer.read_gazetteer(_require_file(config.gazetteer, "gazetteer"))
+            entries, _ = gazetteer.read_gazetteer(gazetteer_path)
             tree = gazetteer.build(entries)
             timer.record("build-gazetteer", len(tree))
 
@@ -468,7 +476,7 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
 
         stage = "geocode"
         if "geocode" not in skip:
-            results = _geocode(records, config)
+            results = _geocode(records, provider, keys, config.rate)
             geocode.apply_results(records, results)
             geocode.write_results(results, out / "coordinates.tsv")
             timer.record("geocode", len(results))

@@ -3,8 +3,9 @@
 Accuracy is micro accuracy (confusion-matrix trace over total) and the
 per-class figure is recall. Wall-times wrap the train/predict calls only,
 on the monotonic clock; optional allocation peaks come from tracemalloc.
-The speed-up ratio at w workers is time(1 worker) / time(w workers), with
-the partition count pinned to the worker count for every run.
+The speed-up ratio at w workers is time(1 worker) / time(w workers). Only
+Naive Bayes forks its training across workers (one partition each); the
+other methods train in-process, so their curve is flat by construction.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def cross_validate(
             tracemalloc.start()
         try:
             t0 = time.perf_counter()
-            model = classify.train(method, train_set, params, workers=workers, parts=workers, classes=classes)
+            model = classify.train(method, train_set, params, workers=workers, classes=classes)
             train_times.append(time.perf_counter() - t0)
         finally:
             if measure_alloc:
@@ -161,8 +162,9 @@ def speedup(
 ) -> SpeedupCurve:
     """Wall-time of training at each worker count, and time(1)/time(w).
 
-    Worker counts beyond the machine's cores are allowed; oversubscription
-    then shows up as a flattening or declining ratio."""
+    Only naive_bayes uses the workers. Worker counts beyond the machine's
+    cores are allowed; oversubscription then shows up as a flattening or
+    declining ratio."""
     if not worker_counts or any(w < 1 for w in worker_counts):
         raise ValueError("worker counts must be >= 1")
     if 1 not in worker_counts:
@@ -171,7 +173,7 @@ def speedup(
     seconds: dict[int, float] = {}
     for w in worker_counts:
         t0 = time.perf_counter()
-        classify.train(method, data, params, workers=w, parts=w, classes=classes)
+        classify.train(method, data, params, workers=w, classes=classes)
         seconds[w] = time.perf_counter() - t0
     base = seconds[1]
     points = tuple(SpeedupPoint(w, seconds[w], base / seconds[w]) for w in worker_counts)

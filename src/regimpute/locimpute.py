@@ -122,10 +122,11 @@ def select_tied_postcode(counts: Mapping[str, int]) -> str:
 def impute_postcode(
     record: EnterpriseRecord,
     tree: AddressTree,
-    corpus: Sequence[EnterpriseRecord] | PostcodeEvidence,
+    evidence: PostcodeEvidence,
     lexicon: Lexicon,
 ) -> PostcodeImputation | None:
-    """Infer a missing postcode; None when nothing matches."""
+    """Infer a missing postcode; None when nothing matches. A tie is broken
+    by the corpus evidence (PostcodeEvidence.from_records)."""
     if record.postcode:
         raise ValueError(f"record {record.id} already has a postcode")
     nouns = extract_query_nouns(record, lexicon)
@@ -136,11 +137,6 @@ def impute_postcode(
         return None
     if len(tied_postcodes) == 1:
         return PostcodeImputation(tied_postcodes[0], SOURCE_VSM)
-    evidence = (
-        corpus
-        if isinstance(corpus, PostcodeEvidence)
-        else PostcodeEvidence.from_records(corpus, lexicon)
-    )
     query = frozenset(nouns)
     counts = {p: evidence.count_with(p, query) for p in tied_postcodes}
     if sum(counts.values()) == 0:

@@ -18,6 +18,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -158,30 +159,24 @@ def _format_provenance(prov: dict[str, str]) -> str:
     return ";".join(f"{name}={IMPUTED}" for name in imputed)
 
 
-def _parse_row(columns: dict[str, int], cells: list[str]) -> EnterpriseRecord:
-    def cell(name: str) -> str | None:
-        idx = columns.get(name)
-        if idx is None or idx >= len(cells):
-            return None
-        return cells[idx] or None
-
-    rec_id = cell("id")
+def _parse_row(cells: Sequence[str]) -> EnterpriseRecord:
+    """A record from its cells in _ALL_COLUMNS order; an empty cell is absent."""
+    rec_id, name, category, address, postcode, data_source, lon_cell, lat_cell, prov_cell = [
+        cell or None for cell in cells
+    ]
     if not rec_id:
         raise ValueError("empty id")
 
-    category = cell("category")
     if category is not None:
         symbol = normalize_category(category)
         if symbol is None:
             raise ValueError(f"unknown category {category!r}")
         category = symbol
 
-    postcode = cell("postcode")
     if postcode is not None and not POSTCODE_RE.match(postcode):
         raise ValueError(f"invalid postcode {postcode!r}")
 
     coordinates = None
-    lon_cell, lat_cell = cell("lon"), cell("lat")
     if lon_cell is not None or lat_cell is not None:
         if lon_cell is None or lat_cell is None:
             raise ValueError("lon/lat must both be present")
@@ -190,13 +185,11 @@ def _parse_row(columns: dict[str, int], cells: list[str]) -> EnterpriseRecord:
         except ValueError:
             raise ValueError(f"invalid coordinates {lon_cell!r}, {lat_cell!r}") from None
 
-    data_source = cell("data_source")
-    prov_cell = cell("provenance")
     return EnterpriseRecord(
         id=rec_id,
-        name=cell("name"),
+        name=name,
         category=category,
-        address=cell("address"),
+        address=address,
         postcode=postcode,
         data_source=data_source,
         reg_year=parse_reg_year(data_source),
@@ -216,12 +209,15 @@ def ingest(path: str | Path) -> IngestResult:
     missing_cols = [c for c in _CORE_COLUMNS if c not in columns]
     if missing_cols:
         raise ValueError(f"{path}: header lacks columns {missing_cols}")
+    # an optional column the file lacks reads the empty cell appended to each row
+    take = itemgetter(*(columns.get(c, len(names)) for c in _ALL_COLUMNS))
     for line_no, cells in rows:
         if len(cells) != len(names):
             diagnostics.append(RowDiagnostic(line_no, f"expected {len(names)} cells, got {len(cells)}"))
             continue
+        cells.append("")
         try:
-            records.append(_parse_row(columns, cells))
+            records.append(_parse_row(take(cells)))
         except ValueError as exc:
             diagnostics.append(RowDiagnostic(line_no, str(exc)))
     return IngestResult(records, diagnostics)

@@ -33,7 +33,7 @@ from regimpute.geocode import (
     ok_rate,
     shard,
 )
-from regimpute.locimpute import impute_locations, impute_postcode, tie_break_probabilities
+from regimpute.locimpute import PostcodeEvidence, impute_locations, impute_postcode, tie_break_probabilities
 from regimpute.spatial import PointSet, Rect, ripley_k
 from regimpute.synth import SynthConfig, synth, synth_labeled_points, synth_world
 from regimpute.vectorizer import build_labeled
@@ -175,7 +175,8 @@ def test_criterion_04_tie_break_probabilities(world_50k, tree_50k):
                 corpus = list(records)
                 random.Random(seed).shuffle(entries)
                 random.Random(seed + 10).shuffle(corpus)
-                result = impute_postcode(query, build(entries), corpus, world_50k.lexicon)
+                evidence = PostcodeEvidence.from_records(corpus, world_50k.lexicon)
+                result = impute_postcode(query, build(entries), evidence, world_50k.lexicon)
                 picks.add((result.postcode, result.source))
             assert len(picks) == 1, f"street {street}: permutation changed the pick {picks}"
             if picks.pop()[1] == "tiebreak":

@@ -332,6 +332,34 @@ def test_pipeline_deterministic_artifacts(synth_dir, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_lr_pipeline_model_does_not_depend_on_workers(synth_dir, tmp_path):
+    keys = write_keys(tmp_path / "keys.tsv")
+    models = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"lr_w{workers}"
+        args = pipeline_args(synth_dir, out, keys)
+        args[args.index("--method") + 1] = "logistic_regression"
+        skip = "impute-category,build-gazetteer,impute-location,geocode,report"
+        assert main(args + ["--iters", "20", "--workers", workers, "--skip", skip]) == 0
+        models.append((out / "model.json").read_bytes())
+    assert models[0] == models[1]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--provider", "bogus"),
+    ("--method", "bogus"),
+    ("--keys", "{tmp}/missing_keys.tsv"),
+    ("--gazetteer", "{tmp}/missing_gazetteer.tsv"),
+], ids=["provider", "method", "keys", "gazetteer"])
+def test_config_error_exits_2_before_any_stage(synth_dir, tmp_path, flag, value):
+    keys = write_keys(tmp_path / "keys.tsv")
+    out = tmp_path / "never_run"
+    # the last occurrence of a flag wins
+    args = pipeline_args(synth_dir, out, keys) + [flag, value.format(tmp=tmp_path)]
+    assert main(args) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_config_file_and_env_overrides(synth_dir, tmp_path, monkeypatch):
     keys = write_keys(tmp_path / "keys.tsv")
     out = tmp_path / "cfg_run"

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from regimpute.classify import predict, train_comparison, train_forest, train_tree
+from regimpute.classify import predict, train, train_forest, train_tree
 from regimpute.vectorizer import LabeledPoint, SparseVector
 
 
@@ -35,20 +35,20 @@ def training_accuracy(model, points):
 
 def test_svm_separates_toy_set_with_default_params():
     points = separable_points()
-    model = train_comparison("linear_svm", points)
+    model = train("linear_svm", points)
     assert model.params == {"iters": 50, "step": 1.0, "reg": 0.01}
     assert training_accuracy(model, points) == 1.0
 
 
 def test_svm_scores_are_margins_not_probabilities():
-    model = train_comparison("linear_svm", separable_points())
+    model = train("linear_svm", separable_points())
     scores = predict(model, sv(8, (0, 1))).scores
     assert not np.isclose(sum(scores), 1.0)
 
 
 def test_tree_learns_feature_rule():
     points = three_class_points()
-    model = train_comparison("decision_tree", points)
+    model = train("decision_tree", points)
     assert model.params == {"max_depth": 30, "min_gain": 0.0075}
     assert training_accuracy(model, points) == 1.0
 
@@ -104,7 +104,7 @@ def test_forest_deterministic_for_seed():
 
 def test_unknown_method_is_fatal():
     with pytest.raises(ValueError, match="unknown"):
-        train_comparison("kernel_svm", separable_points())
+        train("kernel_svm", separable_points())
 
 
 def test_svm_weights_on_active_columns_equal_dense_reference():

@@ -32,6 +32,11 @@ def demo_tree():
     return build([WUHAN, WUCHANG, GUANGZHOU, DONGGUAN])
 
 
+@pytest.fixture()
+def no_evidence(demo_lexicon):
+    return PostcodeEvidence.from_records([], demo_lexicon)
+
+
 def test_tie_break_probabilities_direct():
     probs = tie_break_probabilities([3, 1])
     assert probs == [Fraction(3, 4), Fraction(1, 4)]
@@ -70,9 +75,9 @@ def test_extract_query_nouns_spans_three_fields(demo_lexicon):
     assert extract_query_nouns(rec, demo_lexicon) == ["湖北", "南京路", "武汉"]
 
 
-def test_unique_match_source_vsm(demo_tree, demo_lexicon):
+def test_unique_match_source_vsm(demo_tree, demo_lexicon, no_evidence):
     rec = EnterpriseRecord(id="1", name="武汉物业管理有限公司", address="江岸区南京路16号")
-    result = impute_postcode(rec, demo_tree, [], demo_lexicon)
+    result = impute_postcode(rec, demo_tree, no_evidence, demo_lexicon)
     assert result.postcode == "430014"
     assert result.source == "vsm-match"
     assert not result.low_confidence
@@ -86,7 +91,8 @@ def test_street_only_tie_uses_corpus_evidence(demo_tree, demo_lexicon):
         EnterpriseRecord(id="c3", address="南京路3号", postcode="430014"),
     ]
     rec = EnterpriseRecord(id="q", address="南京路99号")
-    result = impute_postcode(rec, demo_tree, corpus, demo_lexicon)
+    evidence = PostcodeEvidence.from_records(corpus, demo_lexicon)
+    result = impute_postcode(rec, demo_tree, evidence, demo_lexicon)
     assert result.source == "tiebreak"
     assert result.postcode == "510030"
 
@@ -141,23 +147,23 @@ def test_evidence_segments_only_postcodes_asked_about(demo_lexicon, monkeypatch)
     assert len(segmented) == 3  # cached per postcode; 510030 never segmented
 
 
-def test_tie_without_evidence_low_confidence(demo_tree, demo_lexicon):
+def test_tie_without_evidence_low_confidence(demo_tree, demo_lexicon, no_evidence):
     rec = EnterpriseRecord(id="q", address="南京路9号")
-    result = impute_postcode(rec, demo_tree, [], demo_lexicon)
+    result = impute_postcode(rec, demo_tree, no_evidence, demo_lexicon)
     assert result.postcode == "430014"  # smallest tied postcode
     assert result.source == "tiebreak"
     assert result.low_confidence
 
 
-def test_no_nouns_no_match(demo_tree, demo_lexicon):
+def test_no_nouns_no_match(demo_tree, demo_lexicon, no_evidence):
     rec = EnterpriseRecord(id="q", address="12345")
-    assert impute_postcode(rec, demo_tree, [], demo_lexicon) is None
+    assert impute_postcode(rec, demo_tree, no_evidence, demo_lexicon) is None
 
 
-def test_present_postcode_is_a_precondition(demo_tree, demo_lexicon):
+def test_present_postcode_is_a_precondition(demo_tree, demo_lexicon, no_evidence):
     rec = EnterpriseRecord(id="q", postcode="430014")
     with pytest.raises(ValueError):
-        impute_postcode(rec, demo_tree, [], demo_lexicon)
+        impute_postcode(rec, demo_tree, no_evidence, demo_lexicon)
 
 
 def test_impute_ad_table_fixture(demo_tree):

@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from regimpute import classify
 from regimpute.classify import lr_gradient, lr_loss, predict, train_lr
 from regimpute.classify.model import pack_points, to_csr
-from regimpute.parallel import split
 from regimpute.vectorizer import LabeledPoint, SparseVector
 
 
@@ -62,21 +62,6 @@ def test_gradient_matches_finite_differences_at_random_parameter_points():
         assert relative_error(grad, fd) < 1e-5, f"trial {trial}"
 
 
-def test_partitioned_gradient_is_reproducible_and_consistent():
-    rng = np.random.default_rng(7)
-    classes, points = random_dataset(rng, n=60)
-    X, y = pack_points(points, 12, classes)
-    W = rng.normal(size=(3, 12))
-    b = rng.normal(size=3)
-    g1w, g1b = lr_gradient(W, b, X, y, 0.01, parts=1)
-    g3w, g3b = lr_gradient(W, b, X, y, 0.01, parts=3)
-    g3w_again, g3b_again = lr_gradient(W, b, X, y, 0.01, parts=3)
-    # fixed merge order: identical run to run
-    assert np.array_equal(g3w, g3w_again) and np.array_equal(g3b, g3b_again)
-    # different partitionings agree up to float reassociation
-    assert np.allclose(g1w, g3w, atol=1e-12) and np.allclose(g1b, g3b, atol=1e-12)
-
-
 def separable_points():
     # class A lives on features {0,1}, B on {4,5}: linearly separable
     points = []
@@ -123,6 +108,17 @@ def test_training_is_deterministic():
     assert np.array_equal(m1.state["bias"], m2.state["bias"])
 
 
+def test_workers_do_not_change_the_model():
+    # LR trains on one matrix in-process; the dispatcher's workers fork NB only
+    rng = np.random.default_rng(13)
+    _, points = random_dataset(rng, n=90, dim=50)
+    one = classify.train("logistic_regression", points, {"iters": 30}, workers=1)
+    two = classify.train("logistic_regression", points, {"iters": 30}, workers=2)
+    assert one.state.keys() == two.state.keys()
+    for key in one.state:
+        assert np.array_equal(one.state[key], two.state[key]), key
+
+
 def test_parameter_validation():
     points = separable_points()
     with pytest.raises(ValueError):
@@ -143,25 +139,26 @@ def test_to_csr_materializes_counts():
     assert dense[1].tolist() == [0.0] * 5
 
 
-def dense_reference(points, classes, dim, iters, step, l2, parts):
+def dense_reference(points, classes, dim, iters, step, l2):
     """Gradient descent over the full-dim matrix, as train_lr once ran it."""
     X, y = pack_points(points, dim, classes)
     W = np.zeros((len(classes), dim))
     b = np.zeros(len(classes))
     for t in range(1, iters + 1):
-        gw, gb = lr_gradient(W, b, X, y, l2, parts=parts)
+        gw, gb = lr_gradient(W, b, X, y, l2)
         lr = step / np.sqrt(t)
         W -= lr * gw
         b -= lr * gb
     return W, b
 
 
-@pytest.mark.parametrize("parts", [1, 3])
-def test_weights_on_active_columns_equal_dense_reference(parts):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_weights_on_active_columns_equal_dense_reference(workers):
     rng = np.random.default_rng(11)
     classes, points = random_dataset(rng, n=80, dim=400, k=3)
-    model = train_lr(points, iters=30, step=1.0, l2=0.05, parts=parts)
-    W, b = dense_reference(points, classes, 400, 30, 1.0, 0.05, parts)
+    params = {"iters": 30, "step": 1.0, "l2": 0.05}
+    model = classify.train("logistic_regression", points, params, workers=workers)
+    W, b = dense_reference(points, classes, 400, 30, 1.0, 0.05)
     columns = sorted({i for p in points for i, _ in p.vector.entries})
     assert model.state["columns"].tolist() == columns
     assert np.array_equal(model.state["weights"], W[:, columns])
@@ -184,22 +181,14 @@ def repeated_rows_dataset(rng, n=150, pool=12, dim=40, k=4):
     return classes, points
 
 
-def all_rows_gradient(W, b, X, y, l2, parts):
-    """lr_gradient with the softmax taken on every row, blocks as split gives them."""
-    grad_w = np.zeros_like(W)
-    grad_b = np.zeros(W.shape[0])
-    start = 0
-    for block in split(range(X.shape[0]), parts):
-        Xb, yb = X[start : start + len(block)], y[start : start + len(block)]
-        start += len(block)
-        z = Xb @ W.T + b
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        probs = e / e.sum(axis=1, keepdims=True)
-        probs[np.arange(Xb.shape[0]), yb] -= 1.0
-        grad_w += probs.T @ Xb
-        grad_b += probs.sum(axis=0)
-    return grad_w / X.shape[0] + l2 * W, grad_b / X.shape[0]
+def all_rows_gradient(W, b, X, y, l2):
+    """lr_gradient with the softmax taken on every row."""
+    z = X @ W.T + b
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    probs[np.arange(X.shape[0]), y] -= 1.0
+    return probs.T @ X / X.shape[0] + l2 * W, probs.sum(axis=0) / X.shape[0]
 
 
 def all_rows_loss(W, b, X, y, l2):
@@ -209,8 +198,8 @@ def all_rows_loss(W, b, X, y, l2):
     return float(-logp[np.arange(X.shape[0]), y].sum() / X.shape[0] + 0.5 * l2 * (W * W).sum())
 
 
-@pytest.mark.parametrize("parts", [1, 3])
-def test_training_on_repeated_rows_equals_softmax_on_every_row(parts):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_training_on_repeated_rows_equals_softmax_on_every_row(workers):
     rng = np.random.default_rng(5)
     classes, points = repeated_rows_dataset(rng)
     X, y = pack_points(points, 40, classes)
@@ -218,24 +207,24 @@ def test_training_on_repeated_rows_equals_softmax_on_every_row(parts):
     W = np.zeros((len(classes), 40))
     b = np.zeros(len(classes))
     for t in range(1, 41):
-        gw, gb = all_rows_gradient(W, b, X, y, 0.02, parts)
+        gw, gb = all_rows_gradient(W, b, X, y, 0.02)
         W -= (1.0 / np.sqrt(t)) * gw
         b -= (1.0 / np.sqrt(t)) * gb
-    model = train_lr(points, iters=40, step=1.0, l2=0.02, parts=parts)
+    params = {"iters": 40, "step": 1.0, "l2": 0.02}
+    model = classify.train("logistic_regression", points, params, workers=workers)
     columns = model.state["columns"]
     assert np.array_equal(model.state["weights"], W[:, columns])
     assert np.array_equal(model.state["bias"], b)
 
 
-@pytest.mark.parametrize("parts", [1, 3])
-def test_loss_and_gradient_equal_their_every_row_forms(parts):
+def test_loss_and_gradient_equal_their_every_row_forms():
     rng = np.random.default_rng(9)
     classes, points = repeated_rows_dataset(rng)
     X, y = pack_points(points, 40, classes)
     for _ in range(5):
         W = rng.normal(scale=0.8, size=(len(classes), 40))
         b = rng.normal(scale=0.5, size=len(classes))
-        gw, gb = lr_gradient(W, b, X, y, 0.01, parts=parts)
-        rw, rb = all_rows_gradient(W, b, X, y, 0.01, parts)
+        gw, gb = lr_gradient(W, b, X, y, 0.01)
+        rw, rb = all_rows_gradient(W, b, X, y, 0.01)
         assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
         assert lr_loss(W, b, X, y, 0.01) == all_rows_loss(W, b, X, y, 0.01)

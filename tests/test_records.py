@@ -87,6 +87,41 @@ def test_ingest_four_rows_one_malformed(tmp_path):
     assert result.error_count == 1
 
 
+def test_ingest_reads_columns_by_header_name(tmp_path):
+    # any column order; an unknown column is ignored
+    path = tmp_path / "c.tsv"
+    path.write_text(
+        "provenance\tlat\tpostcode\tnote\tdata_source\tname\taddress\tlon\tcategory\tid\n"
+        "category=imputed\t30.5\t430014\tignored\t2004年注册_湖北\t武汉物业\t南京路16号\t114.25\tRE\t9\n"
+        "\t\t\tx\t\t\t\t\t\t10\n"
+        "\t30.5\t\tx\t\t\t\t\t\t11\n",
+        encoding="utf-8",
+    )
+    result = ingest(path)
+    assert result.records == [
+        EnterpriseRecord(
+            id="9", name="武汉物业", category="RE", address="南京路16号", postcode="430014",
+            data_source="2004年注册_湖北", reg_year=2004, coordinates=(114.25, 30.5),
+            provenance={"category": "imputed"},
+        ),
+        EnterpriseRecord(id="10"),
+    ]
+    assert [(d.line_no, d.message) for d in result.diagnostics] == [(4, "lon/lat must both be present")]
+
+
+def test_ingest_six_column_header_has_no_coordinates_or_provenance(tmp_path):
+    path = tmp_path / "c.tsv"
+    write_corpus(path, ["1\tx\tRE\t南京路16号\t430014\t2004年注册_湖北", "\ty\t\t\t\t"])
+    result = ingest(path)
+    assert result.records == [
+        EnterpriseRecord(
+            id="1", name="x", category="RE", address="南京路16号", postcode="430014",
+            data_source="2004年注册_湖北", reg_year=2004,
+        )
+    ]
+    assert [(d.line_no, d.message) for d in result.diagnostics] == [(3, "empty id")]
+
+
 def test_ingest_missing_file_is_fatal(tmp_path):
     with pytest.raises(OSError):
         ingest(tmp_path / "absent.tsv")
