@@ -217,10 +217,13 @@ def test_training_on_repeated_rows_equals_softmax_on_every_row(workers):
     assert np.array_equal(model.state["bias"], b)
 
 
-def test_loss_and_gradient_equal_their_every_row_forms():
+@pytest.mark.parametrize("copies", [1, 3])
+def test_loss_and_gradient_equal_their_every_row_forms(copies):
+    # copies > 1 repeats the whole set, so every distinct row stands for
+    # at least `copies` rows
     rng = np.random.default_rng(9)
     classes, points = repeated_rows_dataset(rng)
-    X, y = pack_points(points, 40, classes)
+    X, y = pack_points(points * copies, 40, classes)
     for _ in range(5):
         W = rng.normal(scale=0.8, size=(len(classes), 40))
         b = rng.normal(scale=0.5, size=len(classes))
