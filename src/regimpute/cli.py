@@ -93,6 +93,8 @@ class PipelineConfig:
                     raise ConfigError(f"bad value for {key}: {value!r}") from exc
         if config.method not in classify.model.METHODS:
             raise ConfigError(f"unknown method {config.method!r}")
+        if config.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {config.workers}")
         return config
 
 

@@ -126,7 +126,7 @@ def cross_validate(
         confusion=confusion,
         train_seconds=sum(train_times) / len(train_times),
         predict_seconds=sum(predict_times) / len(predict_times),
-        partitions=workers,
+        partitions=workers if method == "naive_bayes" else 1,  # only NB splits its training
         alloc_peak_bytes=max(peaks) if peaks else None,
     )
 

@@ -16,6 +16,7 @@ provider with a templated URL is available for real services.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 import urllib.error
@@ -238,7 +239,9 @@ class HttpGeocoder:
         lat = self._dig(doc, self.lat_path)
         if lon is None or lat is None:
             return None
-        return float(lon), float(lat)
+        coords = float(lon), float(lat)
+        # a NaN or infinite answer (JSON allows both) is no location
+        return coords if math.isfinite(coords[0]) and math.isfinite(coords[1]) else None
 
 
 def _geocode_one(record, provider, counter, limiter, exhausted, max_attempts, sleep):

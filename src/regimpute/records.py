@@ -9,10 +9,19 @@ The record file is UTF-8 tab-separated text with a header row. The six
 core columns are id, name, category, address, postcode, data_source; lon,
 lat and provenance columns are written by downstream stages and read back
 when present. Empty cells mean "absent".
+
+ingest parses each distinct repeating cell once per file: it memoises the
+category symbol of each category cell, each validated postcode cell and
+the (cell, reg_year) pair of each data_source cell, so the records share
+those values. A bad cell is never memoised: each row holding one gets its
+own diagnostic, from checks run in the order id, category, postcode,
+coordinates. A lon or lat that is not a finite number makes the row bad.
+Each record gets its own provenance dict.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from contextlib import contextmanager
@@ -37,7 +46,7 @@ _CORE_COLUMNS = ("id", "name", "category", "address", "postcode", "data_source")
 _ALL_COLUMNS = _CORE_COLUMNS + ("lon", "lat", "provenance")
 
 
-@dataclass
+@dataclass(slots=True)
 class EnterpriseRecord:
     """One registration row; optional fields are None when absent."""
 
@@ -155,44 +164,67 @@ def _parse_provenance(cell: str) -> dict[str, str]:
 
 
 def _format_provenance(prov: dict[str, str]) -> str:
+    if not prov:
+        return ""
     imputed = sorted(name for name, flag in prov.items() if flag == IMPUTED)
     return ";".join(f"{name}={IMPUTED}" for name in imputed)
 
 
-def _parse_row(cells: Sequence[str]) -> EnterpriseRecord:
-    """A record from its cells in _ALL_COLUMNS order; an empty cell is absent."""
-    rec_id, name, category, address, postcode, data_source, lon_cell, lat_cell, prov_cell = [
-        cell or None for cell in cells
-    ]
+def _parse_row(
+    cells: Sequence[str],
+    categories: dict[str, str],
+    postcodes: dict[str, str],
+    sources: dict[str, tuple[str | None, int | None]],
+) -> EnterpriseRecord:
+    """A record from its cells in _ALL_COLUMNS order; an empty cell is absent.
+    The dicts are one file's memos (see the module docstring); a bad cell
+    is never stored, so it raises on every row it appears in."""
+    rec_id, name, category, address, postcode, data_source, lon_cell, lat_cell, prov_cell = cells
     if not rec_id:
         raise ValueError("empty id")
 
-    if category is not None:
-        symbol = normalize_category(category)
+    if category:
+        symbol = categories.get(category)
         if symbol is None:
-            raise ValueError(f"unknown category {category!r}")
+            symbol = normalize_category(category)
+            if symbol is None:
+                raise ValueError(f"unknown category {category!r}")
+            categories[category] = symbol
         category = symbol
 
-    if postcode is not None and not POSTCODE_RE.match(postcode):
-        raise ValueError(f"invalid postcode {postcode!r}")
+    if postcode:
+        valid = postcodes.get(postcode)
+        if valid is None:
+            if not POSTCODE_RE.match(postcode):
+                raise ValueError(f"invalid postcode {postcode!r}")
+            valid = postcodes[postcode] = postcode
+        postcode = valid
 
     coordinates = None
-    if lon_cell is not None or lat_cell is not None:
-        if lon_cell is None or lat_cell is None:
+    if lon_cell or lat_cell:
+        if not (lon_cell and lat_cell):
             raise ValueError("lon/lat must both be present")
         try:
-            coordinates = (float(lon_cell), float(lat_cell))
+            lon, lat = float(lon_cell), float(lat_cell)
         except ValueError:
-            raise ValueError(f"invalid coordinates {lon_cell!r}, {lat_cell!r}") from None
+            lon = lat = math.nan
+        # float() also parses nan and inf, which are no place on a map
+        if not (math.isfinite(lon) and math.isfinite(lat)):
+            raise ValueError(f"invalid coordinates {lon_cell!r}, {lat_cell!r}")
+        coordinates = (lon, lat)
+
+    source = sources.get(data_source)
+    if source is None:
+        source = sources[data_source] = (data_source or None, parse_reg_year(data_source))
 
     return EnterpriseRecord(
         id=rec_id,
-        name=name,
-        category=category,
-        address=address,
-        postcode=postcode,
-        data_source=data_source,
-        reg_year=parse_reg_year(data_source),
+        name=name or None,
+        category=category or None,
+        address=address or None,
+        postcode=postcode or None,
+        data_source=source[0],
+        reg_year=source[1],
         coordinates=coordinates,
         provenance=_parse_provenance(prov_cell) if prov_cell else {},
     )
@@ -211,13 +243,14 @@ def ingest(path: str | Path) -> IngestResult:
         raise ValueError(f"{path}: header lacks columns {missing_cols}")
     # an optional column the file lacks reads the empty cell appended to each row
     take = itemgetter(*(columns.get(c, len(names)) for c in _ALL_COLUMNS))
+    memos: tuple[dict, dict, dict] = ({}, {}, {})
     for line_no, cells in rows:
         if len(cells) != len(names):
             diagnostics.append(RowDiagnostic(line_no, f"expected {len(names)} cells, got {len(cells)}"))
             continue
         cells.append("")
         try:
-            records.append(_parse_row(take(cells)))
+            records.append(_parse_row(take(cells), *memos))
         except ValueError as exc:
             diagnostics.append(RowDiagnostic(line_no, str(exc)))
     return IngestResult(records, diagnostics)

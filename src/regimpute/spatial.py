@@ -8,10 +8,22 @@ units; geographic coordinates are projected with an equirectangular
 approximation about the mean latitude before analysis.
 
 Pairs are counted by scipy's k-d tree (cKDTree.count_neighbors), which
-holds no array of pair distances. The count is exact: for Euclidean
-distance the tree compares squared distances with squared radii, as a
-naive double loop does, and the two agree pair for pair. Tests pin this
-with brute-force double loops on random points and with a property on
+holds no array of pair distances. The tree splits at sliding midpoints
+(balanced_tree=False) and keeps each node's cell rather than shrinking it
+to the node's points (compact_nodes=False). Registrations cluster at shared
+addresses; on such points the dual-tree count then takes whole node pairs
+at once, several times faster than on the default tree; on uniform points
+the two builds take about the same time.
+
+The count is exact under either build. For Euclidean distance the tree
+compares squared distances with squared radii, as a naive double loop
+does, and the two agree pair for pair. A node pair is counted or skipped
+whole only when the bounds from its two rectangles decide it; the
+rectangles contain their points under both builds, and correctly rounded
+-, * and + are monotone, so the rounded lower bound never exceeds, and the
+rounded upper bound never falls below, the rounded distance of a pair
+inside them. Tests pin this with brute-force double loops on random points
+and on clustered points with exact duplicates, and with a property on
 integer-lattice points whose pair distances land exactly on the radii.
 """
 
@@ -101,7 +113,7 @@ def ripley_k(points: PointSet, radii: Sequence[float]) -> KCurve:
     if points.n < 2:
         raise ValueError("ripley_k needs at least two points")
     arr = _check_radii(radii)
-    tree = cKDTree(points.points)
+    tree = cKDTree(points.points, compact_nodes=False, balanced_tree=False)
     # ordered pairs within r, less the n self-pairs (i == j, d = 0)
     counts = tree.count_neighbors(tree, arr) - points.n
     scale = points.region.area / (points.n**2)
@@ -155,5 +167,6 @@ def export_geojson(
         )
     doc = {"type": "FeatureCollection", "features": features}
     with atomic_writer(path) as fh:
-        json.dump(doc, fh, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        # dumps, not dump: only dumps takes the C encoder; the text is the same
+        fh.write(json.dumps(doc, ensure_ascii=False, sort_keys=True, separators=(",", ":")))
     return ExportReport(len(features), skipped)

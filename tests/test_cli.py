@@ -191,6 +191,25 @@ def test_geocode_and_spatial_flow(synth_dir, tmp_path, capsys):
     assert doc["features"], "year-window export should keep most records"
 
 
+def test_spatial_commands_skip_rows_with_non_finite_coordinates(tmp_path):
+    corpus = tmp_path / "located.tsv"
+    rows = [(f"E{i}", 114.0 + i / 10, 30.0 + i / 20) for i in range(5)] + [("bad", "nan", 30.0)]
+    corpus.write_text(
+        "id\tname\tcategory\taddress\tpostcode\tdata_source\tlon\tlat\n"
+        + "".join(f"{rid}\t\t\t\t\t2004_x\t{lon}\t{lat}\n" for rid, lon, lat in rows),
+        encoding="utf-8",
+    )
+    assert main(["kfunction", "--corpus", str(corpus), "--radii", "10,50", "--out", str(tmp_path / "k.tsv")]) == 0
+    geojson = tmp_path / "points.geojson"
+    assert main(["export", "--corpus", str(corpus), "--out", str(geojson)]) == 0
+
+    def no_constants(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(geojson.read_text(encoding="utf-8"), parse_constant=no_constants)
+    assert [f["properties"]["id"] for f in doc["features"]] == [f"E{i}" for i in range(5)]
+
+
 @pytest.fixture()
 def half_located(synth_dir, tmp_path):
     """The synth corpus with every other record already georeferenced."""
@@ -350,7 +369,8 @@ def test_lr_pipeline_model_does_not_depend_on_workers(synth_dir, tmp_path):
     ("--method", "bogus"),
     ("--keys", "{tmp}/missing_keys.tsv"),
     ("--gazetteer", "{tmp}/missing_gazetteer.tsv"),
-], ids=["provider", "method", "keys", "gazetteer"])
+    ("--workers", "0"),
+], ids=["provider", "method", "keys", "gazetteer", "workers"])
 def test_config_error_exits_2_before_any_stage(synth_dir, tmp_path, flag, value):
     keys = write_keys(tmp_path / "keys.tsv")
     out = tmp_path / "never_run"

@@ -112,6 +112,14 @@ def test_cross_validate_alloc_counter(learnable_points):
     assert report.alloc_peak_bytes is not None and report.alloc_peak_bytes > 0
 
 
+@pytest.mark.parametrize("method, partitions", [("naive_bayes", 2), ("logistic_regression", 1)])
+def test_partitions_is_the_count_training_used(learnable_points, method, partitions):
+    # only Naive Bayes splits its training across workers
+    data = learnable_points[:200]
+    report = cross_validate(method, data, kfold(len(data), 2, seed=1), workers=2)
+    assert report.partitions == partitions
+
+
 def test_report_files(tmp_path, learnable_points):
     report = cross_validate("naive_bayes", learnable_points[:200], kfold(200, 2, seed=1))
     report.write(tmp_path)

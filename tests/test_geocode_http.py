@@ -20,6 +20,14 @@ from regimpute.geocode import (
 from regimpute.records import EnterpriseRecord
 
 
+# json.dumps writes NaN and Infinity, which json.load reads back as floats
+NON_FINITE = {
+    "/nan": {"lng": float("nan"), "lat": 30.5},
+    "/inf": {"lng": 114.25, "lat": float("inf")},
+    "/text": {"lng": "-inf", "lat": "30.5"},
+}
+
+
 class _Handler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # keep test output quiet
         pass
@@ -38,6 +46,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if parsed.path == "/empty":
             body = {"status": 1}
+        elif parsed.path in NON_FINITE:
+            body = {"result": {"location": NON_FINITE[parsed.path]}}
         else:
             body = {"result": {"location": {"lng": 114.25, "lat": 30.5}, "echo": address}}
         payload = json.dumps(body).encode("utf-8")
@@ -75,6 +85,12 @@ def test_http_provider_round_trip(http_server):
 
 def test_http_provider_missing_location_is_no_result(http_server):
     provider = HttpGeocoder(url_of(http_server, "/empty"))
+    assert provider.geocode("anywhere") is None
+
+
+@pytest.mark.parametrize("route", sorted(NON_FINITE))
+def test_http_provider_non_finite_location_is_no_result(http_server, route):
+    provider = HttpGeocoder(url_of(http_server, route))
     assert provider.geocode("anywhere") is None
 
 

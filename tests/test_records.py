@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regimpute.categories import CATEGORIES
+from regimpute.categories import CATEGORIES, normalize_category
 from regimpute.records import (
     TRACKED_FIELDS,
     EnterpriseRecord,
@@ -120,6 +123,142 @@ def test_ingest_six_column_header_has_no_coordinates_or_provenance(tmp_path):
         )
     ]
     assert [(d.line_no, d.message) for d in result.diagnostics] == [(3, "empty id")]
+
+
+def test_ingest_skips_rows_with_non_finite_coordinates(tmp_path):
+    # float() parses all of these; none is a place on a map
+    path = tmp_path / "c.tsv"
+    path.write_text(
+        "id\tname\tcategory\taddress\tpostcode\tdata_source\tlon\tlat\n"
+        "1\t\t\t\t\t\tnan\t30.5\n"
+        "2\t\t\t\t\t\t114.25\tinf\n"
+        "3\t\t\t\t\t\t-Infinity\tNaN\n"
+        "4\t\t\t\t\t\t1e400\t30.5\n"
+        "5\t\t\t\t\t\t114.25\t30.5\n",
+        encoding="utf-8",
+    )
+    result = ingest(path)
+    assert result.records == [EnterpriseRecord(id="5", coordinates=(114.25, 30.5))]
+    assert [(d.line_no, d.message) for d in result.diagnostics] == [
+        (2, "invalid coordinates 'nan', '30.5'"),
+        (3, "invalid coordinates '114.25', 'inf'"),
+        (4, "invalid coordinates '-Infinity', 'NaN'"),
+        (5, "invalid coordinates '1e400', '30.5'"),
+    ]
+
+
+def test_each_record_owns_its_provenance(tmp_path):
+    path = tmp_path / "c.tsv"
+    cells = ["coordinates=imputed"] * 3 + [""] * 3
+    path.write_text(
+        HEADER + "\tprovenance\n" + "".join(f"{i}\t\t\t\t\t\t{cell}\n" for i, cell in enumerate(cells)),
+        encoding="utf-8",
+    )
+    records = ingest(path).records
+    records[0].mark_imputed("category")
+    records[3].mark_imputed("category")
+    assert [r.provenance for r in records] == [
+        {"coordinates": "imputed", "category": "imputed"},
+        {"coordinates": "imputed"},
+        {"coordinates": "imputed"},
+        {"category": "imputed"},
+        {},
+        {},
+    ]
+
+
+def reference_parse(cells):
+    """One row parsed on its own, with no memo: the record, or the message
+    of its first failed check (id, category, postcode, coordinates)."""
+    rec_id, name, category, address, postcode, data_source, lon, lat, prov = (c or None for c in cells)
+    if rec_id is None:
+        return "empty id"
+    if category is not None:
+        symbol = normalize_category(category)
+        if symbol is None:
+            return f"unknown category {category!r}"
+        category = symbol
+    if postcode is not None and not re.fullmatch("[0-9]{6}", postcode):
+        return f"invalid postcode {postcode!r}"
+    coordinates = None
+    if lon is not None or lat is not None:
+        if lon is None or lat is None:
+            return "lon/lat must both be present"
+        try:
+            coordinates = (float(lon), float(lat))
+        except ValueError:
+            return f"invalid coordinates {lon!r}, {lat!r}"
+        if not (math.isfinite(coordinates[0]) and math.isfinite(coordinates[1])):
+            return f"invalid coordinates {lon!r}, {lat!r}"
+    provenance = {}
+    for part in (prov or "").split(";"):
+        if part:
+            key, _, flag = part.partition("=")
+            provenance[key] = flag
+    return EnterpriseRecord(
+        id=rec_id, name=name, category=category, address=address, postcode=postcode,
+        data_source=data_source, reg_year=parse_reg_year(data_source),
+        coordinates=coordinates, provenance=provenance,
+    )
+
+
+# Small pools, so cells repeat within a file. A cell comes from its bad
+# pool one time in ten, so most rows parse and bad cells recur too.
+_CATEGORIES = (
+    ("", "RE", "re", "Real estate", "real estate", "Finance, insurance", "finance insurance",
+     "房地产业", "金融保险业", " M "),
+    ("bogus", "RE!", "未知"),
+)
+_POSTCODES = (("", "430014", "100000"), ("12345", "4300140", "43001a", "４３００１４"))
+_COORDINATES = (
+    (("", ""), ("114.25", "30.5"), ("-0.0", "1e-3")),
+    (("114.25", ""), ("", "30.5"), ("nan", "30.5"), ("114.25", "inf"), ("-Infinity", "NaN"),
+     ("abc", "30.5"), ("1e400", "30.5")),
+)
+_SOURCES = ("", "2004年注册_湖北", "2015_2016", "1980_fyc", "year 1899", "no year")
+_PROVENANCES = ("", "coordinates=imputed", "category=imputed;postcode=imputed", "x=original")
+
+
+@st.composite
+def _rows(draw):
+    """A row's nine cells, and whether it carries one cell too many."""
+
+    def cell(good, bad):
+        return draw(st.sampled_from(bad if draw(st.integers(0, 9)) == 0 else good))
+
+    lon, lat = cell(*_COORDINATES)
+    cells = [
+        cell(("1", "a", "企业7"), ("",)),
+        draw(st.sampled_from(("", "武汉物业"))),
+        cell(*_CATEGORIES),
+        draw(st.sampled_from(("", "南京路16号"))),
+        cell(*_POSTCODES),
+        draw(st.sampled_from(_SOURCES)),
+        lon,
+        lat,
+        draw(st.sampled_from(_PROVENANCES)),
+    ]
+    return cells, draw(st.integers(0, 9)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_rows(), min_size=1, max_size=30))
+def test_ingest_equals_a_reference_per_row_parser(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("ingest") / "c.tsv"
+    lines = [HEADER + "\tlon\tlat\tprovenance"]
+    records, diagnostics = [], []
+    for line_no, (cells, extra) in enumerate(rows, start=2):
+        lines.append("\t".join(cells + ["x"] * extra))
+        if extra:
+            diagnostics.append((line_no, "expected 9 cells, got 10"))
+        elif isinstance(parsed := reference_parse(cells), str):
+            diagnostics.append((line_no, parsed))
+        else:
+            records.append(parsed)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = ingest(path)
+    assert result.records == records
+    assert [(d.line_no, d.message) for d in result.diagnostics] == diagnostics
 
 
 def test_ingest_missing_file_is_fatal(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -96,6 +97,24 @@ def test_large_input_uses_grid_and_matches_brute_force_counts():
     curve = ripley_k(ps, radii)
     scale = 1.0 / (ps.n * ps.n)
     assert list(curve.k) == [scale * c for c in row_block_counts(pts, radii)]
+
+
+def test_clustered_points_with_duplicates_match_row_block_counts():
+    # registrations cluster at shared addresses: Gaussian clusters of
+    # distinct sizes, and every fourth point repeated exactly
+    rng = np.random.default_rng(21)
+    centres = rng.random((12, 2)) * 100
+    sizes = rng.integers(50, 600, size=12)
+    spreads = rng.random(12) * 3
+    pts = np.concatenate([c + rng.normal(scale=s, size=(n, 2)) for c, n, s in zip(centres, sizes, spreads)])
+    pts = np.concatenate([pts, pts[::4]])
+    pts = pts[rng.permutation(len(pts))]
+    assert 4_000 <= len(pts) <= 6_000
+    ps = PointSet.from_points(pts)
+    radii = [0.01, 0.5, 2.0, 10.0, 40.0]
+    curve = ripley_k(ps, radii)
+    scale = ps.region.area / (ps.n * ps.n)
+    assert list(curve.k) == [scale * c for c in row_block_counts(ps.points, radii)]
 
 
 # Integer radii, which lattice pair distances hit exactly (5 for a 3-4
@@ -229,3 +248,25 @@ def test_export_deterministic_bytes(tmp_path):
     export_geojson(sample_records(), p1)
     export_geojson(sample_records(), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_export_bytes_equal_a_json_dump_reference(tmp_path):
+    records = [
+        EnterpriseRecord(id="武汉-01", category="RE", reg_year=None, coordinates=(114.25, 30.5)),
+        EnterpriseRecord(id="é\u2028\"q\"", category=None, reg_year=1999, coordinates=(-0.0, 1e-7)),
+        EnterpriseRecord(id="c", category=None, reg_year=None, coordinates=(1 / 3, 2e22)),
+    ]
+    path = tmp_path / "x.geojson"
+    export_geojson(records, path)
+    features = [
+        {
+            "type": "Feature",
+            "geometry": {"type": "Point", "coordinates": list(r.coordinates)},
+            "properties": {"id": r.id, "category": r.category, "year": r.reg_year},
+        }
+        for r in records
+    ]
+    reference = io.StringIO()
+    json.dump({"type": "FeatureCollection", "features": features}, reference,
+              ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    assert path.read_bytes() == reference.getvalue().encode("utf-8")
