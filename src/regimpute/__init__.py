@@ -18,7 +18,7 @@ from .records import (
 )
 from .segmenter import Lexicon, Token, address_nouns, feature_words, segment
 from .synth import SynthConfig, synth, synth_labeled_points, synth_world
-from .vectorizer import DEFAULT_DIM, LabeledPoint, SparseVector, hash_vector, to_labeled
+from .vectorizer import DEFAULT_DIM, build_labeled, hash_rows
 
 __version__ = "0.1.0"
 
@@ -28,15 +28,14 @@ __all__ = [
     "EnterpriseRecord",
     "GroundTruth",
     "IngestResult",
-    "LabeledPoint",
     "Lexicon",
     "MissingnessReport",
-    "SparseVector",
     "SynthConfig",
     "Token",
     "address_nouns",
+    "build_labeled",
     "feature_words",
-    "hash_vector",
+    "hash_rows",
     "ingest",
     "missingness",
     "normalize_category",
@@ -44,6 +43,5 @@ __all__ = [
     "synth",
     "synth_labeled_points",
     "synth_world",
-    "to_labeled",
     "write_records",
 ]

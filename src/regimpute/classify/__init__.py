@@ -1,7 +1,10 @@
 """Short-text classifiers behind one train/predict interface.
 
-Naive Bayes and logistic regression are the fully supported paths;
-linear SVM, decision tree and random forest are comparison baselines.
+Every method trains on the CSR count matrix that vectorizer.hash_rows
+builds from name words, with one label per row, and predicts on a matrix
+of the same width. Naive Bayes and logistic regression are the fully
+supported paths; linear SVM, decision tree and random forest are
+comparison baselines.
 """
 
 from __future__ import annotations
@@ -11,7 +14,10 @@ from typing import Sequence
 
 from ..records import EnterpriseRecord
 from ..segmenter import Lexicon
-from ..vectorizer import DEFAULT_DIM, LabeledPoint, vectorize_name
+from ..vectorizer import DEFAULT_DIM, vectorize_names
+# Unused here: perfbench's tracer patches this name when it installs
+# (ROADMAP item 1), so it stays importable until the tracer drops it.
+from ..vectorizer import vectorize_name  # noqa: F401
 from .logistic import lr_gradient, lr_loss, train_lr
 from .model import (
     Prediction,
@@ -21,7 +27,7 @@ from .model import (
     predict,
     predict_labels,
     save_model,
-    score_vector,
+    score_rows,
 )
 from .naive_bayes import NBStats, merge_stats, partial_stats, train_nb
 from .svm import train_svm
@@ -37,7 +43,8 @@ _TRAINERS = {
 
 def train(
     method: str,
-    data: Sequence[LabeledPoint],
+    X,
+    labels: Sequence[str],
     params: dict | None = None,
     workers: int = 1,
     classes: Sequence[str] | None = None,
@@ -48,9 +55,9 @@ def train(
     The other methods train in-process and ignore `workers`."""
     params = dict(params or {})
     if method == "naive_bayes":
-        return train_nb(data, workers=workers, classes=classes, **params)
+        return train_nb(X, labels, workers=workers, classes=classes, **params)
     if method in _TRAINERS:
-        return _TRAINERS[method](data, classes=classes, **params)
+        return _TRAINERS[method](X, labels, classes=classes, **params)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -75,7 +82,7 @@ def impute_categories(
     predicted in one batch."""
     missing = [rec for rec in records if rec.category is None]
     named = [rec for rec in missing if rec.name]
-    labels = predict_labels(model, [vectorize_name(rec.name, lexicon, dim) for rec in named])
+    labels = predict_labels(model, vectorize_names([rec.name for rec in named], lexicon, dim))
     for rec, label in zip(named, labels):
         rec.category = model.classes[label]
         rec.mark_imputed("category")
@@ -97,7 +104,7 @@ __all__ = [
     "predict",
     "predict_labels",
     "save_model",
-    "score_vector",
+    "score_rows",
     "train",
     "train_forest",
     "train_lr",

@@ -22,8 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 
-from ..vectorizer import LabeledPoint
-from .model import TrainedModel, check_training_data, infer_classes, pack_active, softmax
+from .model import TrainedModel, active_columns, check_training_data, softmax
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -90,23 +89,23 @@ def lr_gradient(
 
 
 def train_lr(
-    data: Sequence[LabeledPoint],
+    X: sparse.csr_matrix,
+    labels: Sequence[str],
     iters: int = 100,
     step: float = 1.0,
     l2: float = 0.01,
     classes: Sequence[str] | None = None,
 ) -> TrainedModel:
     """Run gradient descent from zero weights; fatal on non-finite loss."""
-    dim = check_training_data(data)
+    classes, y = check_training_data(X, labels, classes)
     if iters < 1:
         raise ValueError("iters must be >= 1")
     if step <= 0:
         raise ValueError("step must be > 0")
     if l2 < 0:
         raise ValueError("l2 must be >= 0")
-    classes = tuple(classes) if classes is not None else infer_classes(data)
-    columns, X, y = pack_active(data, dim, classes)
-    rows = _rows(X, y)
+    columns, active = active_columns(X)
+    rows = _rows(active, y)
     W = np.zeros((len(classes), len(columns)))
     b = np.zeros(len(classes))
     for t in range(1, iters + 1):
@@ -121,7 +120,7 @@ def train_lr(
         raise ValueError(f"non-finite loss after iteration {iters}")
     return TrainedModel(
         method="logistic_regression",
-        dim=dim,
+        dim=X.shape[1],
         classes=classes,
         params={"iters": iters, "step": step, "l2": l2},
         state={"columns": columns, "weights": W, "bias": b},

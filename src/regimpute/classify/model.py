@@ -1,6 +1,11 @@
 """Trained-model container, prediction, and model (de)serialization.
 
-A TrainedModel is method-tagged; predict() dispatches on the tag. For the
+Training and prediction read one form of data: the CSR count matrix of
+vectorizer.hash_rows, one row per name and dim columns, with labels as a
+sequence of class names beside it. check_training_data turns the labels
+into indices into the model's class list.
+
+A TrainedModel is method-tagged; score_rows dispatches on the tag. For the
 probabilistic methods (naive_bayes, logistic_regression) scores are
 posterior probabilities summing to 1; linear_svm reports raw margins,
 decision_tree the leaf class distribution, random_forest vote fractions.
@@ -18,14 +23,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from ..categories import CATEGORIES
 from ..records import atomic_writer
-from ..vectorizer import LabeledPoint, SparseVector
+from ..vectorizer import row_entries
 
 _LINEAR = ("naive_bayes", "logistic_regression", "linear_svm")
 METHODS = ("naive_bayes", "logistic_regression", "linear_svm", "decision_tree", "random_forest")
@@ -53,23 +58,27 @@ class Prediction:
     scores: tuple[float, ...]  # aligned with the model's class list
 
 
-def infer_classes(data: Sequence[LabeledPoint]) -> tuple[str, ...]:
+def infer_classes(labels: Iterable[str]) -> tuple[str, ...]:
     """Observed labels, in canonical category order when they all are
     categories, else sorted."""
-    observed = {p.label for p in data}
+    observed = set(labels)
     if observed <= set(CATEGORIES):
         return tuple(c for c in CATEGORIES if c in observed)
     return tuple(sorted(observed))
 
 
-def check_training_data(data: Sequence[LabeledPoint]) -> int:
-    if not data:
+def check_training_data(
+    X: sparse.csr_matrix, labels: Sequence[str], classes: Sequence[str] | None = None
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The class list (given, or inferred from labels) and each row's label
+    as an index into it."""
+    if not X.shape[0]:
         raise ValueError("training data is empty")
-    dim = data[0].vector.dim
-    for p in data:
-        if p.vector.dim != dim:
-            raise ValueError(f"mixed vector dimensions: {p.vector.dim} != {dim}")
-    return dim
+    if len(labels) != X.shape[0]:
+        raise ValueError(f"{len(labels)} labels for {X.shape[0]} rows")
+    classes = tuple(classes) if classes is not None else infer_classes(labels)
+    index = {c: k for k, c in enumerate(classes)}
+    return classes, np.fromiter((index[label] for label in labels), dtype=np.int64, count=len(labels))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -77,29 +86,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
-
-
-def to_csr(vectors: Sequence[SparseVector], dim: int) -> sparse.csr_matrix:
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    nnz = sum(len(v.entries) for v in vectors)
-    indices = np.empty(nnz, dtype=np.int64)
-    values = np.empty(nnz, dtype=np.float64)
-    pos = 0
-    for row, vec in enumerate(vectors):
-        for i, c in vec.entries:
-            indices[pos] = i
-            values[pos] = c
-            pos += 1
-        indptr[row + 1] = pos
-    return sparse.csr_matrix((values, indices, indptr), shape=(len(vectors), dim))
-
-
-def pack_points(data: Sequence[LabeledPoint], dim: int, classes: Sequence[str]):
-    """(csr feature matrix, int label array) for vectorized trainers."""
-    index = {c: k for k, c in enumerate(classes)}
-    X = to_csr([p.vector for p in data], dim)
-    y = np.array([index[p.label] for p in data], dtype=np.int64)
-    return X, y
 
 
 def _onto_columns(X: sparse.csr_matrix, columns: np.ndarray) -> sparse.csr_matrix:
@@ -114,68 +100,71 @@ def _onto_columns(X: sparse.csr_matrix, columns: np.ndarray) -> sparse.csr_matri
     return sparse.csr_matrix((X.data[keep], pos[keep], indptr), shape=(X.shape[0], len(columns)))
 
 
-def pack_active(data: Sequence[LabeledPoint], dim: int, classes: Sequence[str]):
-    """(active columns, csr matrix on those columns, int label array).
-
-    The active columns, those some vector has an entry in, come from one
-    bincount: O(nnz + dim), no sort."""
-    X, y = pack_points(data, dim, classes)
-    columns = np.flatnonzero(np.bincount(X.indices, minlength=dim))
-    return columns, _onto_columns(X, columns), y
+def active_columns(X: sparse.csr_matrix) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """(active columns, X on those columns). The active columns, those some
+    row has an entry in, come from one bincount: O(nnz + dim), no sort."""
+    columns = np.flatnonzero(np.bincount(X.indices, minlength=X.shape[1]))
+    return columns, _onto_columns(X, columns)
 
 
-def _linear_scores(model: TrainedModel, vectors: Sequence[SparseVector]) -> np.ndarray:
-    """Per-class linear scores X @ W.T + b, one row per vector."""
-    X = to_csr(vectors, model.dim)
+def _linear_scores(model: TrainedModel, X: sparse.csr_matrix) -> np.ndarray:
+    """Per-class linear scores X @ W.T + b, one row per matrix row."""
     state = model.state
     if model.method == "naive_bayes":
         return X @ state["log_likelihood"].T + state["log_prior"]
     return _onto_columns(X, state["columns"]) @ state["weights"].T + state["bias"]
 
 
-def _tree_scores(node: dict, vector: SparseVector) -> np.ndarray:
-    feats = dict(vector.entries)
+def _tree_scores(node: dict, feats: dict[int, int]) -> np.ndarray:
     while not node["leaf"]:
         value = feats.get(node["feature"], 0)
         node = node["right"] if value > node["threshold"] else node["left"]
     return np.asarray(node["dist"], dtype=np.float64)
 
 
-def score_vector(model: TrainedModel, vector: SparseVector) -> np.ndarray:
-    """Per-class scores for one vector (see class docstring for semantics)."""
-    if vector.dim != model.dim:
-        raise ValueError(f"vector dim {vector.dim} does not match model dim {model.dim}")
+def _check_dim(model: TrainedModel, X: sparse.csr_matrix) -> None:
+    if X.shape[1] != model.dim:
+        raise ValueError(f"matrix dim {X.shape[1]} does not match model dim {model.dim}")
+
+
+def score_rows(model: TrainedModel, X: sparse.csr_matrix) -> np.ndarray:
+    """Per-class scores, one row per matrix row (see the module docstring
+    for their meaning per method)."""
+    _check_dim(model, X)
     method = model.method
     if method in _LINEAR:
-        z = _linear_scores(model, [vector])[0]
+        z = _linear_scores(model, X)
         return z if method == "linear_svm" else softmax(z)
+    rows = [dict(entries) for entries in row_entries(X)]
     if method == "decision_tree":
-        return _tree_scores(model.state["root"], vector)
+        root = model.state["root"]
+        return np.array([_tree_scores(root, feats) for feats in rows]).reshape(-1, model.n_classes)
     if method == "random_forest":
-        votes = np.zeros(model.n_classes)
-        for root in model.state["trees"]:
-            dist = _tree_scores(root, vector)
-            votes[int(np.argmax(dist))] += 1.0
-        return votes / len(model.state["trees"])
+        trees = model.state["trees"]
+        votes = np.zeros((len(rows), model.n_classes))
+        for i, feats in enumerate(rows):
+            for root in trees:
+                votes[i, int(np.argmax(_tree_scores(root, feats)))] += 1.0
+        return votes / len(trees)
     raise ValueError(f"unknown method {method!r}")
 
 
-def predict(model: TrainedModel, vector: SparseVector) -> Prediction:
-    scores = score_vector(model, vector)
+def predict(model: TrainedModel, x: sparse.csr_matrix) -> Prediction:
+    """Label and scores of a one-row matrix."""
+    if x.shape[0] != 1:
+        raise ValueError(f"predict takes one row, got {x.shape[0]}; use predict_labels")
+    scores = score_rows(model, x)[0]
     label = model.classes[int(np.argmax(scores))]
     return Prediction(label, tuple(float(s) for s in scores))
 
 
-def predict_labels(model: TrainedModel, vectors: Sequence[SparseVector]) -> np.ndarray:
-    """Batch label indices; vectorized for the linear methods."""
-    if not len(vectors):
-        return np.zeros(0, dtype=np.int64)
-    for vector in vectors:
-        if vector.dim != model.dim:
-            raise ValueError(f"vector dim {vector.dim} does not match model dim {model.dim}")
+def predict_labels(model: TrainedModel, X: sparse.csr_matrix) -> np.ndarray:
+    """Label indices, one per matrix row; the linear methods take the argmax
+    of their raw scores."""
     if model.method in _LINEAR:
-        return np.argmax(_linear_scores(model, vectors), axis=1)
-    return np.array([int(np.argmax(score_vector(model, v))) for v in vectors], dtype=np.int64)
+        _check_dim(model, X)
+        return np.argmax(_linear_scores(model, X), axis=1)
+    return np.argmax(score_rows(model, X), axis=1)
 
 
 def _encode(value):

@@ -1,12 +1,15 @@
-"""Multinomial Naive Bayes on sparse count vectors.
+"""Multinomial Naive Bayes on the hashed count matrix.
 
 Sufficient statistics are integer count tables, so partial statistics
 computed over data partitions merge by plain addition: the merged result
 is bit-identical to single-pass counting regardless of partitioning or
 merge order. That property is what makes the data-parallel training path
-exact rather than approximate. train_nb counts one partition per worker,
-each in a forked process when workers > 1; it is the package's only
-training path that forks.
+exact rather than approximate. A partition's table is one sparse product
+of its class one-hot matrix with its rows of X; every sum in it is a sum
+of integer counts below 2**53, so the float64 product is exact and casts
+to int64 without loss. train_nb counts one contiguous row range per
+worker, each in a forked process when workers > 1; it is the package's
+only training path that forks.
 
 Smoothing uses a single Laplace constant alpha for both the feature
 likelihoods, log((count(c,j)+alpha)/(total_c+alpha*dim)), and the class
@@ -20,10 +23,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from ..parallel import map_partitions, split
-from ..vectorizer import LabeledPoint
-from .model import TrainedModel, check_training_data, infer_classes
+from .model import TrainedModel, check_training_data
 
 
 @dataclass(frozen=True)
@@ -37,17 +40,16 @@ class NBStats:
         return NBStats(self.doc_counts + other.doc_counts, self.word_counts + other.word_counts)
 
 
-def partial_stats(points: Sequence[LabeledPoint], classes: Sequence[str], dim: int) -> NBStats:
-    index = {c: k for k, c in enumerate(classes)}
-    doc = [0] * len(classes)
-    word = [[0] * dim for _ in classes]
-    for p in points:
-        k = index[p.label]
-        doc[k] += 1
-        row = word[k]
-        for i, c in p.vector.entries:
-            row[i] += c
-    return NBStats(np.asarray(doc, dtype=np.int64), np.asarray(word, dtype=np.int64))
+def partial_stats(X: sparse.csr_matrix, y: np.ndarray, n_classes: int, rows: range) -> NBStats:
+    """Counts over the rows of X in `rows`: rows per class, and per class
+    the summed counts of each column. The one-hot matrix spans every row
+    of X but has entries only in `rows`, so the product reads those rows
+    of X without copying them."""
+    part = y[rows.start : rows.stop]
+    onehot = sparse.csr_matrix(
+        (np.ones(len(part)), (part, np.arange(rows.start, rows.stop))), shape=(n_classes, X.shape[0])
+    )
+    return NBStats(np.bincount(part, minlength=n_classes), (onehot @ X).toarray().astype(np.int64))
 
 
 def merge_stats(parts: Sequence[NBStats]) -> NBStats:
@@ -58,22 +60,21 @@ def merge_stats(parts: Sequence[NBStats]) -> NBStats:
 
 
 def train_nb(
-    data: Sequence[LabeledPoint],
+    X: sparse.csr_matrix,
+    labels: Sequence[str],
     alpha: float = 1.0,
     workers: int = 1,
     classes: Sequence[str] | None = None,
 ) -> TrainedModel:
-    """Fit multinomial NB on one partition per worker, counted in forked
+    """Fit multinomial NB on one row range per worker, counted in forked
     processes when workers > 1."""
-    dim = check_training_data(data)
+    classes, y = check_training_data(X, labels, classes)
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    classes = tuple(classes) if classes is not None else infer_classes(data)
-    partitions = split(data, workers)
-    stats = merge_stats(map_partitions(partitions, lambda p: partial_stats(p, classes, dim), workers))
-
+    k, dim = len(classes), X.shape[1]
+    parts = split(range(X.shape[0]), workers)
+    stats = merge_stats(map_partitions(parts, lambda rows: partial_stats(X, y, k, rows), workers))
     n = int(stats.doc_counts.sum())
-    k = len(classes)
     log_prior = np.log((stats.doc_counts + alpha) / (n + alpha * k))
     totals = stats.word_counts.sum(axis=1, keepdims=True)
     log_likelihood = np.log((stats.word_counts + alpha) / (totals + alpha * dim))

@@ -10,21 +10,22 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
-from ..vectorizer import LabeledPoint
-from .model import TrainedModel, check_training_data, infer_classes, pack_active
+from .model import TrainedModel, active_columns, check_training_data
 
 
 def train_svm(
-    data: Sequence[LabeledPoint],
+    X: sparse.csr_matrix,
+    labels: Sequence[str],
     iters: int = 50,
     step: float = 1.0,
     reg: float = 0.01,
     classes: Sequence[str] | None = None,
 ) -> TrainedModel:
-    dim = check_training_data(data)
-    classes = tuple(classes) if classes is not None else infer_classes(data)
-    columns, X, y = pack_active(data, dim, classes)
+    classes, y = check_training_data(X, labels, classes)
+    dim = X.shape[1]
+    columns, X = active_columns(X)
     n = X.shape[0]
     k = len(classes)
     # Y[i, c] = +1 for the true class, -1 elsewhere

@@ -1,9 +1,11 @@
-"""Decision tree and bagged random forest on sparse count features.
+"""Decision tree and bagged random forest on the hashed count matrix.
 
 Comparison-grade baselines. Splits are greedy entropy-gain tests of the
 form count(feature) > threshold with thresholds restricted to 0.5/1.5/2.5
-(counts are small integers). Defaults: depth limit 30, minimum gain
-0.0075, 100 trees.
+(counts are small integers). Growing a tree reads each row's (column,
+count) pairs from the matrix once, as Python ints, so split features stay
+plain ints in the model. Defaults: depth limit 30, minimum gain 0.0075,
+100 trees.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import random
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
-from ..vectorizer import LabeledPoint
-from .model import TrainedModel, check_training_data, infer_classes
+from ..vectorizer import row_entries
+from .model import TrainedModel, check_training_data
 
 THRESHOLDS = (0.5, 1.5, 2.5)
 
@@ -96,31 +99,29 @@ def _grow(indices, labels, feats, k, depth, max_depth, min_gain, allowed, value_
     }
 
 
-def _prepare(data: Sequence[LabeledPoint], classes):
-    index = {c: i for i, c in enumerate(classes)}
-    labels = np.array([index[p.label] for p in data], dtype=np.int64)
-    feats = [p.vector.entries for p in data]
+def _prepare(X: sparse.csr_matrix, labels: Sequence[str], classes):
+    classes, y = check_training_data(X, labels, classes)
+    feats = row_entries(X)
     lookup = [dict(e) for e in feats]
 
     def value_of(idx: int, j: int) -> int:
         return lookup[idx].get(j, 0)
 
-    return labels, feats, value_of
+    return classes, y, feats, value_of
 
 
 def train_tree(
-    data: Sequence[LabeledPoint],
+    X: sparse.csr_matrix,
+    labels: Sequence[str],
     max_depth: int = 30,
     min_gain: float = 0.0075,
     classes: Sequence[str] | None = None,
 ) -> TrainedModel:
-    dim = check_training_data(data)
-    classes = tuple(classes) if classes is not None else infer_classes(data)
-    labels, feats, value_of = _prepare(data, classes)
-    root = _grow(list(range(len(data))), labels, feats, len(classes), 0, max_depth, min_gain, None, value_of)
+    classes, y, feats, value_of = _prepare(X, labels, classes)
+    root = _grow(list(range(X.shape[0])), y, feats, len(classes), 0, max_depth, min_gain, None, value_of)
     return TrainedModel(
         method="decision_tree",
-        dim=dim,
+        dim=X.shape[1],
         classes=classes,
         params={"max_depth": max_depth, "min_gain": min_gain},
         state={"root": root},
@@ -128,7 +129,8 @@ def train_tree(
 
 
 def train_forest(
-    data: Sequence[LabeledPoint],
+    X: sparse.csr_matrix,
+    labels: Sequence[str],
     n_trees: int = 100,
     max_depth: int = 30,
     min_gain: float = 0.0075,
@@ -138,10 +140,8 @@ def train_forest(
     classes: Sequence[str] | None = None,
 ) -> TrainedModel:
     """Bagged trees; feature_fraction=None samples sqrt(dim) features per tree."""
-    dim = check_training_data(data)
-    classes = tuple(classes) if classes is not None else infer_classes(data)
-    labels, feats, value_of = _prepare(data, classes)
-    n = len(data)
+    classes, y, feats, value_of = _prepare(X, labels, classes)
+    n, dim = X.shape
     if feature_fraction is None:
         n_features = max(1, int(round(math.sqrt(dim))))
     else:
@@ -151,7 +151,7 @@ def train_forest(
         rng = random.Random(seed * 1_000_003 + t)
         indices = [rng.randrange(n) for _ in range(n)] if bootstrap else list(range(n))
         allowed = None if n_features >= dim else frozenset(rng.sample(range(dim), n_features))
-        trees.append(_grow(indices, labels, feats, len(classes), 0, max_depth, min_gain, allowed, value_of))
+        trees.append(_grow(indices, y, feats, len(classes), 0, max_depth, min_gain, allowed, value_of))
     return TrainedModel(
         method="random_forest",
         dim=dim,

@@ -20,10 +20,10 @@ from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
 from . import classify, evaluate, gazetteer, geocode, locimpute, spatial
-from .records import GroundTruth, ingest, missingness, tsv_line, write_records, write_tsv
+from .records import GroundTruth, MissingnessReport, ingest, missingness, tsv_line, write_records, write_tsv
 from .segmenter import Lexicon, address_nouns, segment
 from .synth import SynthConfig, synth, synth_labeled_points, synth_world
-from .vectorizer import DEFAULT_DIM, build_labeled, vectorize_name, write_vectors
+from .vectorizer import DEFAULT_DIM, build_labeled, vectorize_names, write_vectors
 
 log = logging.getLogger("regimpute")
 
@@ -206,14 +206,10 @@ def cmd_segment(args) -> int:
 
 def cmd_vectorize(args) -> int:
     lexicon = Lexicon.from_tsv(_require_file(args.lexicon, "lexicon"))
-    records = _load_records(args.corpus)
-    rows = []
-    for rec in records:
-        if not rec.name:
-            continue
-        rows.append((rec.id, rec.category or "", vectorize_name(rec.name, lexicon, args.dim)))
-    write_vectors(rows, args.out)
-    print(f"vectorized\t{len(rows)}")
+    named = [rec for rec in _load_records(args.corpus) if rec.name]
+    X = vectorize_names([rec.name for rec in named], lexicon, args.dim)
+    write_vectors([rec.id for rec in named], [rec.category or "" for rec in named], X, args.out)
+    print(f"vectorized\t{len(named)}")
     return EXIT_OK
 
 
@@ -221,14 +217,14 @@ def cmd_train(args) -> int:
     config = PipelineConfig.load(None, _config_overrides(args))
     lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
     records = _load_records(config.corpus)
-    points, skipped = build_labeled(records, lexicon, config.dim)
-    if not points:
+    X, labels, skipped = build_labeled(records, lexicon, config.dim)
+    if not labels:
         raise StageError("no labeled records to train on")
     t0 = time.perf_counter()
-    model = classify.train(config.method, points, _train_params(config), workers=config.workers)
-    log.info("stage=train records=%d duration=%.3f", len(points), time.perf_counter() - t0)
+    model = classify.train(config.method, X, labels, _train_params(config), workers=config.workers)
+    log.info("stage=train records=%d duration=%.3f", len(labels), time.perf_counter() - t0)
     classify.save_model(model, args.model)
-    print(f"trained\t{config.method}\t{len(points)}\tskipped_no_name\t{skipped}")
+    print(f"trained\t{config.method}\t{len(labels)}\tskipped_no_name\t{skipped}")
     return EXIT_OK
 
 
@@ -236,10 +232,10 @@ def cmd_evaluate(args) -> int:
     config = PipelineConfig.load(None, _config_overrides(args))
     lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
     records = _load_records(config.corpus)
-    points, _ = build_labeled(records, lexicon, config.dim)
-    plan = evaluate.kfold(len(points), args.k, config.seed)
+    X, labels, _ = build_labeled(records, lexicon, config.dim)
+    plan = evaluate.kfold(len(labels), args.k, config.seed)
     report = evaluate.cross_validate(
-        config.method, points, plan, _train_params(config),
+        config.method, X, labels, plan, _train_params(config),
         workers=config.workers, measure_alloc=args.measure_alloc,
     )
     out = Path(args.out)
@@ -259,11 +255,11 @@ def cmd_speedup(args) -> int:
     config = PipelineConfig.load(None, overrides)
     worker_counts = [int(w) for w in args.workers.split(",")]
     if args.synthetic:
-        points = synth_labeled_points(args.synthetic, dim=config.dim, seed=config.seed)
+        X, labels = synth_labeled_points(args.synthetic, dim=config.dim, seed=config.seed)
     else:
         lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-        points, _ = build_labeled(_load_records(config.corpus), lexicon, config.dim)
-    curve = evaluate.speedup(config.method, points, worker_counts, _train_params(config))
+        X, labels, _ = build_labeled(_load_records(config.corpus), lexicon, config.dim)
+    curve = evaluate.speedup(config.method, X, labels, worker_counts, _train_params(config))
     curve.write(args.out)
     for p in curve.points:
         print(f"workers={p.workers}\tseconds={p.seconds:.3f}\tspeedup={p.ratio:.2f}")
@@ -439,18 +435,18 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
     stage = "ingest"
     try:
         records = _load_records(config.corpus)
-        _write_missingness(records, out / "missingness_before.tsv")
+        _write_missingness(missingness(records), out / "missingness_before.tsv")
         lexicon = Lexicon.from_tsv(lexicon_path)
         timer.record("ingest", len(records))
 
         stage = "train"
         model = None
         if "train" not in skip:
-            points, _ = build_labeled(records, lexicon, config.dim)
-            if points:
-                model = classify.train(config.method, points, _train_params(config), workers=config.workers)
+            X, labels, _ = build_labeled(records, lexicon, config.dim)
+            if labels:
+                model = classify.train(config.method, X, labels, _train_params(config), workers=config.workers)
                 classify.save_model(model, config.model or str(out / "model.json"))
-            timer.record("train", len(points))
+            timer.record("train", len(labels))
         if model is None and config.model and Path(config.model).is_file():
             model = classify.load_model(config.model)
 
@@ -486,8 +482,9 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
         stage = "report"
         write_records(records, out / "records_final.tsv")
         if "report" not in skip:
-            _write_missingness(records, out / "missingness_after.tsv")
-            _write_summary(records, out / "summary.tsv")
+            report = missingness(records)
+            _write_missingness(report, out / "missingness_after.tsv")
+            _write_summary(report, out / "summary.tsv")
         timer.record("report", len(records))
         timer.write(out / "timings.tsv")
     except (OSError, ValueError, StageError) as exc:
@@ -498,24 +495,18 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
     return EXIT_OK
 
 
-def _write_missingness(records, path: Path) -> None:
-    report = missingness(records)
+def _write_missingness(report: MissingnessReport, path: Path) -> None:
     write_tsv(path, ("field", "missing_fraction"), (
         (field_name, repr(fraction)) for field_name, fraction in report.missing.items()
     ))
 
 
-def _write_summary(records, path: Path) -> None:
-    total = len(records)
-    rows = []
-    for field_name in ("category", "postcode", "address", "coordinates"):
-        imputed = sum(1 for r in records if r.provenance_of(field_name) == "imputed")
-        if field_name == "coordinates":
-            absent = sum(1 for r in records if r.coordinates is None)
-        else:
-            absent = sum(1 for r in records if getattr(r, field_name) is None)
-        rows.append((field_name, str(total - imputed - absent), str(imputed), str(absent), str(total)))
-    write_tsv(path, ("field", "original", "imputed", "missing", "total"), rows)
+def _write_summary(report: MissingnessReport, path: Path) -> None:
+    total, imputed, absent = report.total, report.imputed, report.absent
+    write_tsv(path, ("field", "original", "imputed", "missing", "total"), (
+        (f, str(total - imputed[f] - absent[f]), str(imputed[f]), str(absent[f]), str(total))
+        for f in ("category", "postcode", "address", "coordinates")
+    ))
 
 
 def cmd_pipeline(args) -> int:

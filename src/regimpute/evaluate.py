@@ -21,7 +21,6 @@ import numpy as np
 
 from . import classify
 from .records import EnterpriseRecord, GroundTruth, write_tsv
-from .vectorizer import LabeledPoint
 
 
 @dataclass(frozen=True)
@@ -90,37 +89,39 @@ class EvalReport:
 
 def cross_validate(
     method: str,
-    data: Sequence[LabeledPoint],
+    X,
+    labels: Sequence[str],
     plan: FoldPlan,
     params: dict | None = None,
     workers: int = 1,
     measure_alloc: bool = False,
 ) -> EvalReport:
-    """Train/test once per fold and pool the confusion counts."""
-    if len(plan.assignments) != len(data):
+    """Train/test once per fold on X's rows and pool the confusion counts."""
+    if len(plan.assignments) != len(labels):
         raise ValueError("fold plan does not cover the data")
-    classes = classify.infer_classes(data)
-    index = {c: i for i, c in enumerate(classes)}
+    classes, y = classify.model.check_training_data(X, labels)
+    folds = np.asarray(plan.assignments)
     confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
     train_times, predict_times, peaks = [], [], []
     for fold in range(plan.k):
-        train_set = [p for p, f in zip(data, plan.assignments) if f != fold]
-        test_set = [p for p, f in zip(data, plan.assignments) if f == fold]
+        train_rows = np.flatnonzero(folds != fold)
+        test_rows = np.flatnonzero(folds == fold)
         if measure_alloc:
             tracemalloc.start()
         try:
             t0 = time.perf_counter()
-            model = classify.train(method, train_set, params, workers=workers, classes=classes)
+            model = classify.train(
+                method, X[train_rows], [labels[i] for i in train_rows], params, workers=workers, classes=classes
+            )
             train_times.append(time.perf_counter() - t0)
         finally:
             if measure_alloc:
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
         t0 = time.perf_counter()
-        predicted = classify.predict_labels(model, [p.vector for p in test_set])
+        predicted = classify.predict_labels(model, X[test_rows])
         predict_times.append(time.perf_counter() - t0)
-        for point, pred in zip(test_set, predicted):
-            confusion[index[point.label], int(pred)] += 1
+        np.add.at(confusion, (y[test_rows], predicted), 1)
     return EvalReport(
         classes=classes,
         confusion=confusion,
@@ -156,7 +157,8 @@ class SpeedupCurve:
 
 def speedup(
     method: str,
-    data: Sequence[LabeledPoint],
+    X,
+    labels: Sequence[str],
     worker_counts: Sequence[int],
     params: dict | None = None,
 ) -> SpeedupCurve:
@@ -169,11 +171,11 @@ def speedup(
         raise ValueError("worker counts must be >= 1")
     if 1 not in worker_counts:
         raise ValueError("worker counts must include 1 (the ratio baseline)")
-    classes = classify.infer_classes(data)
+    classes = classify.infer_classes(labels)
     seconds: dict[int, float] = {}
     for w in worker_counts:
         t0 = time.perf_counter()
-        classify.train(method, data, params, workers=w, classes=classes)
+        classify.train(method, X, labels, params, workers=w, classes=classes)
         seconds[w] = time.perf_counter() - t0
     base = seconds[1]
     points = tuple(SpeedupPoint(w, seconds[w], base / seconds[w]) for w in worker_counts)

@@ -220,6 +220,19 @@ class HttpGeocoder:
             doc = doc[part]
         return doc
 
+    @staticmethod
+    def _coordinate(value) -> float | None:
+        """A JSON number or numeric string as a finite float; None for
+        anything else: absent, true/false, a list, an object, other text,
+        NaN or infinity (JSON allows both)."""
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            return None
+        try:
+            number = float(value)
+        except ValueError:
+            return None
+        return number if math.isfinite(number) else None
+
     def geocode(self, address: str, api_key: str | None = None) -> tuple[float, float] | None:
         if not address:
             return None
@@ -235,13 +248,9 @@ class HttpGeocoder:
             raise ProviderError(f"HTTP {exc.code}") from exc
         except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
             raise TransientProviderError(str(exc)) from exc
-        lon = self._dig(doc, self.lon_path)
-        lat = self._dig(doc, self.lat_path)
-        if lon is None or lat is None:
-            return None
-        coords = float(lon), float(lat)
-        # a NaN or infinite answer (JSON allows both) is no location
-        return coords if math.isfinite(coords[0]) and math.isfinite(coords[1]) else None
+        lon = self._coordinate(self._dig(doc, self.lon_path))
+        lat = self._coordinate(self._dig(doc, self.lat_path))
+        return None if lon is None or lat is None else (lon, lat)
 
 
 def _geocode_one(record, provider, counter, limiter, exhausted, max_attempts, sleep):

@@ -87,6 +87,8 @@ class IngestResult:
 class MissingnessReport:
     total: int
     missing: dict[str, float]  # field -> fraction absent, in [0, 1]
+    absent: dict[str, int]  # field -> records with the value absent
+    imputed: dict[str, int]  # field -> records with the value marked imputed
 
 
 def parse_reg_year(data_source: str | None) -> int | None:
@@ -100,22 +102,23 @@ def parse_reg_year(data_source: str | None) -> int | None:
     return None
 
 
-def _is_missing(record: EnterpriseRecord, field_name: str):
-    value = getattr(record, "coordinates" if field_name == "coordinates" else field_name)
-    return value is None or value == ""
-
-
 def missingness(records: Sequence[EnterpriseRecord]) -> MissingnessReport:
-    """Per-field fraction of absent values; all zeros for empty input."""
-    total = len(records)
-    if total == 0:
-        return MissingnessReport(0, {f: 0.0 for f in TRACKED_FIELDS})
-    counts = {f: 0 for f in TRACKED_FIELDS}
+    """Per-field absent and imputed counts and the fraction absent, from
+    one pass over the records; a value is absent when it is None or the
+    empty string. Fractions are zero for empty input."""
+    absent = dict.fromkeys(TRACKED_FIELDS, 0)
+    imputed = dict.fromkeys(TRACKED_FIELDS, 0)
     for rec in records:
         for f in TRACKED_FIELDS:
-            if _is_missing(rec, f):
-                counts[f] += 1
-    return MissingnessReport(total, {f: counts[f] / total for f in TRACKED_FIELDS})
+            value = getattr(rec, f)
+            if value is None or value == "":
+                absent[f] += 1
+        for f, how in rec.provenance.items():
+            if how == IMPUTED and f in imputed:
+                imputed[f] += 1
+    total = len(records)
+    fractions = {f: absent[f] / total if total else 0.0 for f in TRACKED_FIELDS}
+    return MissingnessReport(total, fractions, absent, imputed)
 
 
 class GroundTruth:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import string
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,7 +25,7 @@ from .categories import CATEGORIES
 from .gazetteer import PostcodeEntry
 from .records import EnterpriseRecord, GroundTruth
 from .segmenter import Lexicon
-from .vectorizer import LabeledPoint, SparseVector
+from .vectorizer import count_rows
 
 _WORD_LEN = 3
 
@@ -225,24 +226,22 @@ def synth_labeled_points(
     distinct_vectors: int | None = None,
     seed: int = 0,
     classes: Sequence[str] | None = None,
-) -> list[LabeledPoint]:
-    """Bulk labeled sparse vectors for benchmark/scalability runs.
+):
+    """(X, labels): n bulk labeled count rows for benchmark/scalability runs.
 
-    Vectors are drawn from a pool of distinct_vectors shared objects, so
-    a multi-million-point dataset stays memory-lean while the training
-    work per point is unchanged."""
+    Each row copies one of distinct_vectors pool rows (default n // 16),
+    and each pool row counts entries_per_vector random column draws. The
+    matrix stores every copy, so it grows with n: about 100 MB at a
+    million rows of 8 entries."""
     if classes is None:
         classes = CATEGORIES[:n_classes]
     rng = random.Random(seed)
     pool_size = min(distinct_vectors or max(1, n // 16), max(n, 1))
-    pool = []
-    for _ in range(pool_size):
-        counts: dict[int, int] = {}
-        for _ in range(entries_per_vector):
-            idx = rng.randrange(dim)
-            counts[idx] = counts.get(idx, 0) + 1
-        pool.append(SparseVector(dim, tuple(sorted(counts.items()))))
-    return [
-        LabeledPoint(classes[rng.randrange(len(classes))], pool[rng.randrange(pool_size)])
-        for _ in range(n)
-    ]
+    pool = count_rows(
+        ([rng.randrange(dim) for _ in range(entries_per_vector)] for _ in range(pool_size)), dim
+    )
+    labels, picks = [], array("q")  # 8-byte row numbers, not n int objects
+    for _ in range(n):
+        labels.append(classes[rng.randrange(len(classes))])
+        picks.append(rng.randrange(pool_size))
+    return pool[picks], labels

@@ -1,15 +1,22 @@
-"""Feature hashing of word lists to fixed-dimension sparse count vectors.
+"""Feature hashing of word lists into one sparse count matrix.
 
 The hash is FNV-1a (32-bit) over the UTF-8 bytes of each word, reduced
-modulo the vector dimension. Counts accumulate per index; collisions are
-accepted silently. The default dimension is 15,000. Word hashes are
-memoised: names reuse a small vocabulary, and the byte loop of fnv1a_32,
-the reference implementation, is slow in pure Python.
+modulo the matrix width dim. hash_rows turns a batch of word lists into a
+scipy CSR matrix with one row per list: float64 counts, strictly
+increasing column indices within each row and no stored zeros, so an
+empty list is an empty row. Collisions add up silently. The default
+dimension is 15,000.
+
+This matrix is the only form category data takes: build_labeled gives the
+training matrix and its labels, and every classifier trains and predicts
+on it. Word hashes are memoised: names reuse a small vocabulary, and the
+byte loop of fnv1a_32, the reference implementation, is slow in pure
+Python. scipy is imported by the functions that build a matrix, so
+importing this module loads neither numpy nor scipy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -52,87 +59,63 @@ def hash_index(word: str, dim: int) -> int:
     return _word_hash(word) % dim
 
 
-@dataclass(frozen=True, slots=True)
-class SparseVector:
-    """Fixed-dimension count vector stored as sorted (index, count) pairs."""
+def count_rows(column_lists: Iterable[Iterable[int]], dim: int):
+    """CSR matrix whose row r counts each column index of column_lists[r]:
+    float64 counts, sorted indices, duplicates summed."""
+    import numpy as np
+    from scipy import sparse
 
-    dim: int
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        prev = -1
-        for index, count in self.entries:
-            if index <= prev:
-                raise ValueError("entry indices must be strictly increasing")
-            if not 0 <= index < self.dim:
-                raise ValueError(f"index {index} out of range for dim {self.dim}")
-            if count <= 0:
-                raise ValueError("entry counts must be positive")
-            prev = index
-
-    @property
-    def total(self) -> int:
-        return sum(count for _, count in self.entries)
-
-
-@dataclass(frozen=True, slots=True)
-class LabeledPoint:
-    label: str
-    vector: SparseVector
-
-
-def hash_vector(words: Iterable[str], dim: int = DEFAULT_DIM) -> SparseVector:
-    """Feature-hash a word list; empty input gives the zero vector."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    counts: dict[int, int] = {}
-    for word in words:
-        index = hash_index(word, dim)
-        counts[index] = counts.get(index, 0) + 1
-    return SparseVector(dim, tuple(sorted(counts.items())))
+    columns: list[int] = []
+    ends = [0]
+    for row in column_lists:
+        columns.extend(row)
+        ends.append(len(columns))
+    X = sparse.csr_matrix(
+        (np.ones(len(columns)), np.array(columns, dtype=np.int64), ends), shape=(len(ends) - 1, dim)
+    )
+    X.sum_duplicates()  # sorts each row's indices, then adds up repeats
+    return X
 
 
-def vectorize_name(name: str, lexicon: Lexicon, dim: int = DEFAULT_DIM) -> SparseVector:
-    return hash_vector(feature_words(name, lexicon), dim)
+def hash_rows(word_lists: Iterable[Iterable[str]], dim: int = DEFAULT_DIM):
+    """Feature-hash a batch of word lists, one matrix row each."""
+    return count_rows(([hash_index(w, dim) for w in words] for words in word_lists), dim)
 
 
-def to_labeled(
-    record: EnterpriseRecord, lexicon: Lexicon, dim: int = DEFAULT_DIM
-) -> LabeledPoint | None:
-    """LabeledPoint for a record with a category; None when unlabeled.
+def vectorize_names(names: Iterable[str], lexicon: Lexicon, dim: int = DEFAULT_DIM):
+    return hash_rows((feature_words(name, lexicon) for name in names), dim)
 
-    Records without a name cannot be vectorized at all; callers should
-    screen those out (see build_labeled)."""
-    if not record.name:
-        raise ValueError(f"record {record.id} has no name")
-    if record.category is None:
-        return None
-    return LabeledPoint(record.category, vectorize_name(record.name, lexicon, dim))
+
+def vectorize_name(name: str, lexicon: Lexicon, dim: int = DEFAULT_DIM):
+    """One-row matrix of a name's feature words."""
+    return vectorize_names([name], lexicon, dim)
+
+
+def row_entries(X) -> list[list[tuple[int, int]]]:
+    """Each row's (column, count) pairs, as Python ints in column order."""
+    ends = X.indptr.tolist()
+    columns, counts = X.indices.tolist(), X.data.astype("int64").tolist()
+    return [list(zip(columns[s:e], counts[s:e])) for s, e in zip(ends, ends[1:])]
 
 
 def build_labeled(
     records: Sequence[EnterpriseRecord], lexicon: Lexicon, dim: int = DEFAULT_DIM
-) -> tuple[list[LabeledPoint], int]:
-    """Labeled points for all named+labeled records, and the count of
-    records skipped for having no name."""
-    points: list[LabeledPoint] = []
-    skipped = 0
-    for rec in records:
-        if not rec.name:
-            skipped += 1
-            continue
-        point = to_labeled(rec, lexicon, dim)
-        if point is not None:
-            points.append(point)
-    return points, skipped
+):
+    """(X, labels, skipped): one row per record with a name and a category,
+    in record order, those records' categories, and the count of records
+    skipped for having no name."""
+    named = [rec for rec in records if rec.name]
+    labeled = [rec for rec in named if rec.category is not None]
+    X = vectorize_names([rec.name for rec in labeled], lexicon, dim)
+    return X, [rec.category for rec in labeled], len(records) - len(named)
 
 
-def write_vectors(
-    rows: Iterable[tuple[str, str, SparseVector]], path
-) -> None:
-    """Dump (id, label, vector) rows as id<TAB>label<TAB>idx:count,..."""
+def write_vectors(ids: Sequence[str], labels: Sequence[str], X, path) -> None:
+    """Dump one line per row as id<TAB>label<TAB>idx:count,... with integer
+    counts."""
     write_tsv(path, None, (
-        (rec_id, label, ",".join(f"{i}:{c}" for i, c in vec.entries)) for rec_id, label, vec in rows
+        (rec_id, label, ",".join(f"{i}:{c}" for i, c in entries))
+        for rec_id, label, entries in zip(ids, labels, row_entries(X))
     ))

@@ -38,7 +38,8 @@ from regimpute.spatial import PointSet, Rect, ripley_k
 from regimpute.synth import SynthConfig, synth, synth_labeled_points, synth_world
 from regimpute.vectorizer import build_labeled
 
-from test_naive_bayes import bayes_oracle, make_dataset, probe_vectors
+from matrices import csr
+from test_naive_bayes import bayes_oracle, fit, make_dataset, probe_vectors
 from test_spatial import brute_force_k
 
 DIM = 15_000
@@ -81,10 +82,10 @@ def test_criterion_01_nb_brute_force_oracle():
                 for dim in sorted({vocab, 16}):
                     for n_docs in (1, 3, 7, 20):
                         classes, points = make_dataset(rng, n_classes, vocab, dim, n_docs)
-                        model = classify.train_nb(points, alpha=1.0, classes=classes)
+                        model = fit(dim, points, alpha=1.0, classes=classes)
                         for vec in probe_vectors(rng, points, vocab, dim):
                             want_label, want_logpost = bayes_oracle(points, 1.0, classes, dim, vec)
-                            got = classify.predict(model, vec)
+                            got = classify.predict(model, csr(dim, [vec]))
                             assert got.label == want_label
                             for score, logpost in zip(got.scores, want_logpost):
                                 assert math.log(score) == pytest.approx(logpost, abs=1e-9)
@@ -95,14 +96,13 @@ def test_criterion_01_nb_brute_force_oracle():
 
 
 def test_criterion_02_lr_gradient_finite_differences():
-    from test_logistic import fd_gradient, random_dataset, relative_error
+    from test_logistic import fd_gradient, label_indices, random_dataset, relative_error
     from regimpute.classify import lr_gradient
-    from regimpute.classify.model import pack_points
 
     with criterion(2, "LR analytic gradient matches central finite differences"):
         rng = np.random.default_rng(42)
-        classes, points = random_dataset(rng, n=30, dim=12, k=3)
-        X, y = pack_points(points, 12, classes)
+        classes, X, labels = random_dataset(rng, n=30, dim=12, k=3)
+        y = label_indices(classes, labels)
         for _ in range(20):
             W = rng.normal(scale=0.8, size=(3, 12))
             b = rng.normal(scale=0.5, size=3)
@@ -119,14 +119,14 @@ def test_criterion_03_synthetic_category_imputation(tmp_path, world_50k):
     with criterion(3, "50k-corpus LR ten-fold CV >= 0.95 and all maskable records filled"):
         start = time.perf_counter()
         records, truth = fresh_corpus_50k()
-        points, _ = build_labeled(records, world_50k.lexicon, DIM)
+        X, labels, _ = build_labeled(records, world_50k.lexicon, DIM)
         params = {"iters": 100, "step": 1.0, "l2": 0.01}
 
-        plan = kfold(len(points), 10, seed=7)
-        report = cross_validate("logistic_regression", points, plan, params)
+        plan = kfold(len(labels), 10, seed=7)
+        report = cross_validate("logistic_regression", X, labels, plan, params)
         assert report.overall_accuracy >= 0.95, f"CV accuracy {report.overall_accuracy:.4f}"
 
-        model = classify.train("logistic_regression", points, params)
+        model = classify.train("logistic_regression", X, labels, params)
         fill = classify.impute_categories(records, model, world_50k.lexicon, DIM)
         maskable = fill.missing - fill.skipped_no_name
         assert fill.filled == maskable, "every maskable record must be filled"
@@ -276,17 +276,18 @@ def million_points():
 
 def test_criterion_08_scalability_exactness(million_points):
     with criterion(8, "speed-up baseline ratio is exactly 1 and partitioned NB stats merge bit-exactly"):
-        curve = speedup("naive_bayes", million_points, [1, 2, 4])
+        curve = speedup("naive_bayes", *million_points, [1, 2, 4])
         assert curve.ratio_at(1) == 1.0
         for p in curve.points:
             print(f"  workers={p.workers} seconds={p.seconds:.2f} ratio={p.ratio:.2f}")
 
-        classes = classify.infer_classes(million_points)
+        X, labels = million_points
+        classes, y = classify.model.check_training_data(X, labels)
         from regimpute.parallel import split
 
-        whole = classify.partial_stats(million_points, classes, 1024)
+        whole = classify.partial_stats(X, y, len(classes), range(len(labels)))
         merged = classify.merge_stats(
-            [classify.partial_stats(part, classes, 1024) for part in split(million_points, 4)]
+            [classify.partial_stats(X, y, len(classes), rows) for rows in split(range(len(labels)), 4)]
         )
         assert np.array_equal(whole.doc_counts, merged.doc_counts)
         assert np.array_equal(whole.word_counts, merged.word_counts)
@@ -297,7 +298,7 @@ def test_criterion_08_scalability_exactness(million_points):
 def test_criterion_08_speedup_ratio_on_multicore(million_points):
     with criterion(8, "NB speed-up ratio >= 2.0 at 4 workers (needs a 4-core machine)"):
         cores = os.cpu_count() or 1
-        curve = globals().get("_SPEEDUP_CURVE") or speedup("naive_bayes", million_points, [1, 4])
+        curve = globals().get("_SPEEDUP_CURVE") or speedup("naive_bayes", *million_points, [1, 4])
         ratio = curve.ratio_at(4)
         print(f"  cores={cores} measured_ratio_at_4_workers={ratio:.2f}")
         if cores < 4:

@@ -15,14 +15,11 @@ from regimpute.classify import (
     predict_labels,
     save_model,
 )
-from regimpute.classify.model import softmax, to_csr
+from matrices import csr, pairs
+from regimpute.classify.model import softmax
 from regimpute.records import EnterpriseRecord
 from regimpute.synth import synth_labeled_points
-from regimpute.vectorizer import LabeledPoint, SparseVector, build_labeled
-
-
-def sv(dim, *pairs):
-    return SparseVector(dim, tuple(sorted(pairs)))
+from regimpute.vectorizer import build_labeled
 
 
 @pytest.fixture(scope="module")
@@ -36,18 +33,19 @@ def train_set():
 
 
 def test_predict_rejects_dim_mismatch(train_set):
-    model = classify.train("naive_bayes", train_set)
+    model = classify.train("naive_bayes", *train_set)
     with pytest.raises(ValueError, match="dim"):
-        predict(model, sv(32, (0, 1)))
+        predict(model, csr(32, [[(0, 1)]]))
     with pytest.raises(ValueError, match="dim"):
-        predict_labels(model, [sv(32, (0, 1))])
+        predict_labels(model, csr(32, [[(0, 1)]]))
 
 
 def test_probabilistic_scores_sum_to_one(train_set, probe_set):
+    X, _ = probe_set
     for method in ("naive_bayes", "logistic_regression"):
-        model = classify.train(method, train_set, {"iters": 5} if method == "logistic_regression" else None)
-        for point in probe_set[:50]:
-            scores = predict(model, point.vector).scores
+        model = classify.train(method, *train_set, {"iters": 5} if method == "logistic_regression" else None)
+        for row in range(50):
+            scores = predict(model, X[row]).scores
             assert sum(scores) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -62,15 +60,16 @@ def test_probabilistic_scores_sum_to_one(train_set, probe_set):
     ],
 )
 def test_serialization_roundtrip_preserves_predictions(tmp_path, train_set, probe_set, method, params):
-    model = classify.train(method, train_set, params)
+    model = classify.train(method, *train_set, params)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.method == model.method
     assert loaded.classes == model.classes
     assert loaded.dim == model.dim
-    for point in probe_set:
-        assert predict(loaded, point.vector) == predict(model, point.vector)
+    X, _ = probe_set
+    for row in range(X.shape[0]):
+        assert predict(loaded, X[row]) == predict(model, X[row])
 
 
 def test_load_rejects_foreign_json(tmp_path):
@@ -82,17 +81,17 @@ def test_load_rejects_foreign_json(tmp_path):
 
 def test_predict_labels_agrees_with_predict(train_set, probe_set):
     for method, params in (("naive_bayes", None), ("logistic_regression", {"iters": 5})):
-        model = classify.train(method, train_set, params)
-        vectors = [p.vector for p in probe_set[:200]]
-        batch = predict_labels(model, vectors)
-        singles = [model.classes.index(predict(model, v).label) for v in vectors]
+        model = classify.train(method, *train_set, params)
+        X = probe_set[0][:200]
+        batch = predict_labels(model, X)
+        singles = [model.classes.index(predict(model, X[row]).label) for row in range(X.shape[0])]
         assert batch.tolist() == singles
 
 
 def test_impute_categories_fills_every_named_record(small_world, small_corpus):
     records, truth = small_corpus
-    points, _ = build_labeled(records, small_world.lexicon, dim=2048)
-    model = classify.train("naive_bayes", points)
+    X, labels, _ = build_labeled(records, small_world.lexicon, dim=2048)
+    model = classify.train("naive_bayes", X, labels)
     report = impute_categories(records, model, small_world.lexicon, dim=2048)
     assert report.missing == sum(1 for r in records if truth.get(r.id, "category") is not None)
     assert report.filled + report.skipped_no_name == report.missing
@@ -108,7 +107,7 @@ def test_impute_categories_no_missing_is_noop(small_world):
         EnterpriseRecord(id="2", name="y", category="M"),
     ]
     model = classify.train(
-        "naive_bayes", synth_labeled_points(50, dim=2048, n_classes=4, seed=1)
+        "naive_bayes", *synth_labeled_points(50, dim=2048, n_classes=4, seed=1)
     )
     report = impute_categories(records, model, small_world.lexicon, dim=2048)
     assert report.missing == report.filled == 0
@@ -117,44 +116,39 @@ def test_impute_categories_no_missing_is_noop(small_world):
 
 def test_train_dispatch_rejects_unknown_method(train_set):
     with pytest.raises(ValueError, match="unknown method"):
-        classify.train("nearest_neighbor", train_set)
+        classify.train("nearest_neighbor", *train_set)
 
 
 def test_infer_classes_uses_canonical_category_order():
-    points = [
-        LabeledPoint("OI", sv(4, (0, 1))),
-        LabeledPoint("AFAHF", sv(4, (1, 1))),
-        LabeledPoint("RE", sv(4, (2, 1))),
-    ]
-    assert classify.infer_classes(points) == ("AFAHF", "RE", "OI")
-    other = [LabeledPoint("zzz", sv(4, (0, 1))), LabeledPoint("aaa", sv(4, (1, 1)))]
-    assert classify.infer_classes(other) == ("aaa", "zzz")
+    assert classify.infer_classes(["OI", "AFAHF", "RE"]) == ("AFAHF", "RE", "OI")
+    assert classify.infer_classes(["zzz", "aaa"]) == ("aaa", "zzz")
 
 
 @pytest.mark.parametrize("method", ["logistic_regression", "linear_svm"])
 def test_linear_predictions_equal_dense_reference(train_set, method):
     # train on half the columns, so probes also hit columns never seen
-    points = [p for p in train_set if all(i < 32 for i, _ in p.vector.entries)]
-    model = classify.train(method, points, {"iters": 10})
+    X, labels = train_set
+    keep = [r for r in range(X.shape[0]) if all(i < 32 for i, _ in pairs(X, r))]
+    model = classify.train(method, X[keep], [labels[r] for r in keep], {"iters": 10})
     columns = model.state["columns"]
     dense = np.zeros((model.n_classes, model.dim))
     dense[:, columns] = model.state["weights"]
     rng = np.random.default_rng(8)
-    vectors = [
-        sv(64, *((int(i), int(rng.integers(1, 4))) for i in rng.choice(64, 4, replace=False)))
+    probes = csr(64, [
+        [(int(i), int(rng.integers(1, 4))) for i in rng.choice(64, 4, replace=False)]
         for _ in range(300)
-    ] + [SparseVector(64, ())]
-    assert any(i not in columns for v in vectors for i, _ in v.entries)
-    Z = to_csr(vectors, model.dim) @ dense.T + model.state["bias"]
-    assert predict_labels(model, vectors).tolist() == np.argmax(Z, axis=1).tolist()
-    for vector, z in zip(vectors, Z):
+    ] + [[]])
+    assert any(i not in columns for i in probes.indices)
+    Z = probes @ dense.T + model.state["bias"]
+    assert predict_labels(model, probes).tolist() == np.argmax(Z, axis=1).tolist()
+    for row, z in enumerate(Z):
         want = z if method == "linear_svm" else softmax(z)
-        assert predict(model, vector).scores == tuple(want.tolist())
+        assert predict(model, probes[row]).scores == tuple(want.tolist())
 
 
 def test_load_rejects_version_1_model_file(tmp_path, train_set):
     path = tmp_path / "model.json"
-    save_model(classify.train("logistic_regression", train_set, {"iters": 2}), path)
+    save_model(classify.train("logistic_regression", *train_set, {"iters": 2}), path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc["format_version"] = 1
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -188,7 +182,7 @@ def _refuse_rename(*args):
 @pytest.mark.parametrize("fault", ["write", "rename"])
 def test_failed_save_keeps_previous_file_and_leaves_no_temporary(tmp_path, train_set, monkeypatch, fault):
     path = tmp_path / "model.json"
-    save_model(classify.train("naive_bayes", train_set), path)
+    save_model(classify.train("naive_bayes", *train_set), path)
     before = path.read_bytes()
     if fault == "write":
         monkeypatch.setattr(
@@ -197,6 +191,6 @@ def test_failed_save_keeps_previous_file_and_leaves_no_temporary(tmp_path, train
     else:
         monkeypatch.setattr(records_module.os, "replace", _refuse_rename)
     with pytest.raises(OSError):
-        save_model(classify.train("logistic_regression", train_set, {"iters": 2}), path)
+        save_model(classify.train("logistic_regression", *train_set, {"iters": 2}), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import regimpute
 from regimpute.cli import PIPELINE_STAGES, main
 from regimpute.geocode import MockGeocoder
 from regimpute.records import ingest, write_records
@@ -341,11 +345,27 @@ def test_pipeline_rerun_is_idempotent(synth_dir, tmp_path):
     assert a == b
 
 
-def test_pipeline_deterministic_artifacts(synth_dir, tmp_path):
+@pytest.mark.parametrize("method", ["naive_bayes", "logistic_regression"])
+def test_pipeline_deterministic_artifacts(synth_dir, tmp_path, method):
+    # the second run is a fresh `python -m regimpute.cli` process with
+    # another hash seed, so no set or str-keyed dict order may reach an
+    # artifact
     keys = write_keys(tmp_path / "keys.tsv")
     outs = [tmp_path / "d1", tmp_path / "d2"]
+    runs = []
     for out in outs:
-        assert main(pipeline_args(synth_dir, out, keys)) == 0
+        args = pipeline_args(synth_dir, out, keys)
+        args[args.index("--method") + 1] = method
+        runs.append(args)
+    assert main(runs[0]) == 0
+    src = str(Path(regimpute.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    }
+    child = subprocess.run([sys.executable, "-m", "regimpute.cli", *runs[1]], env=env, capture_output=True)
+    assert child.returncode == 0, child.stderr.decode()
     for name in ("model.json", "records_final.tsv", "coordinates.tsv",
                  "location_report.tsv", "summary.tsv", "missingness_after.tsv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -12,8 +12,9 @@ from regimpute.evaluate import (
     write_category_accuracy,
 )
 from regimpute.records import EnterpriseRecord, GroundTruth
+from matrices import csr
 from regimpute.synth import synth_labeled_points
-from regimpute.vectorizer import LabeledPoint, SparseVector, build_labeled
+from regimpute.vectorizer import build_labeled
 
 
 def test_kfold_each_fold_one_index():
@@ -48,8 +49,8 @@ def test_kfold_validation():
 @pytest.fixture(scope="module")
 def learnable_points(small_world_module, small_corpus_module):
     records, _ = small_corpus_module
-    points, _ = build_labeled(records, small_world_module.lexicon, dim=2048)
-    return points
+    X, labels, _ = build_labeled(records, small_world_module.lexicon, dim=2048)
+    return X, labels
 
 
 # module-scoped variants of the session fixtures, to avoid re-synthesis
@@ -67,26 +68,31 @@ def small_corpus_module():
     return synth(SynthConfig(n=2000, seed=11))
 
 
+def head(points, n):
+    """The first n rows and labels."""
+    X, labels = points
+    return X[:n], labels[:n]
+
+
 def test_cross_validate_learnable_corpus(learnable_points):
-    plan = kfold(len(learnable_points), 5, seed=3)
-    report = cross_validate("naive_bayes", learnable_points, plan)
+    X, labels = learnable_points
+    plan = kfold(len(labels), 5, seed=3)
+    report = cross_validate("naive_bayes", X, labels, plan)
     assert report.overall_accuracy >= 0.95
-    assert report.total == len(learnable_points)
+    assert report.total == len(labels)
     # confusion row sums equal per-class test counts
     per_class_counts = {c: 0 for c in report.classes}
-    for p in learnable_points:
-        per_class_counts[p.label] += 1
+    for label in labels:
+        per_class_counts[label] += 1
     for i, cls in enumerate(report.classes):
         assert report.confusion[i].sum() == per_class_counts[cls]
 
 
 def test_cross_validate_zero_vectors_fall_back_to_majority():
     # nothing to learn from: every prediction is the prior argmax
-    points = [LabeledPoint("A", SparseVector(8, ()))] * 30 + [
-        LabeledPoint("B", SparseVector(8, ()))
-    ] * 10
-    plan = kfold(len(points), 4, seed=0)
-    report = cross_validate("naive_bayes", points, plan)
+    labels = ["A"] * 30 + ["B"] * 10
+    plan = kfold(len(labels), 4, seed=0)
+    report = cross_validate("naive_bayes", csr(8, [[]] * 40), labels, plan)
     assert report.overall_accuracy == pytest.approx(30 / 40)
     per_class = report.per_class_accuracy()
     assert per_class["A"] == 1.0
@@ -94,20 +100,19 @@ def test_cross_validate_zero_vectors_fall_back_to_majority():
 
 
 def test_cross_validate_deterministic_accuracy(learnable_points):
-    plan = kfold(len(learnable_points), 4, seed=9)
-    r1 = cross_validate("naive_bayes", learnable_points[:400], kfold(400, 4, seed=9))
-    r2 = cross_validate("naive_bayes", learnable_points[:400], kfold(400, 4, seed=9))
+    r1 = cross_validate("naive_bayes", *head(learnable_points, 400), kfold(400, 4, seed=9))
+    r2 = cross_validate("naive_bayes", *head(learnable_points, 400), kfold(400, 4, seed=9))
     assert np.array_equal(r1.confusion, r2.confusion)
 
 
 def test_cross_validate_requires_matching_plan(learnable_points):
     with pytest.raises(ValueError):
-        cross_validate("naive_bayes", learnable_points, kfold(10, 2, seed=0))
+        cross_validate("naive_bayes", *learnable_points, kfold(10, 2, seed=0))
 
 
 def test_cross_validate_alloc_counter(learnable_points):
     report = cross_validate(
-        "naive_bayes", learnable_points[:200], kfold(200, 2, seed=1), measure_alloc=True
+        "naive_bayes", *head(learnable_points, 200), kfold(200, 2, seed=1), measure_alloc=True
     )
     assert report.alloc_peak_bytes is not None and report.alloc_peak_bytes > 0
 
@@ -115,13 +120,12 @@ def test_cross_validate_alloc_counter(learnable_points):
 @pytest.mark.parametrize("method, partitions", [("naive_bayes", 2), ("logistic_regression", 1)])
 def test_partitions_is_the_count_training_used(learnable_points, method, partitions):
     # only Naive Bayes splits its training across workers
-    data = learnable_points[:200]
-    report = cross_validate(method, data, kfold(len(data), 2, seed=1), workers=2)
+    report = cross_validate(method, *head(learnable_points, 200), kfold(200, 2, seed=1), workers=2)
     assert report.partitions == partitions
 
 
 def test_report_files(tmp_path, learnable_points):
-    report = cross_validate("naive_bayes", learnable_points[:200], kfold(200, 2, seed=1))
+    report = cross_validate("naive_bayes", *head(learnable_points, 200), kfold(200, 2, seed=1))
     report.write(tmp_path)
     assert (tmp_path / "eval_summary.tsv").exists()
     per_class = (tmp_path / "eval_per_class.tsv").read_text(encoding="utf-8").splitlines()
@@ -133,7 +137,7 @@ def test_report_files(tmp_path, learnable_points):
 
 def test_speedup_ratio_baseline_is_exactly_one():
     points = synth_labeled_points(3000, dim=128, n_classes=4, seed=2)
-    curve = speedup("naive_bayes", points, [1, 2])
+    curve = speedup("naive_bayes", *points, [1, 2])
     assert curve.ratio_at(1) == 1.0
     assert all(p.seconds > 0 for p in curve.points)
 
@@ -141,16 +145,16 @@ def test_speedup_ratio_baseline_is_exactly_one():
 def test_speedup_requires_baseline_worker():
     points = synth_labeled_points(100, dim=32, n_classes=2, seed=2)
     with pytest.raises(ValueError, match="include 1"):
-        speedup("naive_bayes", points, [2, 4])
+        speedup("naive_bayes", *points, [2, 4])
     with pytest.raises(ValueError):
-        speedup("naive_bayes", points, [])
+        speedup("naive_bayes", *points, [])
     with pytest.raises(ValueError):
-        speedup("naive_bayes", points, [0, 1])
+        speedup("naive_bayes", *points, [0, 1])
 
 
 def test_speedup_curve_file(tmp_path):
     points = synth_labeled_points(500, dim=64, n_classes=2, seed=3)
-    curve = speedup("naive_bayes", points, [1, 2])
+    curve = speedup("naive_bayes", *points, [1, 2])
     path = tmp_path / "speedup.tsv"
     curve.write(path)
     lines = path.read_text(encoding="utf-8").splitlines()

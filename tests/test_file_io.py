@@ -17,10 +17,10 @@ from regimpute.evaluate import ClassAccuracy, EvalReport, SpeedupCurve, SpeedupP
 from regimpute.gazetteer import PostcodeEntry, read_gazetteer, write_gazetteer
 from regimpute.geocode import GeocodeResult, read_keys, write_results
 from regimpute.locimpute import LocationReport
-from regimpute.records import EnterpriseRecord, GroundTruth, ingest, write_records
+from regimpute.records import EnterpriseRecord, GroundTruth, ingest, missingness, write_records
 from regimpute.segmenter import Lexicon
 from regimpute.spatial import KCurve, export_geojson
-from regimpute.vectorizer import SparseVector, write_vectors
+from regimpute.vectorizer import hash_rows, write_vectors
 
 SRC = Path(regimpute.__file__).resolve().parent
 DEMO_LEXICON = SRC / "data" / "demo_lexicon.tsv"
@@ -61,7 +61,7 @@ WRITERS = {
     "records": lambda d, v: write_records(_records(v), d / "out.tsv"),
     "truth": lambda d, v: GroundTruth({("1", "category"): v}).write(d / "out.tsv"),
     "lexicon": lambda d, v: Lexicon({v: "n"}).to_tsv(d / "out.tsv"),
-    "vectors": lambda d, v: write_vectors([("1", v, SparseVector(8, ((1, 2),)))], d / "out.tsv"),
+    "vectors": lambda d, v: write_vectors(["1"], [v], hash_rows([["a", "a"]], 8), d / "out.tsv"),
     "gazetteer": lambda d, v: write_gazetteer([_entry(v)], d / "out.tsv"),
     "location_report": lambda d, v: LocationReport(total=len(v)).write(d / "out.tsv"),
     "geocode_results": lambda d, v: write_results([GeocodeResult(v, 100.5, 30.25, "ok", "mock", 1)], d / "out.tsv"),
@@ -70,8 +70,8 @@ WRITERS = {
     "speedup": lambda d, v: SpeedupCurve((SpeedupPoint(1, float(len(v)), 1.0),)).write(d / "out.tsv"),
     "category_accuracy": lambda d, v: write_category_accuracy([ClassAccuracy(v, 1, 1)], d / "out.tsv"),
     "stage_timings": _stage_timer,
-    "missingness": lambda d, v: _write_missingness(_records(v), d / "out.tsv"),
-    "summary": lambda d, v: _write_summary(_records(v), d / "out.tsv"),
+    "missingness": lambda d, v: _write_missingness(missingness(_records(v)), d / "out.tsv"),
+    "summary": lambda d, v: _write_summary(missingness(_records(v)), d / "out.tsv"),
     "geojson": lambda d, v: export_geojson([EnterpriseRecord(id=v, coordinates=(100.0, 30.0))], d / "out.tsv"),
     "segment_out": _segment,
 }

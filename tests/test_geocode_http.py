@@ -20,11 +20,15 @@ from regimpute.geocode import (
 from regimpute.records import EnterpriseRecord
 
 
-# json.dumps writes NaN and Infinity, which json.load reads back as floats
+# locations that are no location: json.dumps writes NaN and Infinity, which
+# json.load reads back as floats; text, a list or true is no number
 NON_FINITE = {
     "/nan": {"lng": float("nan"), "lat": 30.5},
     "/inf": {"lng": 114.25, "lat": float("inf")},
     "/text": {"lng": "-inf", "lat": "30.5"},
+    "/abc": {"lng": "abc", "lat": 30.5},
+    "/list": {"lng": [114.25], "lat": 30.5},
+    "/true": {"lng": 114.25, "lat": True},
 }
 
 
@@ -48,6 +52,8 @@ class _Handler(BaseHTTPRequestHandler):
             body = {"status": 1}
         elif parsed.path in NON_FINITE:
             body = {"result": {"location": NON_FINITE[parsed.path]}}
+        elif parsed.path == "/numeric-text":
+            body = {"result": {"location": {"lng": "114.25", "lat": "30.5"}}}
         else:
             body = {"result": {"location": {"lng": 114.25, "lat": 30.5}, "echo": address}}
         payload = json.dumps(body).encode("utf-8")
@@ -92,6 +98,22 @@ def test_http_provider_missing_location_is_no_result(http_server):
 def test_http_provider_non_finite_location_is_no_result(http_server, route):
     provider = HttpGeocoder(url_of(http_server, route))
     assert provider.geocode("anywhere") is None
+
+
+def test_http_provider_numeric_text_is_a_location(http_server):
+    provider = HttpGeocoder(url_of(http_server, "/numeric-text"))
+    assert provider.geocode("anywhere") == (114.25, 30.5)
+
+
+def test_batch_keeps_going_past_malformed_answers(http_server):
+    provider = HttpGeocoder(url_of(http_server, "/abc"))
+    keys = [ApiKey("k0", 100)]
+    records = [EnterpriseRecord(id=f"r{i}", address=f"prefix street{i}") for i in range(4)]
+    results = geocode_batch(shard(records, keys), provider, keys, rate=None, sleep=lambda _t: None)
+    assert [(r.record_id, r.status, r.attempts) for r in results] == [
+        (f"r{i}", "no-result", 1) for i in range(4)
+    ]
+    assert len(http_server.requests) == 4
 
 
 def test_http_provider_client_error_is_hard(http_server):

@@ -3,25 +3,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from matrices import csr, pairs
 from regimpute import classify
 from regimpute.classify import lr_gradient, lr_loss, predict, train_lr
-from regimpute.classify.model import pack_points, to_csr
-from regimpute.vectorizer import LabeledPoint, SparseVector
+from regimpute.vectorizer import count_rows
 
 
-def sv(dim, *pairs):
-    return SparseVector(dim, tuple(sorted(pairs)))
+def label_indices(classes, labels):
+    return np.array([classes.index(label) for label in labels], dtype=np.int64)
 
 
 def random_dataset(rng, n=30, dim=12, k=3):
+    """(classes, X, labels) of n random rows with 1-3 entries each."""
     classes = tuple("ABC"[:k])
-    points = []
+    labels, rows = [], []
     for _ in range(n):
-        label = classes[rng.integers(k)]
+        labels.append(classes[rng.integers(k)])
         n_entries = rng.integers(1, 4)
         idx = rng.choice(dim, size=n_entries, replace=False)
-        points.append(LabeledPoint(label, sv(dim, *((int(i), int(rng.integers(1, 4))) for i in idx))))
-    return classes, points
+        rows.append([(int(i), int(rng.integers(1, 4))) for i in idx])
+    return classes, csr(dim, rows), labels
 
 
 def fd_gradient(W, b, X, y, l2, h=1e-6):
@@ -49,8 +50,8 @@ def relative_error(a, b):
 
 def test_gradient_matches_finite_differences_at_random_parameter_points():
     rng = np.random.default_rng(42)
-    classes, points = random_dataset(rng)
-    X, y = pack_points(points, 12, classes)
+    classes, X, labels = random_dataset(rng)
+    y = label_indices(classes, labels)
     for trial in range(20):
         W = rng.normal(scale=0.8, size=(3, 12))
         b = rng.normal(scale=0.5, size=3)
@@ -63,47 +64,46 @@ def test_gradient_matches_finite_differences_at_random_parameter_points():
 
 
 def separable_points():
-    # class A lives on features {0,1}, B on {4,5}: linearly separable
-    points = []
+    """(X, labels): class A lives on features {0,1}, B on {4,5}, so the set
+    is linearly separable."""
+    rows, labels = [], []
     for i in range(10):
-        points.append(LabeledPoint("A", sv(8, (i % 2, 1), (2, 1))))
-        points.append(LabeledPoint("B", sv(8, (4 + i % 2, 1), (2, 1))))
-    return points
+        rows += [[(i % 2, 1), (2, 1)], [(4 + i % 2, 1), (2, 1)]]
+        labels += ["A", "B"]
+    return csr(8, rows), labels
 
 
 def test_separable_set_reaches_full_training_accuracy():
-    points = separable_points()
-    model = train_lr(points, iters=200, step=1.0, l2=0.0)
-    hits = sum(1 for p in points if predict(model, p.vector).label == p.label)
-    assert hits == len(points)
+    X, labels = separable_points()
+    model = train_lr(X, labels, iters=200, step=1.0, l2=0.0)
+    hits = sum(1 for i, label in enumerate(labels) if predict(model, X[i]).label == label)
+    assert hits == len(labels)
 
 
 def test_single_point_probability_approaches_one():
-    point = LabeledPoint("A", sv(4, (0, 2)))
-    other = LabeledPoint("B", sv(4, (1, 2)))
+    X = csr(4, [[(0, 2)], [(1, 2)]])
     probs = []
     for iters in (5, 50, 500):
-        model = train_lr([point, other], iters=iters, step=1.0, l2=0.0)
-        probs.append(predict(model, point.vector).scores[0])
+        model = train_lr(X, ["A", "B"], iters=iters, step=1.0, l2=0.0)
+        probs.append(predict(model, X[0]).scores[0])
     assert probs[0] < probs[1] < probs[2]
     assert probs[2] > 0.99
 
 
 def test_zero_weights_give_uniform_scores_and_first_class():
-    points = separable_points()
-    model = train_lr(points, iters=1, step=1e-12)  # effectively zero weights
+    model = train_lr(*separable_points(), iters=1, step=1e-12)  # effectively zero weights
     model.state["weights"][:] = 0.0
     model.state["bias"][:] = 0.0
-    got = predict(model, sv(8, (0, 1)))
+    got = predict(model, csr(8, [[(0, 1)]]))
     assert got.label == "A"
     assert np.allclose(got.scores, 0.5)
     assert sum(got.scores) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_training_is_deterministic():
-    points = separable_points()
-    m1 = train_lr(points, iters=40)
-    m2 = train_lr(points, iters=40)
+    X, labels = separable_points()
+    m1 = train_lr(X, labels, iters=40)
+    m2 = train_lr(X, labels, iters=40)
     assert np.array_equal(m1.state["weights"], m2.state["weights"])
     assert np.array_equal(m1.state["bias"], m2.state["bias"])
 
@@ -111,37 +111,38 @@ def test_training_is_deterministic():
 def test_workers_do_not_change_the_model():
     # LR trains on one matrix in-process; the dispatcher's workers fork NB only
     rng = np.random.default_rng(13)
-    _, points = random_dataset(rng, n=90, dim=50)
-    one = classify.train("logistic_regression", points, {"iters": 30}, workers=1)
-    two = classify.train("logistic_regression", points, {"iters": 30}, workers=2)
+    _, X, labels = random_dataset(rng, n=90, dim=50)
+    one = classify.train("logistic_regression", X, labels, {"iters": 30}, workers=1)
+    two = classify.train("logistic_regression", X, labels, {"iters": 30}, workers=2)
     assert one.state.keys() == two.state.keys()
     for key in one.state:
         assert np.array_equal(one.state[key], two.state[key]), key
 
 
 def test_parameter_validation():
-    points = separable_points()
+    X, labels = separable_points()
     with pytest.raises(ValueError):
-        train_lr(points, iters=0)
+        train_lr(X, labels, iters=0)
     with pytest.raises(ValueError):
-        train_lr(points, step=0.0)
+        train_lr(X, labels, step=0.0)
     with pytest.raises(ValueError):
-        train_lr(points, l2=-1.0)
+        train_lr(X, labels, l2=-1.0)
     with pytest.raises(ValueError, match="empty"):
-        train_lr([])
+        train_lr(csr(8, []), [])
 
 
 def test_to_csr_materializes_counts():
-    X = to_csr([sv(5, (0, 2), (3, 1)), SparseVector(5, ())], 5)
+    X = count_rows([[0, 3, 0], []], 5)
     dense = X.toarray()
     assert dense.shape == (2, 5)
     assert dense[0].tolist() == [2.0, 0.0, 0.0, 1.0, 0.0]
     assert dense[1].tolist() == [0.0] * 5
 
 
-def dense_reference(points, classes, dim, iters, step, l2):
+def dense_reference(X, labels, classes, iters, step, l2):
     """Gradient descent over the full-dim matrix, as train_lr once ran it."""
-    X, y = pack_points(points, dim, classes)
+    y = label_indices(classes, labels)
+    dim = X.shape[1]
     W = np.zeros((len(classes), dim))
     b = np.zeros(len(classes))
     for t in range(1, iters + 1):
@@ -155,11 +156,11 @@ def dense_reference(points, classes, dim, iters, step, l2):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_weights_on_active_columns_equal_dense_reference(workers):
     rng = np.random.default_rng(11)
-    classes, points = random_dataset(rng, n=80, dim=400, k=3)
+    classes, X, labels = random_dataset(rng, n=80, dim=400, k=3)
     params = {"iters": 30, "step": 1.0, "l2": 0.05}
-    model = classify.train("logistic_regression", points, params, workers=workers)
-    W, b = dense_reference(points, classes, 400, 30, 1.0, 0.05)
-    columns = sorted({i for p in points for i, _ in p.vector.entries})
+    model = classify.train("logistic_regression", X, labels, params, workers=workers)
+    W, b = dense_reference(X, labels, classes, 30, 1.0, 0.05)
+    columns = sorted({i for r in range(X.shape[0]) for i, _ in pairs(X, r)})
     assert model.state["columns"].tolist() == columns
     assert np.array_equal(model.state["weights"], W[:, columns])
     assert np.array_equal(model.state["bias"], b)
@@ -167,18 +168,21 @@ def test_weights_on_active_columns_equal_dense_reference(workers):
 
 
 def repeated_rows_dataset(rng, n=150, pool=12, dim=40, k=4):
-    """n points drawn from a pool of few vectors, so most rows repeat, each
-    copy with its own random label. The pool holds pairs of vectors on the
-    same columns with different counts."""
+    """(classes, rows, labels): n rows of (column, count) pairs drawn from a
+    pool of few, so most rows repeat, each copy with its own random label.
+    The pool holds pairs of rows on the same columns with different counts."""
     classes = tuple("ABCD"[:k])
     vectors = []
     for _ in range(pool // 2):
         idx = rng.choice(dim, size=int(rng.integers(1, 5)), replace=False)
         counts = rng.integers(1, 4, size=len(idx))
         for twin in (0, 1):
-            vectors.append(sv(dim, *((int(i), int(c) + twin) for i, c in zip(idx, counts))))
-    points = [LabeledPoint(classes[rng.integers(k)], vectors[rng.integers(pool)]) for _ in range(n)]
-    return classes, points
+            vectors.append(tuple(sorted((int(i), int(c) + twin) for i, c in zip(idx, counts))))
+    labels, rows = [], []
+    for _ in range(n):
+        labels.append(classes[rng.integers(k)])
+        rows.append(vectors[rng.integers(pool)])
+    return classes, rows, labels
 
 
 def all_rows_gradient(W, b, X, y, l2):
@@ -201,9 +205,9 @@ def all_rows_loss(W, b, X, y, l2):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_training_on_repeated_rows_equals_softmax_on_every_row(workers):
     rng = np.random.default_rng(5)
-    classes, points = repeated_rows_dataset(rng)
-    X, y = pack_points(points, 40, classes)
-    assert len({(p.vector.entries) for p in points}) <= 12 < X.shape[0]
+    classes, rows, labels = repeated_rows_dataset(rng)
+    X, y = csr(40, rows), label_indices(classes, labels)
+    assert len(set(rows)) <= 12 < X.shape[0]
     W = np.zeros((len(classes), 40))
     b = np.zeros(len(classes))
     for t in range(1, 41):
@@ -211,7 +215,7 @@ def test_training_on_repeated_rows_equals_softmax_on_every_row(workers):
         W -= (1.0 / np.sqrt(t)) * gw
         b -= (1.0 / np.sqrt(t)) * gb
     params = {"iters": 40, "step": 1.0, "l2": 0.02}
-    model = classify.train("logistic_regression", points, params, workers=workers)
+    model = classify.train("logistic_regression", X, labels, params, workers=workers)
     columns = model.state["columns"]
     assert np.array_equal(model.state["weights"], W[:, columns])
     assert np.array_equal(model.state["bias"], b)
@@ -222,8 +226,8 @@ def test_loss_and_gradient_equal_their_every_row_forms(copies):
     # copies > 1 repeats the whole set, so every distinct row stands for
     # at least `copies` rows
     rng = np.random.default_rng(9)
-    classes, points = repeated_rows_dataset(rng)
-    X, y = pack_points(points * copies, 40, classes)
+    classes, rows, labels = repeated_rows_dataset(rng)
+    X, y = csr(40, rows * copies), label_indices(classes, labels * copies)
     for _ in range(5):
         W = rng.normal(scale=0.8, size=(len(classes), 40))
         b = rng.normal(scale=0.5, size=len(classes))

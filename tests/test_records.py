@@ -300,6 +300,20 @@ def test_missingness_hand_counted():
     assert report.missing["category"] == 1.0
 
 
+def test_missingness_counts_absent_and_imputed_values():
+    records = [
+        EnterpriseRecord(id="1", name="", category="RE", provenance={"category": "imputed", "ad": "imputed"}),
+        EnterpriseRecord(id="2", name="x", postcode="100000", provenance={"postcode": "imputed"}),
+        EnterpriseRecord(id="3", name="y", coordinates=(100.0, 30.0)),
+    ]
+    report = missingness(records)
+    assert report.absent["name"] == 1  # the empty string is absent too
+    assert report.absent["category"] == 2
+    assert report.absent["coordinates"] == 2
+    assert report.imputed == {**dict.fromkeys(report.imputed, 0), "category": 1, "postcode": 1}
+    assert report.missing["category"] == pytest.approx(2 / 3)
+
+
 def test_missingness_empty_input():
     report = missingness([])
     assert report.total == 0

@@ -112,11 +112,10 @@ def test_rate_validation():
 
 
 def test_synth_labeled_points_shape_and_determinism():
-    a = synth_labeled_points(1000, dim=256, n_classes=8, entries_per_vector=6, seed=4)
-    b = synth_labeled_points(1000, dim=256, n_classes=8, entries_per_vector=6, seed=4)
-    assert len(a) == 1000
-    assert all(p.vector.dim == 256 for p in a)
-    assert all(p.vector.total == 6 for p in a)
-    assert a == b
-    labels = {p.label for p in a}
-    assert len(labels) == 8
+    X, labels = synth_labeled_points(1000, dim=256, n_classes=8, entries_per_vector=6, seed=4)
+    X2, labels2 = synth_labeled_points(1000, dim=256, n_classes=8, entries_per_vector=6, seed=4)
+    assert X.shape[0] == len(labels) == 1000
+    assert X.shape[1] == 256
+    assert (X.sum(axis=1) == 6).all()
+    assert (X != X2).nnz == 0 and labels == labels2
+    assert len(set(labels)) == 8
