@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import classify, evaluate, gazetteer, geocode, locimpute, spatial
 from .records import GroundTruth, MissingnessReport, ingest, missingness, tsv_line, write_records, write_tsv
-from .segmenter import Lexicon, address_nouns, segment
+from .segmenter import ADDRESS_TAGS, Lexicon, segment_texts, word_lists
 from .synth import SynthConfig, synth, synth_labeled_points, synth_world
 from .vectorizer import DEFAULT_DIM, build_labeled, vectorize_names, write_vectors
 
@@ -194,8 +194,8 @@ def cmd_segment(args) -> int:
         texts = [(r.id, r.name or "") for r in records]
     rows = [
         (rec_id, token.surface, token.pos, str(token.span[0]), str(token.span[1]))
-        for rec_id, text in texts
-        for token in segment(text, lexicon)
+        for (rec_id, _), tokens in zip(texts, segment_texts([text for _, text in texts], lexicon))
+        for token in tokens
     ]
     if args.out:
         write_tsv(args.out, None, rows)
@@ -299,10 +299,9 @@ def cmd_validate_gazetteer(args) -> int:
     records = _load_records(args.corpus)
     # validate() expects complete-AD records; an address that yields fewer
     # than three address nouns is street-only or coarser and is screened out
-    complete = [
-        r for r in records
-        if r.postcode and r.address and len(address_nouns(r.address, lexicon)) >= 3
-    ]
+    located = [r for r in records if r.postcode and r.address]
+    nouns = word_lists([r.address for r in located], lexicon, ADDRESS_TAGS)
+    complete = [r for r, words in zip(located, nouns) if len(set(words)) >= 3]
     report = gazetteer.validate(tree, complete, lexicon)
     print(f"evaluated\t{report.evaluated}")
     print(f"match_rate\t{report.match_rate:.4f}")
@@ -321,10 +320,7 @@ def _location_setup(args):
 
 def cmd_impute_postcode(args) -> int:
     tree, lexicon, records = _location_setup(args)
-    evidence = locimpute.PostcodeEvidence.from_records(records, lexicon)
-    report = locimpute.LocationReport(total=len(records))
-    for rec in records:
-        locimpute.fill_postcode(rec, tree, evidence, lexicon, report)
+    report = locimpute.impute_locations(records, tree, lexicon, steps=("postcode",))
     write_records(records, args.out)
     print(f"filled\t{report.postcode_filled}")
     print(f"failed\t{report.postcode_failed}")
@@ -333,9 +329,7 @@ def cmd_impute_postcode(args) -> int:
 
 def cmd_impute_ad(args) -> int:
     tree, lexicon, records = _location_setup(args)
-    report = locimpute.LocationReport(total=len(records))
-    for rec in records:
-        locimpute.fill_ad(rec, tree, lexicon, report)
+    report = locimpute.impute_locations(records, tree, lexicon, steps=("ad",))
     write_records(records, args.out)
     print(f"assigned\t{report.ad_assigned}")
     print(f"failed\t{report.ad_failed}")

@@ -9,6 +9,14 @@ province down to street, so a match at any level outweighs all matches
 below it combined. Degrees are compared as integers, so ties are detected
 exactly: each degree is scaled by a common multiple of every possible
 present weight, which leaves no remainder.
+
+The tree keeps, per query noun, the entries it matches and a level-bit
+mask for each: the OR of the weights of that entry's levels whose name
+the noun matches. An entry's matched weight for a set of nouns is the OR
+of those masks. That equals the sum the definition asks for: the
+weights 8/4/2/1 are distinct bits, so the OR of a level set's weights is
+their sum, and a level matched by several nouns sets its bit once, as it
+counts once. match and best_postcodes both read these masks.
 """
 
 from __future__ import annotations
@@ -17,16 +25,23 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .records import POSTCODE_RE, EnterpriseRecord, RowDiagnostic, read_tsv, write_tsv
-from .segmenter import Lexicon, address_nouns
+from .segmenter import ADDRESS_TAGS, Lexicon, word_lists
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LEVELS = ("province", "city", "county", "street")
 LEVEL_WEIGHTS = {"province": 8, "city": 4, "county": 2, "street": 1}
 # Every present weight is an integer in 1..15, so matched * _DEGREE_SCALE
 # // present is the degree scaled exactly, with no rounding.
 _DEGREE_SCALE = math.lcm(*range(1, sum(LEVEL_WEIGHTS.values()) + 1))
+# the levels, in LEVELS order, whose bits a level mask sets
+_MASK_LEVELS = tuple(
+    tuple(level for level in LEVELS if mask & LEVEL_WEIGHTS[level]) for mask in range(16)
+)
 
 
 def _degree_key(matched: int, present: int) -> int:
@@ -82,21 +97,23 @@ class AddressTree:
     """Immutable four-level index over validated, de-duplicated entries."""
 
     def __init__(self, entries: Sequence[PostcodeEntry]):
+        import numpy as np
+
         self.entries: tuple[PostcodeEntry, ...] = tuple(
             sorted(set(entries), key=lambda e: (e.path(), e.postcode))
         )
-        self._by_postcode: dict[str, list[int]] = {}
-        self._by_name: dict[str, set[int]] = {}
-        # per entry: its (weight, level, name) triples and their weight sum
-        self._scoring: list[tuple[tuple[tuple[int, str, str], ...], int]] = []
+        by_postcode: dict[str, list[PostcodeEntry]] = {}
+        # level name -> (entry index, level bit) of each level carrying it
+        self._by_name: dict[str, list[tuple[int, int]]] = {}
+        present = []
         for idx, entry in enumerate(self.entries):
-            self._by_postcode.setdefault(entry.postcode, []).append(idx)
-            for _, name in entry.levels():
-                self._by_name.setdefault(name, set()).add(idx)
-            levels = tuple((LEVEL_WEIGHTS[level], level, name) for level, name in entry.levels())
-            self._scoring.append((levels, sum(w for w, _, _ in levels)))
-        self._names = tuple(self._by_name)
-        self._noun_cache: dict[str, frozenset[str]] = {}
+            by_postcode.setdefault(entry.postcode, []).append(entry)
+            for level, name in entry.levels():
+                self._by_name.setdefault(name, []).append((idx, LEVEL_WEIGHTS[level]))
+            present.append(sum(LEVEL_WEIGHTS[level] for level, _ in entry.levels()))
+        self._by_postcode = {p: tuple(group) for p, group in by_postcode.items()}
+        self._present = np.array(present, dtype=np.int64)
+        self._noun_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._best_cache: dict[frozenset[str], tuple[str, ...]] = {}
 
     def __len__(self) -> int:
@@ -106,15 +123,37 @@ class AddressTree:
         return set(self._by_postcode)
 
     def entries_for_postcode(self, postcode: str) -> tuple[PostcodeEntry, ...]:
-        return tuple(self.entries[i] for i in self._by_postcode.get(postcode, ()))
+        return self._by_postcode.get(postcode, ())
 
-    def _names_for_noun(self, noun: str) -> frozenset[str]:
-        """Level names that contain, or are contained by, the noun."""
+    def _noun_masks(self, noun: str) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending indices of the entries with a level name that contains,
+        or is contained by, the noun, and the level-bit mask of those levels."""
         cached = self._noun_cache.get(noun)
         if cached is None:
-            cached = frozenset(name for name in self._names if noun in name or name in noun)
-            self._noun_cache[noun] = cached
+            import numpy as np
+
+            masks: dict[int, int] = {}
+            for name, levels in self._by_name.items():
+                if noun in name or name in noun:
+                    for idx, bit in levels:
+                        masks[idx] = masks.get(idx, 0) | bit
+            order = sorted(masks)
+            cached = self._noun_cache[noun] = (
+                np.array(order, dtype=np.int64), np.array([masks[i] for i in order], dtype=np.int64)
+            )
         return cached
+
+    def _matched(self, nouns: frozenset[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending indices of the entries that the nouns, all non-empty,
+        match, and each one's matched weight: the OR of the nouns' masks."""
+        import numpy as np
+
+        weight = np.zeros(len(self.entries), dtype=np.int64)
+        for noun in nouns:
+            idx, mask = self._noun_masks(noun)
+            weight[idx] |= mask
+        idx = np.flatnonzero(weight)
+        return idx, weight[idx]
 
 
 def build(entries: Iterable[PostcodeEntry]) -> AddressTree:
@@ -129,36 +168,17 @@ def build(entries: Iterable[PostcodeEntry]) -> AddressTree:
     return AddressTree(checked)
 
 
-def _score(
-    nouns: frozenset[str], tree: AddressTree, within: Iterable[int] | None = None
-) -> Iterator[tuple[int, tuple[str, ...], int, int]]:
-    """(entry index, matched levels, matched weight, present weight) of
-    every entry with at least one matched level, for non-empty nouns;
-    only the entries indexed by `within` when it is given."""
-    names: set[str] = set()
-    for noun in nouns:
-        names |= tree._names_for_noun(noun)
-    if within is None:
-        candidates: set[int] = set()
-        for name in names:
-            candidates |= tree._by_name[name]
-        within = candidates
-    for idx in within:
-        levels, present = tree._scoring[idx]
-        matched = [(w, level) for w, level, name in levels if name in names]
-        if matched:
-            yield idx, tuple(level for _, level in matched), sum(w for w, _ in matched), present
-
-
 def match(nouns: Sequence[str], tree: AddressTree, postcode: str | None = None) -> list[MatchResult]:
     """Candidates scored by weighted level overlap, best first; only the
     entries of `postcode` when it is given.
 
     Ordering is degree descending, then postcode ascending, then path."""
-    within = None if postcode is None else tree._by_postcode.get(postcode, ())
+    idx, weight = tree._matched(frozenset(n for n in nouns if n))
+    present = tree._present
     results = [
-        MatchResult(tree.entries[idx], levels, matched, present)
-        for idx, levels, matched, present in _score(frozenset(n for n in nouns if n), tree, within)
+        MatchResult(tree.entries[i], _MASK_LEVELS[w], w, int(present[i]))
+        for i, w in zip(idx.tolist(), weight.tolist())
+        if postcode is None or tree.entries[i].postcode == postcode
     ]
     results.sort(key=lambda r: (
         -_degree_key(r.matched_weight, r.present_weight), r.entry.postcode, r.entry.path()
@@ -174,14 +194,11 @@ def best_postcodes(nouns: Iterable[str], tree: AddressTree) -> tuple[str, ...]:
     cached = tree._best_cache.get(query)
     if cached is not None:
         return cached
-    best, tied = 0, set()
-    for idx, _, matched, present in _score(query, tree):
-        key = _degree_key(matched, present)
-        if key > best:
-            best, tied = key, {tree.entries[idx].postcode}
-        elif key == best:
-            tied.add(tree.entries[idx].postcode)
-    result = tuple(sorted(tied))
+    idx, weight = tree._matched(query)
+    result: tuple[str, ...] = ()
+    if idx.size:
+        key = weight * _DEGREE_SCALE // tree._present[idx]
+        result = tuple(sorted({tree.entries[i].postcode for i in idx[key == key.max()].tolist()}))
     tree._best_cache[query] = result
     return result
 
@@ -197,15 +214,13 @@ def validate(
     tree: AddressTree, records: Sequence[EnterpriseRecord], lexicon: Lexicon
 ) -> CoverageReport:
     """Check the tree against records that carry both AD text and postcode."""
-    evaluated = matched = present = 0
+    checked = [rec for rec in records if rec.address and rec.postcode]
+    evaluated, matched, present = len(checked), 0, 0
     known = tree.postcodes()
-    for rec in records:
-        if not rec.address or not rec.postcode:
-            continue
-        evaluated += 1
+    for rec, nouns in zip(checked, word_lists([rec.address for rec in checked], lexicon, ADDRESS_TAGS)):
         if rec.postcode in known:
             present += 1
-        best = best_postcodes(address_nouns(rec.address, lexicon), tree)
+        best = best_postcodes(nouns, tree)
         if best and best[0] == rec.postcode:
             matched += 1
     if evaluated == 0:

@@ -25,6 +25,7 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -119,7 +120,7 @@ class Shard:
     key_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeocodeResult:
     record_id: str
     lon: float | None
@@ -141,6 +142,14 @@ def shard(records: Sequence[EnterpriseRecord], keys: Sequence[ApiKey]) -> list[S
 
 def _unit_interval(h32: int) -> float:
     return h32 / 2**32
+
+
+@lru_cache(maxsize=1 << 12)
+def _prefix_hash(prefix: str) -> int:
+    """The mock's AD-prefix hash, memoised: many addresses share a prefix.
+    Addresses without one are hashed whole and not memoised, as they seldom
+    repeat."""
+    return fnv1a_64(prefix.encode("utf-8"))
 
 
 class MockGeocoder:
@@ -166,9 +175,10 @@ class MockGeocoder:
         if self.ambiguity_filter is not None and self.ambiguity_filter(address):
             return None
         prefix, _, street = address.rpartition(" ")
-        if not prefix:
-            prefix, street = address, ""
-        h = fnv1a_64(prefix.encode("utf-8"))
+        if prefix:
+            h = _prefix_hash(prefix)
+        else:  # no AD prefix: the address itself is the base, with no jitter
+            h, street = fnv1a_64(address.encode("utf-8")), ""
         lon = LON_RANGE[0] + _unit_interval(h >> 32) * (LON_RANGE[1] - LON_RANGE[0])
         lat = LAT_RANGE[0] + _unit_interval(h & 0xFFFFFFFF) * (LAT_RANGE[1] - LAT_RANGE[0])
         if street:

@@ -14,25 +14,32 @@ and combines the resulting province/city/county prefix with the record's
 street-level address; the assembled full address is "<prefix> <street
 part>" with a single space between the two parts.
 
-A batch is filled in one pass, record by record: fill_postcode, then
-fill_ad, each applied as soon as it has a result and counted in a
-LocationReport. The single-step commands call the same two steps.
+A batch is filled by impute_locations: one tokenize call gives every
+record's query nouns, which also make up the tie-break evidence, and then
+fill_postcode and fill_ad run record by record, each applied as soon as it
+has a result and counted in a LocationReport. The single-step commands
+run the same batch code with one of the two steps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Mapping, Sequence
 
-from .gazetteer import AddressTree, best_postcodes, match
+from .gazetteer import AddressTree, PostcodeEntry, best_postcodes, match
 from .records import EnterpriseRecord, write_tsv
-from .segmenter import Lexicon, address_nouns
+from .segmenter import ADDRESS_TAGS, Lexicon, tokenize
 # Unused here: perfbench's tracer patches these names when it installs
 # (ROADMAP item 1), so they stay importable until the tracer drops them.
 from .parallel import map_partitions  # noqa: F401
 from .segmenter import segment  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SOURCE_ORIGINAL = "original"
 SOURCE_POSTCODE_LOOKUP = "postcode-lookup"
@@ -59,51 +66,67 @@ class PostcodeImputation:
 
 def extract_query_nouns(record: EnterpriseRecord, lexicon: Lexicon) -> list[str]:
     """Address nouns from data_source, address and name, de-duplicated."""
-    return _query_nouns((record.data_source, record.address, record.name), lexicon)
+    return list(dict.fromkeys(lexicon.words[w] for w in _noun_tokens([record], lexicon)[1].tolist()))
 
 
-def _query_nouns(texts: Sequence[str | None], lexicon: Lexicon) -> list[str]:
-    seen: set[str] = set()
-    nouns: list[str] = []
-    for text in texts:
-        if not text:
-            continue
-        for noun in address_nouns(text, lexicon):
-            if noun not in seen:
-                seen.add(noun)
-                nouns.append(noun)
-    return nouns
+def _noun_tokens(records: Sequence[EnterpriseRecord], lexicon: Lexicon) -> tuple[np.ndarray, np.ndarray]:
+    """(record index, word id) arrays of every address noun occurrence in
+    the records' data_source, address and name, in record order and then
+    text order, from one tokenize call. A record may repeat a noun."""
+    text_ids, word_ids, _ = tokenize(
+        [text or "" for rec in records for text in (rec.data_source, rec.address, rec.name)], lexicon, ADDRESS_TAGS
+    )
+    return text_ids // 3, word_ids
 
 
 class PostcodeEvidence:
-    """Noun sets of postcode-bearing records, indexed by postcode.
+    """Address nouns of postcode-bearing records, grouped by postcode.
 
-    Construction only groups each record's (data_source, address, name)
-    under its postcode. A postcode's records are segmented on the first
-    count_with for that postcode and their noun sets cached, since only
-    tie-breaks read the evidence and they ask about few postcodes."""
+    Built once, from the (record index, word id) pairs of _noun_tokens,
+    ordered by the record's postcode and then by record: each postcode's
+    rows are one slice, and count_with is a reduction over that slice."""
 
-    def __init__(self, texts: Mapping[str, list[tuple[str | None, ...]]], lexicon: Lexicon):
-        self._texts = dict(texts)
-        self._lexicon = lexicon
-        self._sets: dict[str, list[frozenset[str]]] = {}
+    def __init__(self, postcodes: Sequence[str | None], rec_ids: np.ndarray, word_ids: np.ndarray,
+                 lexicon: Lexicon):
+        import numpy as np
+
+        rows = Counter(p for p in postcodes if p)
+        codes = sorted(rows)
+        code_of = {p: i for i, p in enumerate(codes)}
+        token_code = np.array([code_of.get(p, -1) for p in postcodes], dtype=np.int32)[rec_ids]
+        kept = np.flatnonzero(token_code >= 0)
+        order = kept[np.argsort(token_code[kept], kind="stable")]
+        self._rec, self._word = rec_ids[order], word_ids[order]
+        bounds = np.searchsorted(token_code[order], np.arange(len(codes) + 1)).tolist()
+        # postcode -> (row count, start and end of its pairs)
+        self._spans = {p: (rows[p], bounds[i], bounds[i + 1]) for i, p in enumerate(codes)}
+        self._words = lexicon.words
 
     @classmethod
     def from_records(cls, records: Sequence[EnterpriseRecord], lexicon: Lexicon) -> "PostcodeEvidence":
-        texts: dict[str, list[tuple[str | None, ...]]] = {}
-        for rec in records:
-            if rec.postcode:
-                texts.setdefault(rec.postcode, []).append((rec.data_source, rec.address, rec.name))
-        return cls(texts, lexicon)
+        with_postcode = [rec for rec in records if rec.postcode]
+        return cls([rec.postcode for rec in with_postcode], *_noun_tokens(with_postcode, lexicon), lexicon)
 
     def count_with(self, postcode: str, query: frozenset[str]) -> int:
         """Records carrying this postcode whose nouns include the query's."""
-        sets = self._sets.get(postcode)
-        if sets is None:
-            sets = self._sets[postcode] = [
-                frozenset(_query_nouns(t, self._lexicon)) for t in self._texts.get(postcode, ())
-            ]
-        return sum(1 for nouns in sets if query <= nouns)
+        import numpy as np
+
+        n_rows, start, end = self._spans.get(postcode, (0, 0, 0))
+        words = self._words
+        ids = [bisect_left(words, noun) for noun in query]
+        if not n_rows or not all(i < len(words) and words[i] == noun for i, noun in zip(ids, query)):
+            return 0
+        if not ids:
+            return n_rows
+        word = self._word[start:end]
+        hit = word == ids[0]
+        for i in ids[1:]:
+            hit |= word == i
+        # the records holding query nouns, ascending, each once per distinct
+        # noun it holds: a record holds all k nouns iff it fills a run of k
+        held = np.unique(self._rec[start:end][hit].astype(np.int64) * len(words) + word[hit]) // len(words)
+        k = len(ids)
+        return int(np.count_nonzero(held[k - 1:] == held[: held.size - k + 1]))
 
 
 def tie_break_probabilities(counts: Sequence[int]) -> list[Fraction]:
@@ -129,7 +152,10 @@ def impute_postcode(
     by the corpus evidence (PostcodeEvidence.from_records)."""
     if record.postcode:
         raise ValueError(f"record {record.id} already has a postcode")
-    nouns = extract_query_nouns(record, lexicon)
+    return _postcode_for(extract_query_nouns(record, lexicon), tree, evidence)
+
+
+def _postcode_for(nouns: Sequence[str], tree: AddressTree, evidence: PostcodeEvidence) -> PostcodeImputation | None:
     if not nouns:
         return None
     tied_postcodes = best_postcodes(nouns, tree)
@@ -154,26 +180,36 @@ def impute_ad(
     entries = tree.entries_for_postcode(record.postcode)
     if not entries:
         return None
-    chosen = entries[0]
-    if len(entries) > 1 and lexicon is not None:
-        # Best own-noun degree wins, ties to the first path: match orders
-        # one postcode's entries that way, and an entry it does not return
-        # matches no noun, so path-sorted entries[0] is the fallback.
-        ranked = match(extract_query_nouns(record, lexicon), tree, postcode=record.postcode)
-        if ranked:
-            chosen = ranked[0].entry
-    prefix = chosen.province + chosen.city + chosen.county
-    ad_names = [n for n in (chosen.province, chosen.city, chosen.county) if n]
-    if record.address and all(n in record.address for n in ad_names):
-        return ImputedLocation(
-            chosen.province, chosen.city, chosen.county, chosen.street,
-            record.address, SOURCE_ORIGINAL,
-        )
-    street_part = record.address if record.address else chosen.street
+    nouns = extract_query_nouns(record, lexicon) if len(entries) > 1 and lexicon is not None else []
+    chosen = _choose_entry(record.postcode, entries, nouns, tree)
+    full_address = _full_address(record.address, chosen)
     return ImputedLocation(
         chosen.province, chosen.city, chosen.county, chosen.street,
-        f"{prefix} {street_part}", SOURCE_POSTCODE_LOOKUP,
+        record.address if full_address is None else full_address,
+        SOURCE_ORIGINAL if full_address is None else SOURCE_POSTCODE_LOOKUP,
     )
+
+
+def _choose_entry(
+    postcode: str, entries: Sequence[PostcodeEntry], nouns: Sequence[str], tree: AddressTree
+) -> PostcodeEntry:
+    """Of a postcode's entries, the best own-noun degree, ties to the first
+    path: match orders one postcode's entries that way, and an entry it does
+    not return matches no noun, so path-sorted entries[0] is the fallback."""
+    if len(entries) > 1:
+        ranked = match(nouns, tree, postcode=postcode)
+        if ranked:
+            return ranked[0].entry
+    return entries[0]
+
+
+def _full_address(address: str | None, entry: PostcodeEntry) -> str | None:
+    """"<prefix> <street part>" from entry's AD prefix and the address (the
+    entry's street when there is none); None when the address already names
+    the entry's province, city and county (an empty level is named by any)."""
+    if address and entry.province in address and entry.city in address and entry.county in address:
+        return None
+    return f"{entry.province}{entry.city}{entry.county} {address or entry.street}"
 
 
 @dataclass
@@ -211,16 +247,17 @@ class LocationReport:
 
 def fill_postcode(
     rec: EnterpriseRecord,
+    nouns: Sequence[str],
     tree: AddressTree,
     evidence: PostcodeEvidence,
-    lexicon: Lexicon,
     report: LocationReport,
 ) -> None:
-    """Impute rec's postcode in place if it has none; count the outcome."""
+    """Impute rec's postcode in place from its query nouns if it has none;
+    count the outcome."""
     if rec.postcode:
         return
     report.postcode_missing += 1
-    imputation = impute_postcode(rec, tree, evidence, lexicon)
+    imputation = _postcode_for(nouns, tree, evidence)
     if imputation is None:
         report.postcode_failed += 1
         return
@@ -232,39 +269,62 @@ def fill_postcode(
         report.low_confidence += 1
 
 
-def fill_ad(rec: EnterpriseRecord, tree: AddressTree, lexicon: Lexicon, report: LocationReport) -> None:
+def fill_ad(rec: EnterpriseRecord, nouns: Sequence[str], tree: AddressTree, report: LocationReport) -> None:
     """Give rec, in place, the full address impute_ad assembles from its
-    postcode, unless the address already names those AD levels; skip a
-    record with no postcode; count the outcome."""
+    postcode and query nouns, unless the address already names those AD
+    levels; skip a record with no postcode; count the outcome."""
     if not rec.postcode:
         return
-    loc = impute_ad(rec, tree, lexicon)
-    if loc is None:
+    entries = tree.entries_for_postcode(rec.postcode)
+    if not entries:
         report.ad_failed += 1
-    elif loc.source == SOURCE_ORIGINAL:
+        return
+    full_address = _full_address(rec.address, _choose_entry(rec.postcode, entries, nouns, tree))
+    if full_address is None:
         report.ad_original += 1
+        return
+    if rec.address is None:
+        report.address_filled += 1
+        rec.mark_imputed("address")
     else:
-        if rec.address is None:
-            report.address_filled += 1
-            rec.mark_imputed("address")
-        else:
-            rec.mark_imputed("ad")
-        rec.address = loc.full_address
-        report.ad_assigned += 1
+        rec.mark_imputed("ad")
+    rec.address = full_address
+    report.ad_assigned += 1
 
 
 def impute_locations(
-    records: Sequence[EnterpriseRecord], tree: AddressTree, lexicon: Lexicon
+    records: Sequence[EnterpriseRecord],
+    tree: AddressTree,
+    lexicon: Lexicon,
+    steps: Collection[str] = ("postcode", "ad"),
 ) -> LocationReport:
-    """Fill postcodes then AD info for a whole batch, in place, one record
-    at a time; per-record failures are counted, never raised.
+    """Fill postcodes then AD info for a whole batch, in place; only the
+    steps named, for the single-step commands. Per-record failures are
+    counted, never raised.
 
-    Tie-break evidence is taken from the batch before any record changes
-    and keeps its own copy of the texts, so filling a record cannot change
-    a later record's result."""
-    evidence = PostcodeEvidence.from_records(records, lexicon)
+    One tokenize call gives the nouns of every record that needs them
+    (a repeated noun is harmless: matching reads the set of nouns):
+    all records when postcodes are filled, as queries and as tie-break
+    evidence, else only those whose postcode has several AD paths. Nouns
+    and evidence are taken before any record changes, and a record's
+    steps read only its own fields, so filling a record cannot change
+    another record's result."""
+    import numpy as np
+
+    fill_postcodes, fill_ads = "postcode" in steps, "ad" in steps
+    if fill_postcodes:
+        segmented: Sequence[int] = range(len(records))
+    else:
+        segmented = [i for i, rec in enumerate(records) if len(tree.entries_for_postcode(rec.postcode or "")) > 1]
+    rec_ids, word_ids = _noun_tokens([records[i] for i in segmented], lexicon)
+    rec_ids = np.asarray(segmented, dtype=np.int32)[rec_ids]
+    evidence = PostcodeEvidence([r.postcode for r in records], rec_ids, word_ids, lexicon) if fill_postcodes else None
+    nouns = np.array(lexicon.words, dtype=object)[word_ids].tolist()
+    ends = np.cumsum(np.bincount(rec_ids, minlength=len(records))).tolist()
     report = LocationReport(total=len(records))
-    for rec in records:
-        fill_postcode(rec, tree, evidence, lexicon, report)
-        fill_ad(rec, tree, lexicon, report)
+    for rec, start, end in zip(records, [0, *ends], ends):
+        if fill_postcodes:
+            fill_postcode(rec, nouns[start:end], tree, evidence, report)
+        if fill_ads:
+            fill_ad(rec, nouns[start:end], tree, report)
     return report

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .records import EnterpriseRecord, write_tsv
-from .segmenter import Lexicon, feature_words
+from .segmenter import FEATURE_TAGS, Lexicon, tokenize
 # Unused here: perfbench's tracer patches this name when it installs
 # (ROADMAP item 1), so it stays importable until the tracer drops it.
 from .segmenter import segment  # noqa: F401
@@ -63,7 +63,6 @@ def count_rows(column_lists: Iterable[Iterable[int]], dim: int):
     """CSR matrix whose row r counts each column index of column_lists[r]:
     float64 counts, sorted indices, duplicates summed."""
     import numpy as np
-    from scipy import sparse
 
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -72,9 +71,14 @@ def count_rows(column_lists: Iterable[Iterable[int]], dim: int):
     for row in column_lists:
         columns.extend(row)
         ends.append(len(columns))
-    X = sparse.csr_matrix(
-        (np.ones(len(columns)), np.array(columns, dtype=np.int64), ends), shape=(len(ends) - 1, dim)
-    )
+    return _count_matrix(np.array(columns, dtype=np.int64), ends, dim)
+
+
+def _count_matrix(columns, indptr, dim: int):
+    import numpy as np
+    from scipy import sparse
+
+    X = sparse.csr_matrix((np.ones(len(columns)), columns, indptr), shape=(len(indptr) - 1, dim))
     X.sum_duplicates()  # sorts each row's indices, then adds up repeats
     return X
 
@@ -84,8 +88,18 @@ def hash_rows(word_lists: Iterable[Iterable[str]], dim: int = DEFAULT_DIM):
     return count_rows(([hash_index(w, dim) for w in words] for words in word_lists), dim)
 
 
-def vectorize_names(names: Iterable[str], lexicon: Lexicon, dim: int = DEFAULT_DIM):
-    return hash_rows((feature_words(name, lexicon) for name in names), dim)
+def vectorize_names(names: Sequence[str], lexicon: Lexicon, dim: int = DEFAULT_DIM):
+    """hash_rows of each name's feature_words, from one tokenize call and
+    one hash_index per distinct word id."""
+    import numpy as np
+
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    text_ids, word_ids, _ = tokenize(names, lexicon, FEATURE_TAGS)
+    used, inverse = np.unique(word_ids, return_inverse=True)
+    table = np.array([hash_index(lexicon.words[w], dim) for w in used.tolist()], dtype=np.int64)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(text_ids, minlength=len(names)))))
+    return _count_matrix(table[inverse], indptr, dim)
 
 
 def vectorize_name(name: str, lexicon: Lexicon, dim: int = DEFAULT_DIM):

@@ -279,3 +279,36 @@ def test_match_within_postcode_is_oracle_filtered(data, small_world):
     postcode = data.draw(st.sampled_from(codes))
     expected = [r for r in oracle_match(nouns, tree) if r.entry.postcode == postcode]
     assert match(nouns, tree, postcode=postcode) == expected
+
+
+# level names nested in one another, one name at two levels of an entry,
+# and entries with empty levels
+NESTED = [
+    PostcodeEntry("湖北省", "武汉市", "江岸区", "南京路", "430014"),
+    PostcodeEntry("湖北省", "武汉", "", "南京路", "430015"),
+    PostcodeEntry("湖北", "", "", "", "430000"),
+    PostcodeEntry("广东省", "东莞市", "东莞市", "中山路", "523000"),
+    PostcodeEntry("广东省", "广州市", "越秀", "越秀区", "510031"),
+    PostcodeEntry("江苏省", "南京市", "南京", "", "210000"),
+    PostcodeEntry("江苏省", "南京市", "南京", "中山路", "210001"),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_nested_names_and_empty_levels_equal_oracle(data):
+    tree = build(NESTED)
+    names = sorted({name for entry in NESTED for _, name in entry.levels()})
+    part = st.sampled_from(names).flatmap(
+        lambda name: st.tuples(st.integers(0, len(name)), st.integers(0, len(name))).map(
+            lambda ij: name[min(ij):max(ij)]
+        )
+    )
+    joined = st.tuples(st.sampled_from(names), st.sampled_from(names)).map("".join)
+    nouns = data.draw(st.lists(st.one_of(st.sampled_from(names), part, joined), max_size=5))
+    assert match(nouns, tree) == oracle_match(nouns, tree)
+    assert best_postcodes(nouns, tree) == oracle_best(nouns, tree)
+    postcode = data.draw(st.sampled_from(sorted(tree.postcodes())))
+    assert match(nouns, tree, postcode=postcode) == [
+        r for r in oracle_match(nouns, tree) if r.entry.postcode == postcode
+    ]

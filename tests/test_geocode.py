@@ -5,6 +5,7 @@ from datetime import date
 
 import pytest
 
+from regimpute import geocode
 from regimpute.geocode import (
     ApiKey,
     GeocodeResult,
@@ -91,6 +92,17 @@ class TestMockProvider:
 
     def test_empty_address_no_result(self):
         assert MockGeocoder().geocode("") is None
+
+    def test_ad_prefix_hashed_once(self, monkeypatch):
+        calls = []
+        real = geocode.fnv1a_64
+        monkeypatch.setattr(geocode, "fnv1a_64", lambda data: calls.append(data) or real(data))
+        mock = MockGeocoder()
+        first = mock.geocode("前缀缓存省前缀缓存市 南京路16号")
+        again = mock.geocode("前缀缓存省前缀缓存市 南京路16号")
+        other = mock.geocode("前缀缓存省前缀缓存市 中山路4号")
+        assert calls.count("前缀缓存省前缀缓存市".encode("utf-8")) == 1
+        assert first == again != other
 
     def test_ambiguity_filter(self):
         mock = MockGeocoder(ambiguity_filter=ad_prefix_filter({"okprefix"}))

@@ -3,12 +3,13 @@ from __future__ import annotations
 import copy
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from regimpute import locimpute
-from regimpute.gazetteer import PostcodeEntry, build
+from regimpute.gazetteer import PostcodeEntry, best_postcodes, build
 from regimpute.locimpute import (
     PostcodeEvidence,
     extract_query_nouns,
@@ -73,6 +74,8 @@ def test_extract_query_nouns_spans_three_fields(demo_lexicon):
         data_source="2004年注册_湖北",
     )
     assert extract_query_nouns(rec, demo_lexicon) == ["湖北", "南京路", "武汉"]
+    repeats = EnterpriseRecord(id="2", name="武汉物业", address="武汉南京路武汉", data_source="湖北_武汉")
+    assert extract_query_nouns(repeats, demo_lexicon) == ["湖北", "武汉", "南京路"]
 
 
 def test_unique_match_source_vsm(demo_tree, demo_lexicon, no_evidence):
@@ -128,23 +131,21 @@ def test_lazy_evidence_matches_eager_counts(small_corpus, small_world):
             assert evidence.count_with(postcode, query) == want, (postcode, query)
 
 
-def test_evidence_segments_only_postcodes_asked_about(demo_lexicon, monkeypatch):
-    corpus = [
-        EnterpriseRecord(id="c1", address="南京路1号", name="武汉", postcode="430014"),
-        EnterpriseRecord(id="c2", address="南京路2号", postcode="430014"),
-        EnterpriseRecord(id="c3", address="中山路3号", data_source="广东", postcode="510030"),
-        EnterpriseRecord(id="c4", address="南京路4号"),
-    ]
-    segmented = []
-    real = locimpute.address_nouns
-    monkeypatch.setattr(locimpute, "address_nouns", lambda text, lex: segmented.append(text) or real(text, lex))
-    evidence = PostcodeEvidence.from_records(corpus, demo_lexicon)
-    assert segmented == []
-    assert evidence.count_with("430014", frozenset({"南京路"})) == 2
-    assert segmented == ["南京路1号", "武汉", "南京路2号"]
-    assert evidence.count_with("430014", frozenset({"武汉"})) == 1
-    assert evidence.count_with("999999", frozenset({"南京路"})) == 0
-    assert len(segmented) == 3  # cached per postcode; 510030 never segmented
+def test_impute_locations_makes_one_kernel_call_per_batch(small_world, small_corpus, monkeypatch):
+    records, _ = small_corpus
+    tree = build([replace(e, postcode=f"{i % 40:06d}") for i, e in enumerate(small_world.gazetteer)])
+    batches = []
+    real = locimpute.tokenize
+    monkeypatch.setattr(locimpute, "tokenize", lambda texts, *a: batches.append(len(texts)) or real(texts, *a))
+    impute_locations(copy.deepcopy(records), tree, small_world.lexicon, steps=("postcode",))
+    assert batches == [3 * len(records)]
+    impute_locations(copy.deepcopy(records), tree, small_world.lexicon)
+    assert batches[1:] == [3 * len(records)]
+    # AD alone segments only the records whose postcode has several paths
+    for rec in records[:50]:
+        rec.postcode = "000001"
+    impute_locations(records, tree, small_world.lexicon, steps=("ad",))
+    assert batches[2:] == [3 * 50]
 
 
 def test_tie_without_evidence_low_confidence(demo_tree, demo_lexicon, no_evidence):
@@ -266,6 +267,48 @@ def test_impute_locations_failed_records_counted(small_world):
     assert report.postcode_failed == 1
     assert report.ad_failed == 1
     assert report.postcode_filled == 0
+
+
+def reference_impute_locations(records, tree, lexicon):
+    """The per-record loop: each record's nouns segmented on their own,
+    evidence noun sets taken before any record changes, then postcode and
+    AD filled one record at a time."""
+    evidence = {}
+    for rec in records:
+        if rec.postcode:
+            evidence.setdefault(rec.postcode, []).append(frozenset(extract_query_nouns(rec, lexicon)))
+    filled = 0
+    for rec in records:
+        if not rec.postcode:
+            nouns = extract_query_nouns(rec, lexicon)
+            tied = best_postcodes(nouns, tree) if nouns else ()
+            if tied:
+                counts = {p: sum(1 for s in evidence.get(p, ()) if set(nouns) <= s) for p in tied}
+                rec.postcode = select_tied_postcode(counts) if sum(counts.values()) else tied[0]
+                rec.mark_imputed("postcode")
+                filled += 1
+        if rec.postcode:
+            loc = impute_ad(rec, tree, lexicon)
+            if loc is not None and loc.source != "original":
+                rec.mark_imputed("address" if rec.address is None else "ad")
+                rec.address = loc.full_address
+    return filled
+
+
+@pytest.mark.parametrize("shared_postcodes", [False, True])
+def test_impute_locations_equals_per_record_loop(small_world, small_corpus, shared_postcodes):
+    records, _ = small_corpus
+    entries = small_world.gazetteer
+    if shared_postcodes:  # ties and several AD paths per postcode
+        entries = [replace(e, postcode=f"{i % 40:06d}") for i, e in enumerate(entries)]
+    tree = build(entries)
+    want = copy.deepcopy(records)
+    filled = reference_impute_locations(want, tree, small_world.lexicon)
+    report = impute_locations(records, tree, small_world.lexicon)
+    assert records == want
+    assert report.postcode_filled == filled > 0
+    if shared_postcodes:
+        assert report.postcode_sources["tiebreak"] > 0
 
 
 def test_more_nouns_never_lower_top_degree(small_world, small_tree):

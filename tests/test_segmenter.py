@@ -1,9 +1,21 @@
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import random
 
-from regimpute.segmenter import POS_TAGS, Lexicon, address_nouns, feature_words, fmm, segment
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from regimpute import segmenter
+from regimpute.segmenter import (
+    POS_TAGS,
+    Lexicon,
+    address_nouns,
+    feature_words,
+    segment,
+    segment_texts,
+    tokenize,
+    word_lists,
+)
 
 
 @pytest.fixture()
@@ -67,8 +79,10 @@ def reference_fmm(text, entries):
     return triples
 
 
-# regex metacharacters, Latin letters and CJK; z, 1 and 号 are in no word
-ALPHABET = "ab.*|()[]\\^$+?武汉市"
+# regex metacharacters, Latin letters, CJK, NUL and a code point past the
+# BMP; z, 1, 号 and the emoji are in no word
+ALPHABET = "ab.*|()[]\\^$+?武汉市\x00𝄞"
+TEXT_ALPHABET = ALPHABET + "z1号😀"
 
 
 @st.composite
@@ -82,17 +96,74 @@ def lexicons(draw):
 
 
 @settings(max_examples=300)
-@given(lexicons(), st.text(alphabet=ALPHABET + "z1号", max_size=40))
+@given(lexicons(), st.text(alphabet=TEXT_ALPHABET, max_size=40))
 def test_kernel_and_its_callers_match_reference_fmm(entries, text):
     lexicon = Lexicon(entries)
     want = reference_fmm(text, entries)
-    assert fmm(text, lexicon) == [surface for surface, _, _ in want]
     tokens = segment(text, lexicon)
     assert [(t.surface, t.pos, t.span) for t in tokens] == want
     assert "".join(t.surface for t in tokens) == text
     assert [t.span[0] for t in tokens] == [0, *(t.span[1] for t in tokens)][: len(tokens)]
     assert feature_words(text, lexicon) == [s for s, tag, _ in want if tag in ("n", "v", "vn")]
     assert address_nouns(text, lexicon) == list(dict.fromkeys(s for s, tag, _ in want if tag == "ns"))
+
+
+def tokens_by_text(texts, lexicon, tags=None):
+    """tokenize's output as each text's (surface, is a word, start) triples."""
+    out = [[] for _ in texts]
+    for t, w, s in zip(*(a.tolist() for a in tokenize(texts, lexicon, tags))):
+        out[t].append((lexicon.words[w] if w >= 0 else texts[t][s], w >= 0, s))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lexicons(),
+    st.lists(st.one_of(st.just(""), st.text(alphabet=TEXT_ALPHABET, max_size=30)), max_size=8),
+    st.one_of(st.none(), st.sets(st.sampled_from(POS_TAGS))),
+)
+# a word with NUL in it, and texts that would spell it across their boundary
+@example({"a\x00b": "n", "a": "ns"}, ["a", "b", "a\x00b", ""], None)
+def test_batch_tokenize_equals_reference_fmm_text_by_text(entries, texts, tags):
+    lexicon = Lexicon(entries)
+    want = [
+        [(surface, surface in entries, span[0]) for surface, tag, span in reference_fmm(text, entries)
+         if tags is None or tag in tags]
+        for text in texts
+    ]
+    assert tokens_by_text(texts, lexicon, tags) == want
+    if tags is not None:
+        assert word_lists(texts, lexicon, tags) == [[s for s, is_word, _ in ts if is_word] for ts in want]
+
+
+def test_tokenize_packed_keys_past_63_bits():
+    # 4,096 word characters (past the BMP) take 13 bits each, so a packed
+    # 6-character key would need 78 bits
+    chars = [chr(0x20000 + i) for i in range(4096)]
+    rng = random.Random(5)
+    words = {"".join(chars[i:i + 6]) for i in range(0, 4096, 6)}
+    words |= {w[:k] for w in rng.sample(sorted(words), 40) for k in (1, 3, 5)}
+    words.add("".join(chars[:7]))
+    entries = {w: rng.choice(POS_TAGS) for w in words}
+    lexicon = Lexicon(entries)
+    pieces = sorted(words) + chars[:50] + ["\x00", "z"]
+    texts = ["".join(rng.choice(pieces) for _ in range(rng.randrange(12))) for _ in range(30)]
+    want = [[(s, s in entries, span[0]) for s, _, span in reference_fmm(text, entries)] for text in texts]
+    assert tokens_by_text(texts, lexicon) == want
+    assert any(len(s) >= 6 for ts in want for s, _, _ in ts)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_chunk_size_leaves_tokens_unchanged(demo_lexicon, monkeypatch, chunk):
+    texts = ["", "湖北省武汉市江岸区南京路16号", "武汉物业管理有限公司", "", "x", "武汉", "南京路物业管理武汉市"] * 3
+    want = [[a.tolist() for a in tokenize(texts, demo_lexicon, tags)] for tags in (None, {"ns"})]
+    monkeypatch.setattr(segmenter, "CHUNK", chunk)
+    assert [[a.tolist() for a in tokenize(texts, demo_lexicon, tags)] for tags in (None, {"ns"})] == want
+
+
+def test_segment_texts_is_segment_per_text(demo_lexicon):
+    texts = ["武汉***物业管理有限公司", "", "湖北省武汉市江岸区南京路16号"]
+    assert segment_texts(texts, demo_lexicon) == [segment(text, demo_lexicon) for text in texts]
 
 
 def test_determinism(demo_lexicon):
