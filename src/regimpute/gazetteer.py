@@ -102,16 +102,17 @@ class AddressTree:
         self.entries: tuple[PostcodeEntry, ...] = tuple(
             sorted(set(entries), key=lambda e: (e.path(), e.postcode))
         )
-        by_postcode: dict[str, list[PostcodeEntry]] = {}
+        by_postcode: dict[str, list[int]] = {}
         # level name -> (entry index, level bit) of each level carrying it
         self._by_name: dict[str, list[tuple[int, int]]] = {}
         present = []
         for idx, entry in enumerate(self.entries):
-            by_postcode.setdefault(entry.postcode, []).append(entry)
+            by_postcode.setdefault(entry.postcode, []).append(idx)
             for level, name in entry.levels():
                 self._by_name.setdefault(name, []).append((idx, LEVEL_WEIGHTS[level]))
             present.append(sum(LEVEL_WEIGHTS[level] for level, _ in entry.levels()))
-        self._by_postcode = {p: tuple(group) for p, group in by_postcode.items()}
+        self._by_postcode = {p: tuple(self.entries[i] for i in group) for p, group in by_postcode.items()}
+        self._postcode_idx = {p: np.array(group, dtype=np.int64) for p, group in by_postcode.items()}
         self._present = np.array(present, dtype=np.int64)
         self._noun_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._best_cache: dict[frozenset[str], tuple[str, ...]] = {}
@@ -143,17 +144,22 @@ class AddressTree:
             )
         return cached
 
-    def _matched(self, nouns: frozenset[str]) -> tuple[np.ndarray, np.ndarray]:
+    def _matched(self, nouns: frozenset[str], among: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Ascending indices of the entries that the nouns, all non-empty,
-        match, and each one's matched weight: the OR of the nouns' masks."""
+        match, and each one's matched weight: the OR of the nouns' masks.
+        Only entries in among (ascending, non-empty) when it is given."""
         import numpy as np
 
-        weight = np.zeros(len(self.entries), dtype=np.int64)
+        weight = np.zeros(len(self.entries) if among is None else among.size, dtype=np.int64)
         for noun in nouns:
             idx, mask = self._noun_masks(noun)
+            if among is not None:  # positions in among of the entries it holds
+                at = np.searchsorted(among, idx)
+                inside = among[np.minimum(at, among.size - 1)] == idx
+                idx, mask = at[inside], mask[inside]
             weight[idx] |= mask
-        idx = np.flatnonzero(weight)
-        return idx, weight[idx]
+        at = np.flatnonzero(weight)
+        return (at if among is None else among[at]), weight[at]
 
 
 def build(entries: Iterable[PostcodeEntry]) -> AddressTree:
@@ -173,12 +179,14 @@ def match(nouns: Sequence[str], tree: AddressTree, postcode: str | None = None) 
     entries of `postcode` when it is given.
 
     Ordering is degree descending, then postcode ascending, then path."""
-    idx, weight = tree._matched(frozenset(n for n in nouns if n))
+    among = None if postcode is None else tree._postcode_idx.get(postcode)
+    if postcode is not None and among is None:
+        return []
+    idx, weight = tree._matched(frozenset(n for n in nouns if n), among)
     present = tree._present
     results = [
         MatchResult(tree.entries[i], _MASK_LEVELS[w], w, int(present[i]))
         for i, w in zip(idx.tolist(), weight.tolist())
-        if postcode is None or tree.entries[i].postcode == postcode
     ]
     results.sort(key=lambda r: (
         -_degree_key(r.matched_weight, r.present_weight), r.entry.postcode, r.entry.path()

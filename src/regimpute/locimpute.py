@@ -30,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Mapping, Sequence
 
-from .gazetteer import AddressTree, PostcodeEntry, best_postcodes, match
+from .gazetteer import AddressTree, best_postcodes, match
 from .records import EnterpriseRecord, write_tsv
 from .segmenter import ADDRESS_TAGS, Lexicon, tokenize
 # Unused here: perfbench's tracer patches these names when it installs
@@ -47,7 +47,7 @@ SOURCE_VSM = "vsm-match"
 SOURCE_TIEBREAK = "tiebreak"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImputedLocation:
     province: str
     city: str
@@ -82,9 +82,10 @@ def _noun_tokens(records: Sequence[EnterpriseRecord], lexicon: Lexicon) -> tuple
 class PostcodeEvidence:
     """Address nouns of postcode-bearing records, grouped by postcode.
 
-    Built once, from the (record index, word id) pairs of _noun_tokens,
-    ordered by the record's postcode and then by record: each postcode's
-    rows are one slice, and count_with is a reduction over that slice."""
+    Built once, from the (record index, word id) pairs of _noun_tokens: the
+    distinct pairs, ordered by the record's postcode and then by record.
+    Each postcode's pairs are one slice, and count_with is a reduction over
+    that slice."""
 
     def __init__(self, postcodes: Sequence[str | None], rec_ids: np.ndarray, word_ids: np.ndarray,
                  lexicon: Lexicon):
@@ -93,11 +94,16 @@ class PostcodeEvidence:
         rows = Counter(p for p in postcodes if p)
         codes = sorted(rows)
         code_of = {p: i for i, p in enumerate(codes)}
-        token_code = np.array([code_of.get(p, -1) for p in postcodes], dtype=np.int32)[rec_ids]
-        kept = np.flatnonzero(token_code >= 0)
-        order = kept[np.argsort(token_code[kept], kind="stable")]
-        self._rec, self._word = rec_ids[order], word_ids[order]
-        bounds = np.searchsorted(token_code[order], np.arange(len(codes) + 1)).tolist()
+        # each record's rank in postcode order (records with none last), so
+        # one sort orders the pairs by postcode and record
+        rank = np.empty(len(postcodes), dtype=np.int64)
+        rank[np.argsort([code_of.get(p, len(codes)) for p in postcodes], kind="stable")] = np.arange(len(postcodes))
+        n_words = max(len(lexicon.words), 1)
+        pairs = np.sort(rank[rec_ids] * n_words + word_ids)
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # each pair once
+        self._rec, self._word = (pairs // n_words).astype(np.int32), (pairs % n_words).astype(np.int32)
+        first_rank = np.cumsum([0] + [rows[p] for p in codes])
+        bounds = np.searchsorted(self._rec, first_rank).tolist()
         # postcode -> (row count, start and end of its pairs)
         self._spans = {p: (rows[p], bounds[i], bounds[i + 1]) for i, p in enumerate(codes)}
         self._words = lexicon.words
@@ -122,11 +128,11 @@ class PostcodeEvidence:
         hit = word == ids[0]
         for i in ids[1:]:
             hit |= word == i
-        # the records holding query nouns, ascending, each once per distinct
-        # noun it holds: a record holds all k nouns iff it fills a run of k
-        held = np.unique(self._rec[start:end][hit].astype(np.int64) * len(words) + word[hit]) // len(words)
-        k = len(ids)
-        return int(np.count_nonzero(held[k - 1:] == held[: held.size - k + 1]))
+        # the records holding query nouns, ascending, each once per noun it
+        # holds: a record holds all k nouns iff it is still there k - 1
+        # places after its first place
+        held, k = self._rec[start:end][hit], len(ids)
+        return int(np.count_nonzero(held[k - 1:] == held[: held.size - k + 1])) if held.size >= k else 0
 
 
 def tie_break_probabilities(counts: Sequence[int]) -> list[Fraction]:
@@ -171,45 +177,38 @@ def _postcode_for(nouns: Sequence[str], tree: AddressTree, evidence: PostcodeEvi
 
 
 def impute_ad(
-    record: EnterpriseRecord, tree: AddressTree, lexicon: Lexicon | None = None
+    record: EnterpriseRecord,
+    tree: AddressTree,
+    lexicon: Lexicon | None = None,
+    nouns: Sequence[str] | None = None,
 ) -> ImputedLocation | None:
     """AD levels for a record's postcode; None when the postcode is unknown
-    to the tree (caller flags the record)."""
+    to the tree (caller flags the record). When the postcode has several AD
+    paths, the record's query nouns pick one: nouns when given, else those
+    extract_query_nouns finds with lexicon; with neither, the first path."""
     if not record.postcode:
         raise ValueError(f"record {record.id} has no postcode")
     entries = tree.entries_for_postcode(record.postcode)
     if not entries:
         return None
-    nouns = extract_query_nouns(record, lexicon) if len(entries) > 1 and lexicon is not None else []
-    chosen = _choose_entry(record.postcode, entries, nouns, tree)
-    full_address = _full_address(record.address, chosen)
-    return ImputedLocation(
-        chosen.province, chosen.city, chosen.county, chosen.street,
-        record.address if full_address is None else full_address,
-        SOURCE_ORIGINAL if full_address is None else SOURCE_POSTCODE_LOOKUP,
-    )
-
-
-def _choose_entry(
-    postcode: str, entries: Sequence[PostcodeEntry], nouns: Sequence[str], tree: AddressTree
-) -> PostcodeEntry:
-    """Of a postcode's entries, the best own-noun degree, ties to the first
-    path: match orders one postcode's entries that way, and an entry it does
-    not return matches no noun, so path-sorted entries[0] is the fallback."""
-    if len(entries) > 1:
-        ranked = match(nouns, tree, postcode=postcode)
+    chosen = entries[0]
+    if len(entries) > 1 and nouns is None and lexicon is not None:
+        nouns = extract_query_nouns(record, lexicon)
+    if len(entries) > 1 and nouns:
+        # Best own-noun degree wins, ties to the first path: match orders
+        # one postcode's entries that way, and an entry it does not return
+        # matches no noun, so path-sorted entries[0] is the fallback.
+        ranked = match(nouns, tree, postcode=record.postcode)
         if ranked:
-            return ranked[0].entry
-    return entries[0]
-
-
-def _full_address(address: str | None, entry: PostcodeEntry) -> str | None:
-    """"<prefix> <street part>" from entry's AD prefix and the address (the
-    entry's street when there is none); None when the address already names
-    the entry's province, city and county (an empty level is named by any)."""
-    if address and entry.province in address and entry.city in address and entry.county in address:
-        return None
-    return f"{entry.province}{entry.city}{entry.county} {address or entry.street}"
+            chosen = ranked[0].entry
+    address = record.address
+    # an empty level is named by any address
+    if address and chosen.province in address and chosen.city in address and chosen.county in address:
+        full_address, source = address, SOURCE_ORIGINAL
+    else:
+        full_address = f"{chosen.province}{chosen.city}{chosen.county} {address or chosen.street}"
+        source = SOURCE_POSTCODE_LOOKUP
+    return ImputedLocation(chosen.province, chosen.city, chosen.county, chosen.street, full_address, source)
 
 
 @dataclass
@@ -275,21 +274,19 @@ def fill_ad(rec: EnterpriseRecord, nouns: Sequence[str], tree: AddressTree, repo
     levels; skip a record with no postcode; count the outcome."""
     if not rec.postcode:
         return
-    entries = tree.entries_for_postcode(rec.postcode)
-    if not entries:
+    loc = impute_ad(rec, tree, nouns=nouns)
+    if loc is None:
         report.ad_failed += 1
-        return
-    full_address = _full_address(rec.address, _choose_entry(rec.postcode, entries, nouns, tree))
-    if full_address is None:
+    elif loc.source == SOURCE_ORIGINAL:
         report.ad_original += 1
-        return
-    if rec.address is None:
-        report.address_filled += 1
-        rec.mark_imputed("address")
     else:
-        rec.mark_imputed("ad")
-    rec.address = full_address
-    report.ad_assigned += 1
+        if rec.address is None:
+            report.address_filled += 1
+            rec.mark_imputed("address")
+        else:
+            rec.mark_imputed("ad")
+        rec.address = loc.full_address
+        report.ad_assigned += 1
 
 
 def impute_locations(

@@ -171,24 +171,30 @@ def tokenize(texts: Sequence[str], lexicon: Lexicon, tags: Collection[str] | Non
 
     tables = lexicon.tables()
     keep = None if tags is None else np.isin(tables.word_tag, [POS_TAGS.index(t) for t in tags])
-    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    run_ends = np.cumsum(lengths + 1)  # layout offset just past each text's separator
-    parts = []
-    first = 0
-    while first < len(texts):
+    # layout offset just past each text's separator, batch-wide, for the
+    # runs' bounds only: it is freed before the runs start, so the runs'
+    # arrays reuse its memory instead of leaving it a hole under their results
+    run_ends = np.cumsum(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)) + 1)
+    bounds = [0]
+    while bounds[-1] < len(texts):
+        first = bounds[-1]
         offset = int(run_ends[first - 1]) if first else 0
-        last = max(first + 1, int(np.searchsorted(run_ends, offset + CHUNK, side="right")))
-        parts.append(_tokenize_run(texts[first:last], lengths[first:last], first, lexicon.max_len, tables, keep))
-        first = last
+        bounds.append(max(first + 1, int(np.searchsorted(run_ends, offset + CHUNK, side="right"))))
+    del run_ends
+    parts = [
+        _tokenize_run(texts[first:last], first, lexicon.max_len, tables, keep)
+        for first, last in zip(bounds, bounds[1:])
+    ]
     if not parts:
         return np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0, np.int32)
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _tokenize_run(texts, lengths, first: int, max_len: int, tables: _Tables, keep) -> tuple:
+def _tokenize_run(texts, first: int, max_len: int, tables: _Tables, keep) -> tuple:
     """tokenize's arrays for texts, the batch's texts from index first on."""
     import numpy as np
 
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     # 1. codes, a separator after each text and max_len - 1 more as padding,
     #    so the trie walk can read max_len codes from any position
     starts = np.cumsum(lengths + 1) - lengths - 1

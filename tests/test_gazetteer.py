@@ -308,7 +308,7 @@ def test_nested_names_and_empty_levels_equal_oracle(data):
     nouns = data.draw(st.lists(st.one_of(st.sampled_from(names), part, joined), max_size=5))
     assert match(nouns, tree) == oracle_match(nouns, tree)
     assert best_postcodes(nouns, tree) == oracle_best(nouns, tree)
-    postcode = data.draw(st.sampled_from(sorted(tree.postcodes())))
+    postcode = data.draw(st.sampled_from(sorted(tree.postcodes()) + ["999999"]))  # and one unknown
     assert match(nouns, tree, postcode=postcode) == [
         r for r in oracle_match(nouns, tree) if r.entry.postcode == postcode
     ]

@@ -124,11 +124,30 @@ def test_lazy_evidence_matches_eager_counts(small_corpus, small_world):
             eager.setdefault(rec.postcode, []).append(frozenset(extract_query_nouns(rec, lexicon)))
     queries = {frozenset(extract_query_nouns(rec, lexicon)) for rec in records}
     queries |= {frozenset({noun}) for q in queries for noun in q}
+    # unions of two records' nouns: more nouns than most records hold
+    ordered = sorted(queries, key=sorted)
+    queries |= {a | b for a, b in zip(ordered, ordered[1:])}
     evidence = PostcodeEvidence.from_records(records, lexicon)
     for postcode in sorted(eager) + ["000000"]:
         for query in queries:
             want = sum(1 for nouns in eager.get(postcode, ()) if query <= nouns)
             assert evidence.count_with(postcode, query) == want, (postcode, query)
+
+
+def test_count_with_query_has_more_nouns_than_any_record():
+    lexicon = Lexicon({word: "ns" for word in ("甲路", "乙路", "丙路", "丁路", "戊路")})
+    corpus = [
+        EnterpriseRecord(id="a", address="甲路乙路", postcode="100000"),
+        EnterpriseRecord(id="b", address="丙路", postcode="100000"),
+        EnterpriseRecord(id="c", address="甲路乙路丙路", postcode="200000"),
+    ]
+    evidence = PostcodeEvidence.from_records(corpus, lexicon)
+    # five query nouns; the postcode's records hold three between them
+    assert evidence.count_with("100000", frozenset(lexicon.words)) == 0
+    assert evidence.count_with("100000", frozenset({"甲路", "乙路", "丙路"})) == 0
+    assert evidence.count_with("200000", frozenset({"甲路", "乙路", "丙路"})) == 1
+    assert evidence.count_with("100000", frozenset({"甲路", "乙路"})) == 1
+    assert evidence.count_with("100000", frozenset({"丙路"})) == 1
 
 
 def test_impute_locations_makes_one_kernel_call_per_batch(small_world, small_corpus, monkeypatch):
@@ -269,6 +288,14 @@ def test_impute_locations_failed_records_counted(small_world):
     assert report.postcode_filled == 0
 
 
+def _own_degree(entry, nouns):
+    levels = dict(zip(("province", "city", "county", "street"), (8, 4, 2, 1)))
+    present = {level: w for level, w in levels.items() if getattr(entry, level)}
+    matched = [w for level, w in present.items()
+               if any(n in getattr(entry, level) or getattr(entry, level) in n for n in nouns)]
+    return Fraction(sum(matched), sum(present.values()))
+
+
 def reference_impute_locations(records, tree, lexicon):
     """The per-record loop: each record's nouns segmented on their own,
     evidence noun sets taken before any record changes, then postcode and
@@ -287,11 +314,16 @@ def reference_impute_locations(records, tree, lexicon):
                 rec.postcode = select_tied_postcode(counts) if sum(counts.values()) else tied[0]
                 rec.mark_imputed("postcode")
                 filled += 1
-        if rec.postcode:
-            loc = impute_ad(rec, tree, lexicon)
-            if loc is not None and loc.source != "original":
+        entries = tree.entries_for_postcode(rec.postcode or "")
+        if entries:
+            # the best own-noun match among the postcode's paths, ties and
+            # no match to the first path
+            nouns = set(extract_query_nouns(rec, lexicon))
+            chosen = min(entries, key=lambda e: (-_own_degree(e, nouns), e.path()))
+            prefix = [chosen.province, chosen.city, chosen.county]
+            if not (rec.address and all(name in rec.address for name in prefix)):
                 rec.mark_imputed("address" if rec.address is None else "ad")
-                rec.address = loc.full_address
+                rec.address = f"{''.join(prefix)} {rec.address or chosen.street}"
     return filled
 
 
