@@ -51,8 +51,8 @@ def train(
 ) -> TrainedModel:
     """Method-dispatching trainer used by the CLI and the evaluation harness.
 
-    Only Naive Bayes forks: its counts split across `workers` processes.
-    The other methods train in-process and ignore `workers`."""
+    Only Naive Bayes uses `workers`: its counts split across that many
+    threads. The other methods train on one thread and ignore it."""
     params = dict(params or {})
     if method == "naive_bayes":
         return train_nb(X, labels, workers=workers, classes=classes, **params)

@@ -17,6 +17,7 @@ are found once per training run.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -100,10 +101,10 @@ def train_lr(
     classes, y = check_training_data(X, labels, classes)
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    if l2 < 0:
-        raise ValueError("l2 must be >= 0")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError("step must be finite and > 0")
+    if not (math.isfinite(l2) and l2 >= 0):
+        raise ValueError("l2 must be finite and >= 0")
     columns, active = active_columns(X)
     rows = _rows(active, y)
     W = np.zeros((len(classes), len(columns)))

@@ -8,8 +8,8 @@ exact rather than approximate. A partition's table is one sparse product
 of its class one-hot matrix with its rows of X; every sum in it is a sum
 of integer counts below 2**53, so the float64 product is exact and casts
 to int64 without loss. train_nb counts one contiguous row range per
-worker, each in a forked process when workers > 1; it is the package's
-only training path that forks.
+worker, each in its own thread when workers > 1; the product releases the
+GIL, so the ranges are counted at once.
 
 Smoothing uses a single Laplace constant alpha for both the feature
 likelihoods, log((count(c,j)+alpha)/(total_c+alpha*dim)), and the class
@@ -19,6 +19,7 @@ finite and the prior vector normalized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -66,11 +67,11 @@ def train_nb(
     workers: int = 1,
     classes: Sequence[str] | None = None,
 ) -> TrainedModel:
-    """Fit multinomial NB on one row range per worker, counted in forked
-    processes when workers > 1."""
+    """Fit multinomial NB on one row range per worker, counted in
+    threads when workers > 1."""
     classes, y = check_training_data(X, labels, classes)
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be finite and > 0")
     k, dim = len(classes), X.shape[1]
     parts = split(range(X.shape[0]), workers)
     stats = merge_stats(map_partitions(parts, lambda rows: partial_stats(X, y, k, rows), workers))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import classify, evaluate, gazetteer, geocode, locimpute, spatial
 from .records import GroundTruth, MissingnessReport, ingest, missingness, tsv_line, write_records, write_tsv
-from .segmenter import ADDRESS_TAGS, Lexicon, segment_texts, word_lists
+from .segmenter import Lexicon, segment_texts
 from .synth import SynthConfig, synth, synth_labeled_points, synth_world
 from .vectorizer import DEFAULT_DIM, build_labeled, vectorize_names, write_vectors
 
@@ -40,6 +41,14 @@ class ConfigError(Exception):
 
 class StageError(Exception):
     pass
+
+
+# numeric config key -> (lower bound, whether the bound itself is excluded);
+# every value must also be finite
+_LOWER_BOUNDS = {
+    "workers": (1, False), "dim": (1, False), "iters": (1, False),
+    "step": (0, True), "l2": (0, False), "alpha": (0, True), "rate": (0, False),
+}
 
 
 @dataclass
@@ -93,8 +102,10 @@ class PipelineConfig:
                     raise ConfigError(f"bad value for {key}: {value!r}") from exc
         if config.method not in classify.model.METHODS:
             raise ConfigError(f"unknown method {config.method!r}")
-        if config.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {config.workers}")
+        for key, (low, strict) in _LOWER_BOUNDS.items():
+            value = getattr(config, key)
+            if not (math.isfinite(value) and (value > low if strict else value >= low)):
+                raise ConfigError(f"{key} must be {'>' if strict else '>='} {low}, got {value}")
         return config
 
 
@@ -296,13 +307,7 @@ def cmd_validate_gazetteer(args) -> int:
     entries, _ = gazetteer.read_gazetteer(_require_file(args.gazetteer, "gazetteer"))
     tree = gazetteer.build(entries)
     lexicon = Lexicon.from_tsv(_require_file(args.lexicon, "lexicon"))
-    records = _load_records(args.corpus)
-    # validate() expects complete-AD records; an address that yields fewer
-    # than three address nouns is street-only or coarser and is screened out
-    located = [r for r in records if r.postcode and r.address]
-    nouns = word_lists([r.address for r in located], lexicon, ADDRESS_TAGS)
-    complete = [r for r, words in zip(located, nouns) if len(set(words)) >= 3]
-    report = gazetteer.validate(tree, complete, lexicon)
+    report = gazetteer.validate(tree, _load_records(args.corpus), lexicon)
     print(f"evaluated\t{report.evaluated}")
     print(f"match_rate\t{report.match_rate:.4f}")
     print(f"presence_rate\t{report.presence_rate:.4f}")

@@ -2,10 +2,12 @@
 
 Accuracy is micro accuracy (confusion-matrix trace over total) and the
 per-class figure is recall. Wall-times wrap the train/predict calls only,
-on the monotonic clock; optional allocation peaks come from tracemalloc.
-The speed-up ratio at w workers is time(1 worker) / time(w workers). Only
-Naive Bayes forks its training across workers (one partition each); the
-other methods train in-process, so their curve is flat by construction.
+on the monotonic clock; optional allocation peaks come from tracemalloc
+and include the allocations of Naive Bayes' counting threads. The
+speed-up ratio at w workers is time(1 worker) / time(w workers). Only
+Naive Bayes splits its training across workers (one thread per row
+range); the other methods train on one thread, so their curve is flat by
+construction.
 """
 
 from __future__ import annotations

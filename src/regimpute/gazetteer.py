@@ -221,11 +221,16 @@ class CoverageReport:
 def validate(
     tree: AddressTree, records: Sequence[EnterpriseRecord], lexicon: Lexicon
 ) -> CoverageReport:
-    """Check the tree against records that carry both AD text and postcode."""
-    checked = [rec for rec in records if rec.address and rec.postcode]
-    evaluated, matched, present = len(checked), 0, 0
+    """Coverage of the tree on complete records: those with a postcode and
+    an address that yields at least three distinct address nouns. An
+    address with fewer is street-only or coarser and is not evaluated."""
+    located = [rec for rec in records if rec.address and rec.postcode]
+    evaluated, matched, present = 0, 0, 0
     known = tree.postcodes()
-    for rec, nouns in zip(checked, word_lists([rec.address for rec in checked], lexicon, ADDRESS_TAGS)):
+    for rec, nouns in zip(located, word_lists([rec.address for rec in located], lexicon, ADDRESS_TAGS)):
+        if len(set(nouns)) < 3:
+            continue
+        evaluated += 1
         if rec.postcode in known:
             present += 1
         best = best_postcodes(nouns, tree)

@@ -22,14 +22,13 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .parallel import split
+from .parallel import map_partitions, split
 from .records import EnterpriseRecord, read_tsv, write_tsv
 from .vectorizer import fnv1a_64
 
@@ -313,8 +312,7 @@ def geocode_batch(
             for rec in sh.records
         ]
 
-    with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-        per_shard = list(pool.map(run_shard, shards))
+    per_shard = map_partitions(shards, run_shard, workers=len(shards))
     return [result for chunk in per_shard for result in chunk]
 
 
@@ -352,13 +350,15 @@ def apply_results(records: Sequence[EnterpriseRecord], results: Sequence[Geocode
 
 
 def read_keys(path: str | Path) -> list[ApiKey]:
-    """Key file: key<TAB>daily_quota per line."""
+    """Key file: key<TAB>daily_quota per line; each key once."""
     keys = []
     for line_no, cells in read_tsv(path):
         if cells[0].startswith("#"):
             continue
         if len(cells) != 2:
             raise ValueError(f"{path}:{line_no}: expected key<TAB>quota")
+        if any(key.key_id == cells[0] for key in keys):
+            raise ValueError(f"{path}:{line_no}: duplicate key {cells[0]!r}")
         try:
             quota = int(cells[1])
         except ValueError:

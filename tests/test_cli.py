@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import regimpute
+from regimpute import segmenter
 from regimpute.cli import PIPELINE_STAGES, main
 from regimpute.geocode import MockGeocoder
 from regimpute.records import ingest, write_records
@@ -123,6 +124,22 @@ def test_gazetteer_subcommands(synth_dir, capsys):
     out = capsys.readouterr().out
     match_rate = float(next(l for l in out.splitlines() if l.startswith("match_rate")).split("\t")[1])
     assert match_rate >= 0.95
+
+
+def test_validate_gazetteer_segments_addresses_once(synth_dir, monkeypatch, capsys):
+    calls = []
+    tokenize = segmenter.tokenize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return tokenize(*args, **kwargs)
+
+    monkeypatch.setattr(segmenter, "tokenize", counted)
+    code = main(["validate-gazetteer", "--gazetteer", str(synth_dir / "gazetteer.tsv"),
+                 *corpus_args(synth_dir)])
+    assert code == 0
+    assert "evaluated\t" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_impute_location_subcommand(synth_dir, tmp_path, capsys):
@@ -390,13 +407,25 @@ def test_lr_pipeline_model_does_not_depend_on_workers(synth_dir, tmp_path):
     ("--keys", "{tmp}/missing_keys.tsv"),
     ("--gazetteer", "{tmp}/missing_gazetteer.tsv"),
     ("--workers", "0"),
-], ids=["provider", "method", "keys", "gazetteer", "workers"])
-def test_config_error_exits_2_before_any_stage(synth_dir, tmp_path, flag, value):
+    ("--dim", "0"),
+    ("--iters", "0"),
+    ("--step", "0"),
+    ("--step", "inf"),
+    ("--l2", "-1"),
+    ("--l2", "nan"),
+    ("--alpha", "0"),
+    ("--alpha", "nan"),
+    ("--rate", "-5"),
+    ("--rate", "nan"),
+], ids=["provider", "method", "keys", "gazetteer", "workers", "dim", "iters", "step", "step-inf",
+        "l2", "l2-nan", "alpha", "alpha-nan", "rate", "rate-nan"])
+def test_config_error_exits_2_before_any_stage(synth_dir, tmp_path, capsys, flag, value):
     keys = write_keys(tmp_path / "keys.tsv")
     out = tmp_path / "never_run"
     # the last occurrence of a flag wins
     args = pipeline_args(synth_dir, out, keys) + [flag, value.format(tmp=tmp_path)]
     assert main(args) == 2
+    assert "configuration error:" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 

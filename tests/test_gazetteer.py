@@ -167,6 +167,16 @@ def test_validate_presence_fraction(demo_tree, demo_lexicon):
     assert report.presence_rate == pytest.approx(0.5)
 
 
+def test_validate_skips_addresses_with_fewer_than_three_nouns(demo_tree, demo_lexicon):
+    records = [
+        EnterpriseRecord(id="1", address="湖北省武汉市江岸区南京路16号", postcode="430014"),
+        EnterpriseRecord(id="2", address="湖北省武汉市16号", postcode="430014"),  # two nouns
+    ]
+    report = validate(demo_tree, records, demo_lexicon)
+    assert report.evaluated == 1
+    assert report.match_rate == 1.0
+
+
 def test_validate_skips_incomplete_records(demo_tree, demo_lexicon):
     records = [EnterpriseRecord(id="1", address="somewhere"), EnterpriseRecord(id="2", postcode="430014")]
     report = validate(demo_tree, records, demo_lexicon)

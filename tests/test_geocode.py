@@ -204,6 +204,27 @@ class TestRetries:
         assert all(r.status == "provider-error" and r.attempts == 1 for r in results)
 
 
+class BarrierProvider:
+    """Answers a request only once `parties` requests wait at the same time."""
+
+    name = "barrier"
+
+    def __init__(self, parties):
+        self.barrier = threading.Barrier(parties, timeout=5)
+
+    def geocode(self, address, api_key=None):
+        self.barrier.wait()
+        return (100.0, 30.0)
+
+
+def test_shards_run_at_once():
+    # guard: each shard's requests wait for the other shard's, so shards
+    # run one after the other break the barrier
+    ks = keys(2)
+    results = geocode_batch(shard(recs(4), ks), BarrierProvider(2), ks, rate=None)
+    assert [r.status for r in results] == ["ok"] * 4
+
+
 def test_results_preserve_input_order():
     ks = keys(3)
     results = geocode_batch(shard(recs(20), ks), MockGeocoder(), ks, rate=None)
@@ -264,6 +285,14 @@ def test_read_keys_rejects_bad_quota(tmp_path, quota):
     key_file = tmp_path / "keys.tsv"
     key_file.write_text(f"alpha\t6000\nbeta\t{quota}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"keys\.tsv:2: quota must be a non-negative integer"):
+        read_keys(key_file)
+
+
+def test_read_keys_rejects_a_duplicate_key(tmp_path):
+    # two entries would share one quota counter, and the first quota would be ignored
+    key_file = tmp_path / "keys.tsv"
+    key_file.write_text("k\t5\nk\t1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"keys\.tsv:2: duplicate key 'k'"):
         read_keys(key_file)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -109,7 +111,7 @@ def test_training_is_deterministic():
 
 
 def test_workers_do_not_change_the_model():
-    # LR trains on one matrix in-process; the dispatcher's workers fork NB only
+    # LR trains on one matrix on one thread; the dispatcher's workers split NB only
     rng = np.random.default_rng(13)
     _, X, labels = random_dataset(rng, n=90, dim=50)
     one = classify.train("logistic_regression", X, labels, {"iters": 30}, workers=1)
@@ -129,6 +131,14 @@ def test_parameter_validation():
         train_lr(X, labels, l2=-1.0)
     with pytest.raises(ValueError, match="empty"):
         train_lr(csr(8, []), [])
+
+
+@pytest.mark.parametrize("param,value", [("step", math.nan), ("step", math.inf), ("l2", math.nan), ("l2", math.inf)])
+def test_step_and_l2_must_be_finite(param, value):
+    # rejected up front, not at "non-finite parameters at iteration 1"
+    X, labels = separable_points()
+    with pytest.raises(ValueError, match=f"{param} must be finite"):
+        train_lr(X, labels, **{param: value})
 
 
 def test_to_csr_materializes_counts():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matrices import csr
-from regimpute.classify import merge_stats, partial_stats, predict, train_nb
+from regimpute.classify import merge_stats, naive_bayes, partial_stats, predict, train_nb
 from regimpute.parallel import split
 
 
@@ -178,9 +179,33 @@ def test_workers_do_not_change_the_model():
     rng = random.Random(17)
     classes, points = make_dataset(rng, 3, 8, 16, 400)
     sequential = fit(16, points, classes=classes)
-    forked = fit(16, points, classes=classes, workers=3)
-    assert np.array_equal(sequential.state["log_prior"], forked.state["log_prior"])
-    assert np.array_equal(sequential.state["log_likelihood"], forked.state["log_likelihood"])
+    threaded = fit(16, points, classes=classes, workers=3)
+    assert np.array_equal(sequential.state["log_prior"], threaded.state["log_prior"])
+    assert np.array_equal(sequential.state["log_likelihood"], threaded.state["log_likelihood"])
+
+
+def test_row_ranges_are_counted_at_once_in_this_process(monkeypatch):
+    # each range's count returns only once both have started, so counting
+    # them one after the other, or in other processes, breaks the barrier
+    barrier = threading.Barrier(2, timeout=5)
+    count = naive_bayes.partial_stats
+
+    def meet(*args):
+        barrier.wait()
+        return count(*args)
+
+    classes, points = make_dataset(random.Random(5), 3, 8, 16, 100)
+    expected = fit(16, points, classes=classes)
+    monkeypatch.setattr(naive_bayes, "partial_stats", meet)
+    model = fit(16, points, classes=classes, workers=2)
+    assert np.array_equal(model.state["log_likelihood"], expected.state["log_likelihood"])
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_alpha_must_be_finite_and_positive(alpha):
+    classes, points = make_dataset(random.Random(2), 2, 8, 16, 20)
+    with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+        fit(16, points, classes=classes, alpha=alpha)
 
 
 @st.composite

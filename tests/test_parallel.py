@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,8 +32,16 @@ def test_map_partitions_preserves_order():
     assert sums == [sum(p) for p in parts]
 
 
-def test_forked_map_equals_sequential_map():
+def test_threaded_map_equals_sequential_map():
     parts = split(list(range(1000)), 4)
     fn = lambda chunk: sum(x * x for x in chunk)
     assert map_partitions(parts, fn, workers=4) == map_partitions(parts, fn, workers=1)
 
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    # the partitioned map runs on threads, so start-up imports no process pool
+    code = "import sys, regimpute.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
