@@ -78,7 +78,10 @@ def check_training_data(
         raise ValueError(f"{len(labels)} labels for {X.shape[0]} rows")
     classes = tuple(classes) if classes is not None else infer_classes(labels)
     index = {c: k for k, c in enumerate(classes)}
-    return classes, np.fromiter((index[label] for label in labels), dtype=np.int64, count=len(labels))
+    try:
+        return classes, np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=len(labels))
+    except KeyError as exc:
+        raise ValueError(f"label {exc.args[0]!r} is not among the classes {list(classes)}") from None
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -20,6 +20,8 @@ import time
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
+import numpy as np
+
 from . import classify, evaluate, gazetteer, geocode, locimpute, spatial
 from .records import GroundTruth, MissingnessReport, ingest, missingness, tsv_line, write_records, write_tsv
 from .segmenter import Lexicon, segment_texts
@@ -127,11 +129,15 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _load_records(path: str, what: str = "corpus"):
+def _ingest(path: str, what: str = "corpus"):
     result = ingest(_require_file(path, what))
     if result.diagnostics:
         log.info("stage=%s skipped_rows=%d", what, result.error_count)
-    return result.records
+    return result
+
+
+def _load_records(path: str, what: str = "corpus"):
+    return _ingest(path, what).records
 
 
 def _train_params(config: PipelineConfig) -> dict:
@@ -365,12 +371,13 @@ def cmd_geocode(args) -> int:
 
 
 def cmd_kfunction(args) -> int:
-    records = _load_records(args.corpus)
-    coords = [r.coordinates for r in records if r.coordinates is not None]
-    if len(coords) < 2:
+    radii = spatial.check_radii([float(r) for r in args.radii.split(",")])
+    columns = _ingest(args.corpus).columns
+    lons = [lon for lon in columns["lon"] if lon is not None]
+    if len(lons) < 2:
         raise StageError("need at least two records with coordinates")
-    points = spatial.PointSet.from_points(spatial.project_equirectangular(coords))
-    radii = [float(r) for r in args.radii.split(",")]
+    lats = [lat for lat in columns["lat"] if lat is not None]
+    points = spatial.PointSet.from_points(spatial.project_equirectangular(np.column_stack([lons, lats])))
     curve = spatial.ripley_k(points, radii)
     curve.write(args.out)
     for r, k in zip(curve.radii, curve.k):
@@ -379,11 +386,13 @@ def cmd_kfunction(args) -> int:
 
 
 def cmd_export(args) -> int:
-    records = _load_records(args.corpus)
     year_range = None
     if args.from_year is not None or args.to_year is not None:
         year_range = (args.from_year, args.to_year)
-    report = spatial.export_geojson(records, args.out, category=args.category, year_range=year_range)
+        if None not in year_range and args.from_year > args.to_year:
+            raise ConfigError(f"--from-year {args.from_year} is after --to-year {args.to_year}")
+    result = _ingest(args.corpus)
+    report = spatial.export_geojson(result, args.out, category=args.category, year_range=year_range)
     print(f"written\t{report.written}")
     print(f"skipped_no_coordinates\t{report.skipped_no_coordinates}")
     return EXIT_OK

@@ -373,8 +373,8 @@ def read_keys(path: str | Path) -> list[ApiKey]:
 
 def write_results(results: Sequence[GeocodeResult], path: str | Path) -> None:
     rows = (
-        (r.record_id, None if r.lon is None else repr(r.lon),
-         None if r.lat is None else repr(r.lat), r.status)
+        (r.record_id, "" if r.lon is None else repr(r.lon),
+         "" if r.lat is None else repr(r.lat), r.status)
         for r in results
     )
     write_tsv(path, ("id", "lon", "lat", "status"), rows)

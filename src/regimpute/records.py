@@ -3,20 +3,28 @@
 Every file the package writes goes through atomic_writer (TSV tables through
 write_tsv, which refuses a cell holding a tab or a line break), so a failed
 write leaves any previous file whole and no partial one. Every TSV file it
-reads goes through read_tsv, which accepts a UTF-8 byte-order mark.
+reads is opened as read_tsv opens it, which accepts a UTF-8 byte-order mark;
+ingest reads the same handle in blocks of lines, split exactly as read_tsv
+splits them.
 
 The record file is UTF-8 tab-separated text with a header row. The six
 core columns are id, name, category, address, postcode, data_source; lon,
 lat and provenance columns are written by downstream stages and read back
 when present. Empty cells mean "absent".
 
-ingest parses each distinct repeating cell once per file: it memoises the
-category symbol of each category cell, each validated postcode cell and
-the (cell, reg_year) pair of each data_source cell, so the records share
-those values. A bad cell is never memoised: each row holding one gets its
-own diagnostic, from checks run in the order id, category, postcode,
-coordinates. A lon or lat that is not a finite number makes the row bad.
-Each record gets its own provenance dict.
+ingest checks each block of rows column by column. A row with the wrong
+cell count is set aside first; then come the id, category, postcode and
+coordinate checks, in that order, and a bad row keeps the message of its
+first failed check. Each distinct category, postcode and data_source cell
+is parsed once per file: ingest memoises the category symbol of each
+category cell, each validated postcode cell and the (cell, reg_year) pair
+of each data_source cell, so the records share those values. A bad cell is
+never memoised: each row holding one gets its own diagnostic. A lon or lat
+that is not a finite number makes the row bad.
+
+IngestResult keeps the good rows as columns, which the spatial commands
+read directly, and builds the records from them on first access. Each
+record gets its own provenance dict, a copy of the one parsed for its cell.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from functools import cached_property, lru_cache
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -44,6 +52,8 @@ TRACKED_FIELDS = ("name", "category", "address", "postcode", "data_source", "coo
 
 _CORE_COLUMNS = ("id", "name", "category", "address", "postcode", "data_source")
 _ALL_COLUMNS = _CORE_COLUMNS + ("lon", "lat", "provenance")
+# IngestResult's columns: a record's fields, with its coordinates as lon and lat
+_FIELDS = _CORE_COLUMNS + ("reg_year", "lon", "lat", "provenance")
 
 
 @dataclass(slots=True)
@@ -75,8 +85,22 @@ class RowDiagnostic:
 
 @dataclass
 class IngestResult:
-    records: list[EnterpriseRecord]
+    """An ingested file: its good rows as row-aligned columns, one list for
+    each name in _FIELDS, and a diagnostic for each bad row. The records
+    are built from the columns on first access."""
+
+    columns: dict[str, list]
     diagnostics: list[RowDiagnostic]
+
+    @cached_property
+    def records(self) -> list[EnterpriseRecord]:
+        provenance = {cell: _parse_provenance(cell) for cell in set(self.columns["provenance"])}
+        return [
+            EnterpriseRecord(rec_id, name or None, category, address or None, postcode, source, year,
+                             None if lon is None else (lon, lat), provenance[prov].copy())
+            for rec_id, name, category, address, postcode, source, year, lon, lat, prov
+            in zip(*map(self.columns.__getitem__, _FIELDS))
+        ]
 
     @property
     def error_count(self) -> int:
@@ -166,97 +190,124 @@ def _parse_provenance(cell: str) -> dict[str, str]:
     return prov
 
 
-def _format_provenance(prov: dict[str, str]) -> str:
-    if not prov:
-        return ""
-    imputed = sorted(name for name, flag in prov.items() if flag == IMPUTED)
+@lru_cache(maxsize=256)
+def _format_provenance(items: tuple[tuple[str, str], ...]) -> str:
+    """The provenance cell of a record's provenance items. Memoised: a
+    file holds few distinct provenances."""
+    imputed = sorted(name for name, flag in items if flag == IMPUTED)
     return ";".join(f"{name}={IMPUTED}" for name in imputed)
 
 
-def _parse_row(
-    cells: Sequence[str],
-    categories: dict[str, str],
-    postcodes: dict[str, str],
-    sources: dict[str, tuple[str | None, int | None]],
-) -> EnterpriseRecord:
-    """A record from its cells in _ALL_COLUMNS order; an empty cell is absent.
-    The dicts are one file's memos (see the module docstring); a bad cell
-    is never stored, so it raises on every row it appears in."""
-    rec_id, name, category, address, postcode, data_source, lon_cell, lat_cell, prov_cell = cells
-    if not rec_id:
-        raise ValueError("empty id")
+def _check_distinct(cells: list[str], memo: dict[str, str], check) -> set[str]:
+    """Memoise check(cell) for each distinct cell not in `memo` yet, and
+    return the cells check rejects (returns None for); those are never
+    memoised."""
+    rejected = set()
+    for cell in set(cells).difference(memo):
+        if (value := check(cell)) is None:
+            rejected.add(cell)
+        else:
+            memo[cell] = value
+    return rejected
 
-    if category:
-        symbol = categories.get(category)
-        if symbol is None:
-            symbol = normalize_category(category)
-            if symbol is None:
-                raise ValueError(f"unknown category {category!r}")
-            categories[category] = symbol
-        category = symbol
 
-    if postcode:
-        valid = postcodes.get(postcode)
-        if valid is None:
-            if not POSTCODE_RE.match(postcode):
-                raise ValueError(f"invalid postcode {postcode!r}")
-            valid = postcodes[postcode] = postcode
-        postcode = valid
-
-    coordinates = None
-    if lon_cell or lat_cell:
-        if not (lon_cell and lat_cell):
-            raise ValueError("lon/lat must both be present")
+def _coordinates(
+    line_nos: Sequence[int], lon_cells: list[str], lat_cells: list[str], bad: dict[int, str]
+) -> tuple[list[float | None], list[float | None]]:
+    """Row-aligned lon and lat, None where a row has no coordinates or bad
+    ones; a bad row gets its message in `bad` unless it has one already."""
+    lons: list[float | None] = [None] * len(lon_cells)
+    lats = lons.copy()
+    for i, (x, y) in enumerate(zip(lon_cells, lat_cells)):
+        if not (x or y):
+            continue
+        if not (x and y):
+            bad.setdefault(line_nos[i], "lon/lat must both be present")
+            continue
         try:
-            lon, lat = float(lon_cell), float(lat_cell)
+            lon, lat = float(x), float(y)
         except ValueError:
             lon = lat = math.nan
         # float() also parses nan and inf, which are no place on a map
-        if not (math.isfinite(lon) and math.isfinite(lat)):
-            raise ValueError(f"invalid coordinates {lon_cell!r}, {lat_cell!r}")
-        coordinates = (lon, lat)
+        if math.isfinite(lon) and math.isfinite(lat):
+            lons[i], lats[i] = lon, lat
+        else:
+            bad.setdefault(line_nos[i], f"invalid coordinates {x!r}, {y!r}")
+    return lons, lats
 
-    source = sources.get(data_source)
-    if source is None:
-        source = sources[data_source] = (data_source or None, parse_reg_year(data_source))
 
-    return EnterpriseRecord(
-        id=rec_id,
-        name=name or None,
-        category=category or None,
-        address=address or None,
-        postcode=postcode or None,
-        data_source=source[0],
-        reg_year=source[1],
-        coordinates=coordinates,
-        provenance=_parse_provenance(prov_cell) if prov_cell else {},
-    )
+def _ingest_block(
+    lines: list[str], line_nos: Sequence[int], width: int, take: list[int | None],
+    memos: dict[str, dict], columns: dict[str, list], diagnostics: list[RowDiagnostic],
+) -> None:
+    """Check the rows of `lines` column by column, as the module docstring
+    says, and append the good ones to `columns`."""
+    rows = [line.rstrip("\r\n") for line in lines]
+    tabs = [row.count("\t") for row in rows]
+    bad: dict[int, str] = {}  # line number -> message of the row's first failed check
+    if tabs.count(width - 1) != len(rows):  # blank lines, which are skipped, or rows of the wrong width
+        bad = {n: f"expected {width} cells, got {t + 1}"
+               for n, row, t in zip(line_nos, rows, tabs) if row and t != width - 1}
+        keep = [t == width - 1 for t in tabs]
+        line_nos, rows = list(compress(line_nos, keep)), list(compress(rows, keep))
+    cells = "\t".join(rows).split("\t") if rows else []
+    # an optional column the file lacks reads as empty cells
+    block = {name: cells[i::width] if i is not None else [""] * len(rows) for name, i in zip(_ALL_COLUMNS, take)}
+    for column, rejected, message in (
+        (block["id"], {""} if "" in block["id"] else (), "empty id"),
+        (block["category"], _check_distinct(block["category"], memos["category"], normalize_category),
+         "unknown category {!r}"),
+        (block["postcode"], _check_distinct(block["postcode"], memos["postcode"],
+                                            lambda cell: cell if POSTCODE_RE.match(cell) else None),
+         "invalid postcode {!r}"),
+    ):
+        if rejected:
+            for n, cell in zip(line_nos, column):
+                if cell in rejected:
+                    bad.setdefault(n, message.format(cell))
+    block["lon"], block["lat"] = _coordinates(line_nos, block["lon"], block["lat"], bad)
+    if bad:
+        keep = [n not in bad for n in line_nos]
+        block = {name: list(compress(column, keep)) for name, column in block.items()}
+        diagnostics += (RowDiagnostic(n, bad[n]) for n in sorted(bad))
+    for cell in set(block["data_source"]).difference(memos["reg_year"]):
+        memos["data_source"][cell], memos["reg_year"][cell] = cell or None, parse_reg_year(cell)
+    block["reg_year"] = map(memos["reg_year"].__getitem__, block["data_source"])
+    for name in ("category", "postcode", "data_source"):
+        block[name] = map(memos[name].__getitem__, block[name])
+    for name in _FIELDS:
+        columns[name] += block[name]
+
+
+# characters of lines read per block: about a thousand rows of a record file
+_BLOCK_CHARS = 1 << 16
 
 
 def ingest(path: str | Path) -> IngestResult:
     """Read a record TSV. Malformed rows are skipped with a diagnostic;
     an unreadable file or a header missing core columns is fatal."""
-    records: list[EnterpriseRecord] = []
+    columns: dict[str, list] = {name: [] for name in _FIELDS}
     diagnostics: list[RowDiagnostic] = []
-    rows = read_tsv(path)
-    _, names = next(rows, (1, []))
-    columns = {name: i for i, name in enumerate(names)}
-    missing_cols = [c for c in _CORE_COLUMNS if c not in columns]
-    if missing_cols:
-        raise ValueError(f"{path}: header lacks columns {missing_cols}")
-    # an optional column the file lacks reads the empty cell appended to each row
-    take = itemgetter(*(columns.get(c, len(names)) for c in _ALL_COLUMNS))
-    memos: tuple[dict, dict, dict] = ({}, {}, {})
-    for line_no, cells in rows:
-        if len(cells) != len(names):
-            diagnostics.append(RowDiagnostic(line_no, f"expected {len(names)} cells, got {len(cells)}"))
-            continue
-        cells.append("")
-        try:
-            records.append(_parse_row(take(cells), *memos))
-        except ValueError as exc:
-            diagnostics.append(RowDiagnostic(line_no, str(exc)))
-    return IngestResult(records, diagnostics)
+    # the handle and line ends of read_tsv; readlines splits lines as iterating does
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        line_no, names = 0, []
+        for line in iter(fh.readline, ""):  # the header is the first non-empty line
+            line_no += 1
+            if line := line.rstrip("\r\n"):
+                names = line.split("\t")
+                break
+        index = {name: i for i, name in enumerate(names)}
+        missing_cols = [c for c in _CORE_COLUMNS if c not in index]
+        if missing_cols:
+            raise ValueError(f"{path}: header lacks columns {missing_cols}")
+        take = [index.get(c) for c in _ALL_COLUMNS]
+        # per-file memos of the cells that passed their check; the empty cell is absent
+        memos: dict[str, dict] = {"category": {"": None}, "postcode": {"": None}, "data_source": {}, "reg_year": {}}
+        while lines := fh.readlines(_BLOCK_CHARS):
+            _ingest_block(lines, range(line_no + 1, line_no + 1 + len(lines)), len(names), take,
+                          memos, columns, diagnostics)
+            line_no += len(lines)
+    return IngestResult(columns, diagnostics)
 
 
 def read_tsv(path: str | Path) -> Iterator[tuple[int, list[str]]]:
@@ -298,23 +349,38 @@ def tsv_line(row: Sequence[str | None]) -> str:
     return line + "\n"
 
 
+# rows joined, checked and written at once by write_tsv
+_WRITE_ROWS = 256
+
+
 def write_tsv(
     path: str | Path, header: Sequence[str] | None, rows: Iterable[Sequence[str | None]]
 ) -> None:
-    """Write an optional header row, then `rows`, through atomic_writer, each
-    line checked by tsv_line; a bad cell leaves any previous file at `path`
-    as it was."""
+    """Write an optional header row, then `rows`, through atomic_writer; a
+    bad cell leaves any previous file at `path` as it was. Each block of
+    rows is joined at once. A block whose tab and line-break counts are
+    the ones its row widths imply holds no bad cell; any other block, or
+    one with a None cell, is joined again row by row through tsv_line,
+    which raises for the first bad row."""
+    rows = iter(rows if header is None else chain((header,), rows))
     with atomic_writer(path) as fh:
-        for row in rows if header is None else chain((header,), rows):
-            fh.write(tsv_line(row))
+        while block := list(islice(rows, _WRITE_ROWS)):
+            try:
+                text = "\n".join(map("\t".join, block)) + "\n"
+                exact = (text.count("\t") == sum(map(len, block)) - len(block)
+                         and text.count("\n") == len(block) and "\r" not in text)
+            except TypeError:  # a None cell
+                exact = False
+            fh.write(text if exact else "".join(map(tsv_line, block)))
 
 
 def write_records(records: Iterable[EnterpriseRecord], path: str | Path) -> None:
     """Write records as TSV, atomically; ingest() of the result reproduces them."""
     write_tsv(path, _ALL_COLUMNS, (
-        (rec.id, rec.name, rec.category, rec.address, rec.postcode, rec.data_source,
-         repr(rec.coordinates[0]) if rec.coordinates else None,
-         repr(rec.coordinates[1]) if rec.coordinates else None,
-         _format_provenance(rec.provenance))
+        (rec.id, rec.name or "", rec.category or "", rec.address or "", rec.postcode or "",
+         rec.data_source or "",
+         repr(rec.coordinates[0]) if rec.coordinates else "",
+         repr(rec.coordinates[1]) if rec.coordinates else "",
+         _format_provenance(tuple(rec.provenance.items())))
         for rec in records
     ))

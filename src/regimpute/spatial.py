@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import EnterpriseRecord, atomic_writer, write_tsv
+from .records import EnterpriseRecord, IngestResult, atomic_writer, write_tsv
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -96,10 +96,14 @@ class KCurve:
         write_tsv(path, ("r", "K", "pi_r2"), rows)
 
 
-def _check_radii(radii: Sequence[float]) -> np.ndarray:
+def check_radii(radii: Sequence[float]) -> np.ndarray:
+    """The radii as an array; ValueError unless they are finite, positive
+    and strictly increasing."""
     arr = np.asarray(radii, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("radii must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("radii must be finite")
     if arr[0] <= 0 or np.any(np.diff(arr) <= 0):
         raise ValueError("radii must be positive and strictly increasing")
     return arr
@@ -112,7 +116,7 @@ def ripley_k(points: PointSet, radii: Sequence[float]) -> KCurve:
 
     if points.n < 2:
         raise ValueError("ripley_k needs at least two points")
-    arr = _check_radii(radii)
+    arr = check_radii(radii)
     tree = cKDTree(points.points, compact_nodes=False, balanced_tree=False)
     # ordered pairs within r, less the n self-pairs (i == j, d = 0)
     counts = tree.count_neighbors(tree, arr) - points.n
@@ -138,31 +142,38 @@ class ExportReport:
 
 
 def export_geojson(
-    records: Sequence[EnterpriseRecord],
+    records: IngestResult | Sequence[EnterpriseRecord],
     path: str | Path,
     category: str | None = None,
     year_range: tuple[int | None, int | None] | None = None,
 ) -> ExportReport:
     """Write a GeoJSON FeatureCollection of record points, optionally
-    filtered by category and registration-year range (inclusive)."""
+    filtered by category and registration-year range (inclusive). An
+    IngestResult is read from its columns, without building records."""
     lo, hi = year_range if year_range else (None, None)
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError(f"empty year range: {lo} > {hi}")
+    if isinstance(records, IngestResult):
+        rows = zip(*map(records.columns.__getitem__, ("id", "category", "reg_year", "lon", "lat")))
+    else:
+        rows = ((r.id, r.category, r.reg_year, *(r.coordinates or (None, None))) for r in records)
     features = []
     skipped = 0
-    for rec in records:
-        if category is not None and rec.category != category:
+    for rec_id, rec_category, year, lon, lat in rows:
+        if category is not None and rec_category != category:
             continue
-        if lo is not None and (rec.reg_year is None or rec.reg_year < lo):
+        if lo is not None and (year is None or year < lo):
             continue
-        if hi is not None and (rec.reg_year is None or rec.reg_year > hi):
+        if hi is not None and (year is None or year > hi):
             continue
-        if rec.coordinates is None:
+        if lon is None:
             skipped += 1
             continue
         features.append(
             {
                 "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": [rec.coordinates[0], rec.coordinates[1]]},
-                "properties": {"id": rec.id, "category": rec.category, "year": rec.reg_year},
+                "geometry": {"type": "Point", "coordinates": [lon, lat]},
+                "properties": {"id": rec_id, "category": rec_category, "year": year},
             }
         )
     doc = {"type": "FeatureCollection", "features": features}

@@ -16,7 +16,7 @@ from regimpute.classify import (
     save_model,
 )
 from matrices import csr, pairs
-from regimpute.classify.model import softmax
+from regimpute.classify.model import check_training_data, softmax
 from regimpute.records import EnterpriseRecord
 from regimpute.synth import synth_labeled_points
 from regimpute.vectorizer import build_labeled
@@ -194,3 +194,10 @@ def test_failed_save_keeps_previous_file_and_leaves_no_temporary(tmp_path, train
         save_model(classify.train("logistic_regression", *train_set, {"iters": 2}), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+def test_check_training_data_names_a_label_outside_the_classes():
+    X = csr(1, [[(0, 1.0)]] * 3)
+    assert check_training_data(X, ["RE", "SRTS", "RE"], ["SRTS", "RE"])[1].tolist() == [1, 0, 1]
+    with pytest.raises(ValueError, match="'ZZZ'"):
+        check_training_data(X, ["RE", "ZZZ", "RE"], ["SRTS", "RE"])

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import regimpute
+from regimpute import cli as cli_module
+from regimpute import records as records_module
 from regimpute import segmenter
 from regimpute.cli import PIPELINE_STAGES, main
 from regimpute.geocode import MockGeocoder
@@ -229,6 +231,63 @@ def test_spatial_commands_skip_rows_with_non_finite_coordinates(tmp_path):
 
     doc = json.loads(geojson.read_text(encoding="utf-8"), parse_constant=no_constants)
     assert [f["properties"]["id"] for f in doc["features"]] == [f"E{i}" for i in range(5)]
+
+
+def located_corpus(path):
+    rows = [(f"E{i}", 114.0 + i / 10, 30.0 + i / 20, 1990 + 5 * i) for i in range(6)]
+    path.write_text(
+        "id\tname\tcategory\taddress\tpostcode\tdata_source\tlon\tlat\n"
+        + "".join(f"{rid}\t\tRE\t\t\t{year}_x\t{lon}\t{lat}\n" for rid, lon, lat, year in rows),
+        encoding="utf-8",
+    )
+    return path
+
+
+def spatial_commands(corpus, out):
+    return [
+        ["kfunction", "--corpus", str(corpus), "--radii", "10,50", "--out", str(out / "k.tsv")],
+        ["export", "--corpus", str(corpus), "--out", str(out / "points.geojson"),
+         "--from-year", "1995", "--to-year", "2010"],
+    ]
+
+
+def test_spatial_commands_build_no_records(tmp_path, monkeypatch):
+    corpus = located_corpus(tmp_path / "located.tsv")
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    assert [main(argv) for argv in spatial_commands(corpus, first)] == [0, 0]
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("an EnterpriseRecord was built")
+
+    monkeypatch.setattr(records_module, "EnterpriseRecord", no_records)
+    assert [main(argv) for argv in spatial_commands(corpus, second)] == [0, 0]
+    for name in ("k.tsv", "points.geojson"):
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+@pytest.mark.parametrize("radii", ["nan", "25,nan", "nan,25", "25,inf"])
+def test_kfunction_rejects_non_finite_radii_before_reading(tmp_path, monkeypatch, capsys, radii):
+    corpus = located_corpus(tmp_path / "located.tsv")
+    read = []
+    monkeypatch.setattr(cli_module, "ingest", lambda path: read.append(path))
+    out = tmp_path / "k.tsv"
+    assert main(["kfunction", "--corpus", str(corpus), "--radii", radii, "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert read == []
+    assert not out.exists()
+
+
+def test_export_rejects_an_inverted_year_window_before_reading(tmp_path, monkeypatch, capsys):
+    corpus = located_corpus(tmp_path / "located.tsv")
+    read = []
+    monkeypatch.setattr(cli_module, "ingest", lambda path: read.append(path))
+    out = tmp_path / "points.geojson"
+    assert main(["export", "--corpus", str(corpus), "--out", str(out), "--from-year", "2015", "--to-year", "1995"]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert read == []
+    assert not out.exists()
 
 
 @pytest.fixture()

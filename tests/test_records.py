@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import io
 import math
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regimpute import records as records_module
 from regimpute.categories import CATEGORIES, normalize_category
 from regimpute.records import (
     TRACKED_FIELDS,
@@ -14,7 +16,9 @@ from regimpute.records import (
     ingest,
     missingness,
     parse_reg_year,
+    tsv_line,
     write_records,
+    write_tsv,
 )
 
 HEADER = "id\tname\tcategory\taddress\tpostcode\tdata_source"
@@ -241,22 +245,43 @@ def _rows(draw):
     return cells, draw(st.integers(0, 9)) == 0
 
 
+@st.composite
+def _lines(draw, rows):
+    """The lines of a record file holding `rows`: each with its own line end
+    (LF, CRLF or a lone CR; the last one may have none), with blank lines
+    before the header and between rows."""
+    lines = []
+    for line in [HEADER + "\tlon\tlat\tprovenance"] + rows:
+        lines += [""] * draw(st.sampled_from((0, 0, 0, 1, 2)))
+        lines.append(line)
+    ends = [draw(st.sampled_from(("\n", "\r\n", "\r"))) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(_rows(), min_size=1, max_size=30))
-def test_ingest_equals_a_reference_per_row_parser(tmp_path_factory, rows):
+@given(rows=st.lists(_rows(), min_size=1, max_size=30), data=st.data(), bom=st.booleans())
+def test_ingest_equals_a_reference_per_row_parser(tmp_path_factory, block, rows, data, bom):
     path = tmp_path_factory.mktemp("ingest") / "c.tsv"
-    lines = [HEADER + "\tlon\tlat\tprovenance"]
+    text = data.draw(_lines(["\t".join(cells + ["x"] * extra) for cells, extra in rows]))
+    path.write_bytes(("\ufeff" if bom else "").encode() + text.encode("utf-8"))
+    # line numbers as iterating a file handle counts them
+    numbered = [(n, line.rstrip("\n").rstrip("\r")) for n, line in enumerate(io.StringIO(text, newline=""), 1)]
     records, diagnostics = [], []
-    for line_no, (cells, extra) in enumerate(rows, start=2):
-        lines.append("\t".join(cells + ["x"] * extra))
-        if extra:
-            diagnostics.append((line_no, "expected 9 cells, got 10"))
+    for line_no, line in [(n, line) for n, line in numbered if line][1:]:
+        cells = line.split("\t")
+        if len(cells) != 9:
+            diagnostics.append((line_no, f"expected 9 cells, got {len(cells)}"))
         elif isinstance(parsed := reference_parse(cells), str):
             diagnostics.append((line_no, parsed))
         else:
             records.append(parsed)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    result = ingest(path)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(records_module, "_BLOCK_CHARS", block)
+        result = ingest(path)
     assert result.records == records
     assert [(d.line_no, d.message) for d in result.diagnostics] == diagnostics
 
@@ -401,6 +426,29 @@ def test_failed_write_keeps_previous_file_and_leaves_no_temporary(tmp_path):
         write_records(bad, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["records.tsv"]
+
+
+@pytest.mark.parametrize("bad", ["c\td", "e\nf", "g\rh", "\r\n"])
+def test_bad_cell_inside_a_write_block_raises_tsv_lines_error(tmp_path, bad):
+    path = tmp_path / "x.tsv"
+    rows = [("a", str(i)) for i in range(3 * records_module._WRITE_ROWS)]
+    first = records_module._WRITE_ROWS + records_module._WRITE_ROWS // 2
+    rows[first] = ("b", bad)
+    rows[first + 3] = (bad, "later")
+    with pytest.raises(ValueError) as expected:
+        tsv_line(rows[first])
+    with pytest.raises(ValueError) as raised:
+        write_tsv(path, ("k", "v"), rows)
+    assert str(raised.value) == str(expected.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_blocks_equal_row_by_row_lines(tmp_path, monkeypatch):
+    rows = [(str(i), None if i % 3 else "x", "") for i in range(2 * records_module._WRITE_ROWS + 5)]
+    monkeypatch.setattr(records_module, "_WRITE_ROWS", 7)
+    write_tsv(tmp_path / "x.tsv", ("a", "b", "c"), rows)
+    want = "".join(map(tsv_line, [("a", "b", "c")] + rows))
+    assert (tmp_path / "x.tsv").read_bytes() == want.encode("utf-8")
 
 
 def test_ground_truth_roundtrip(tmp_path):

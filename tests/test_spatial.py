@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regimpute.records import EnterpriseRecord
+from regimpute.records import EnterpriseRecord, ingest, write_records
 from regimpute.spatial import (
     KCurve,
     PointSet,
@@ -179,6 +179,13 @@ def test_input_validation():
         PointSet(np.array([[2.0, 0.0]]), Rect(0.0, 0.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("radii", [[math.nan], [25.0, math.nan], [math.nan, 25.0], [25.0, math.inf]])
+def test_radii_must_be_finite(radii):
+    ps = PointSet(np.array([[0.0, 0.0], [1.0, 1.0]]), Rect(0.0, 0.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        ripley_k(ps, radii)
+
+
 def test_cli_import_does_not_load_scipy_spatial():
     # the k-d tree is imported on first use, so CLI start-up does not pay for it
     code = "import sys, regimpute.cli; print('scipy.spatial' in sys.modules)"
@@ -248,6 +255,31 @@ def test_export_deterministic_bytes(tmp_path):
     export_geojson(sample_records(), p1)
     export_geojson(sample_records(), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_export_rejects_an_inverted_year_range(tmp_path):
+    path = tmp_path / "x.geojson"
+    with pytest.raises(ValueError, match="year range"):
+        export_geojson(sample_records(), path, year_range=(2015, 1995))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("year_range", [None, (1995, 2015), (2000, None)])
+def test_export_of_ingested_columns_equals_export_of_records(tmp_path, year_range):
+    records = [
+        EnterpriseRecord(id="武汉-01", category="RE", data_source="2004_x", reg_year=2004, coordinates=(114.25, 30.5)),
+        EnterpriseRecord(id="b", data_source="1995", reg_year=1995, coordinates=(-0.0, 1e-7)),
+        EnterpriseRecord(id="c", category="SRTS", coordinates=(1 / 3, 2e22)),
+        EnterpriseRecord(id="d", category="SRTS", data_source="2015", reg_year=2015),
+    ]
+    write_records(records, tmp_path / "c.tsv")
+    result = ingest(tmp_path / "c.tsv")
+    assert result.records == records
+    for category in (None, "SRTS"):
+        columns, listed = tmp_path / "columns.geojson", tmp_path / "records.geojson"
+        from_columns = export_geojson(result, columns, category=category, year_range=year_range)
+        assert export_geojson(records, listed, category=category, year_range=year_range) == from_columns
+        assert columns.read_bytes() == listed.read_bytes()
 
 
 def test_export_bytes_equal_a_json_dump_reference(tmp_path):
