@@ -260,10 +260,12 @@ def _lines(draw, rows):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
-@pytest.mark.parametrize("block", [None, 1, 7])
-@settings(max_examples=200, deadline=None)
-@given(rows=st.lists(_rows(), min_size=1, max_size=30), data=st.data(), bom=st.booleans())
-def test_ingest_equals_a_reference_per_row_parser(tmp_path_factory, block, rows, data, bom):
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_rows(), min_size=1, max_size=30), data=st.data(), bom=st.booleans(),
+       block=st.sampled_from((None, 1, 7)))
+def test_ingest_equals_a_reference_per_row_parser(tmp_path_factory, rows, data, bom, block):
+    """ingest, at its own block size and at blocks of 1 and 7 characters of
+    lines, against a per-row parse of the lines a file handle yields."""
     path = tmp_path_factory.mktemp("ingest") / "c.tsv"
     text = data.draw(_lines(["\t".join(cells + ["x"] * extra) for cells, extra in rows]))
     path.write_bytes(("\ufeff" if bom else "").encode() + text.encode("utf-8"))
