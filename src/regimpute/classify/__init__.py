@@ -14,7 +14,7 @@ from typing import Sequence
 
 from ..records import EnterpriseRecord
 from ..segmenter import Lexicon
-from ..vectorizer import DEFAULT_DIM, vectorize_names
+from ..vectorizer import vectorize_names
 # Unused here: perfbench's tracer patches this name when it installs
 # (ROADMAP item 1), so it stays importable until the tracer drops it.
 from ..vectorizer import vectorize_name  # noqa: F401
@@ -73,16 +73,15 @@ def impute_categories(
     records: Sequence[EnterpriseRecord],
     model: TrainedModel,
     lexicon: Lexicon,
-    dim: int = DEFAULT_DIM,
 ) -> CategoryImputeReport:
     """Fill absent categories in place from the record names.
 
     Records that already carry a category are untouched; records with no
     name cannot be vectorized and are only counted. The named records are
-    predicted in one batch."""
+    hashed at the model's dim and predicted in one batch."""
     missing = [rec for rec in records if rec.category is None]
     named = [rec for rec in missing if rec.name]
-    labels = predict_labels(model, vectorize_names([rec.name for rec in named], lexicon, dim))
+    labels = predict_labels(model, vectorize_names([rec.name for rec in named], lexicon, model.dim))
     for rec, label in zip(named, labels):
         rec.category = model.classes[label]
         rec.mark_imputed("category")

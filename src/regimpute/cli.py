@@ -3,10 +3,13 @@ orchestrator running ingest -> train -> impute-category -> build-gazetteer
 -> impute-location -> geocode -> report.
 
 Configuration is a flat key=value file; REGIMPUTE_<KEY> environment
-variables override the file and command-line flags override both. Exit
-codes: 0 ok, 1 stage failure, 2 configuration error. Stage timings go to
-the log and timings.tsv only, so every other artifact is byte-stable for
-a fixed configuration and seed.
+variables override the file and command-line flags override both. Every
+command that takes a configuration key declares it with _add_config_flags,
+and main resolves the configuration once, before the handler runs, so the
+precedence and the value checks hold for every command. Exit codes: 0 ok,
+1 stage failure, 2 configuration error. Stage timings go to the log and
+timings.tsv only, so every other artifact is byte-stable for a fixed
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, evaluate, gazetteer, geocode, locimpute, spatial
+from .categories import normalize_category
 from .records import GroundTruth, MissingnessReport, ingest, missingness, tsv_line, write_records, write_tsv
 from .segmenter import Lexicon, segment_texts
 from .synth import SynthConfig, synth, synth_labeled_points, synth_world
@@ -167,12 +171,12 @@ def _geocode(records, provider, keys: Path, rate: float) -> list[geocode.Geocode
 # --- stage subcommands -------------------------------------------------
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, _config: None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config = SynthConfig(
         n=args.n,
-        seed=args.seed,
+        seed=args.synth_seed,
         lexicon_seed=args.lexicon_seed,
         missing_category=args.missing_category,
         missing_postcode=args.missing_postcode,
@@ -190,8 +194,8 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_ingest(args) -> int:
-    result = ingest(_require_file(args.corpus, "corpus"))
+def cmd_ingest(args, config: PipelineConfig) -> int:
+    result = ingest(_require_file(config.corpus, "corpus"))
     report = missingness(result.records)
     print(f"records\t{len(result.records)}")
     print(f"skipped_rows\t{result.error_count}")
@@ -202,12 +206,12 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def cmd_segment(args) -> int:
-    lexicon = Lexicon.from_tsv(_require_file(args.lexicon, "lexicon"))
+def cmd_segment(args, config: PipelineConfig) -> int:
+    lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
     if args.text is not None:
         texts = [("-", args.text)]
     else:
-        records = _load_records(args.corpus)
+        records = _load_records(config.corpus)
         texts = [(r.id, r.name or "") for r in records]
     rows = [
         (rec_id, token.surface, token.pos, str(token.span[0]), str(token.span[1]))
@@ -221,17 +225,18 @@ def cmd_segment(args) -> int:
     return EXIT_OK
 
 
-def cmd_vectorize(args) -> int:
-    lexicon = Lexicon.from_tsv(_require_file(args.lexicon, "lexicon"))
-    named = [rec for rec in _load_records(args.corpus) if rec.name]
-    X = vectorize_names([rec.name for rec in named], lexicon, args.dim)
+def cmd_vectorize(args, config: PipelineConfig) -> int:
+    lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
+    named = [rec for rec in _load_records(config.corpus) if rec.name]
+    X = vectorize_names([rec.name for rec in named], lexicon, config.dim)
     write_vectors([rec.id for rec in named], [rec.category or "" for rec in named], X, args.out)
     print(f"vectorized\t{len(named)}")
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    config = PipelineConfig.load(None, _config_overrides(args))
+def cmd_train(args, config: PipelineConfig) -> int:
+    if not config.model:
+        raise ConfigError("model path not configured")
     lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
     records = _load_records(config.corpus)
     X, labels, skipped = build_labeled(records, lexicon, config.dim)
@@ -240,13 +245,12 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
     model = classify.train(config.method, X, labels, _train_params(config), workers=config.workers)
     log.info("stage=train records=%d duration=%.3f", len(labels), time.perf_counter() - t0)
-    classify.save_model(model, args.model)
+    classify.save_model(model, config.model)
     print(f"trained\t{config.method}\t{len(labels)}\tskipped_no_name\t{skipped}")
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    config = PipelineConfig.load(None, _config_overrides(args))
+def cmd_evaluate(args, config: PipelineConfig) -> int:
     lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
     records = _load_records(config.corpus)
     X, labels, _ = build_labeled(records, lexicon, config.dim)
@@ -266,11 +270,8 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_speedup(args) -> int:
-    overrides = _config_overrides(args)
-    overrides.pop("workers", None)  # speedup's --workers is a list, not the config int
-    config = PipelineConfig.load(None, overrides)
-    worker_counts = [int(w) for w in args.workers.split(",")]
+def cmd_speedup(args, config: PipelineConfig) -> int:
+    worker_counts = [int(w) for w in args.worker_counts.split(",")]
     if args.synthetic:
         X, labels = synth_labeled_points(args.synthetic, dim=config.dim, seed=config.seed)
     else:
@@ -283,12 +284,11 @@ def cmd_speedup(args) -> int:
     return EXIT_OK
 
 
-def cmd_impute_category(args) -> int:
-    config = PipelineConfig.load(None, _config_overrides(args))
+def cmd_impute_category(args, config: PipelineConfig) -> int:
     lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
     records = _load_records(config.corpus)
     model = classify.load_model(_require_file(config.model, "model"))
-    report = classify.impute_categories(records, model, lexicon, model.dim)
+    report = classify.impute_categories(records, model, lexicon)
     write_records(records, args.out)
     print(f"missing\t{report.missing}")
     print(f"filled\t{report.filled}")
@@ -300,8 +300,8 @@ def cmd_impute_category(args) -> int:
     return EXIT_OK
 
 
-def cmd_build_gazetteer(args) -> int:
-    entries, diagnostics = gazetteer.read_gazetteer(_require_file(args.gazetteer, "gazetteer"))
+def cmd_build_gazetteer(args, config: PipelineConfig) -> int:
+    entries, diagnostics = gazetteer.read_gazetteer(_require_file(config.gazetteer, "gazetteer"))
     tree = gazetteer.build(entries)
     print(f"entries\t{len(tree)}")
     print(f"postcodes\t{len(tree.postcodes())}")
@@ -309,19 +309,16 @@ def cmd_build_gazetteer(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate_gazetteer(args) -> int:
-    entries, _ = gazetteer.read_gazetteer(_require_file(args.gazetteer, "gazetteer"))
-    tree = gazetteer.build(entries)
-    lexicon = Lexicon.from_tsv(_require_file(args.lexicon, "lexicon"))
-    report = gazetteer.validate(tree, _load_records(args.corpus), lexicon)
+def cmd_validate_gazetteer(args, config: PipelineConfig) -> int:
+    tree, lexicon, records = _location_setup(config)
+    report = gazetteer.validate(tree, records, lexicon)
     print(f"evaluated\t{report.evaluated}")
     print(f"match_rate\t{report.match_rate:.4f}")
     print(f"presence_rate\t{report.presence_rate:.4f}")
     return EXIT_OK
 
 
-def _location_setup(args):
-    config = PipelineConfig.load(None, _config_overrides(args))
+def _location_setup(config: PipelineConfig):
     entries, _ = gazetteer.read_gazetteer(_require_file(config.gazetteer, "gazetteer"))
     tree = gazetteer.build(entries)
     lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
@@ -329,8 +326,8 @@ def _location_setup(args):
     return tree, lexicon, records
 
 
-def cmd_impute_postcode(args) -> int:
-    tree, lexicon, records = _location_setup(args)
+def cmd_impute_postcode(args, config: PipelineConfig) -> int:
+    tree, lexicon, records = _location_setup(config)
     report = locimpute.impute_locations(records, tree, lexicon, steps=("postcode",))
     write_records(records, args.out)
     print(f"filled\t{report.postcode_filled}")
@@ -338,8 +335,8 @@ def cmd_impute_postcode(args) -> int:
     return EXIT_OK
 
 
-def cmd_impute_ad(args) -> int:
-    tree, lexicon, records = _location_setup(args)
+def cmd_impute_ad(args, config: PipelineConfig) -> int:
+    tree, lexicon, records = _location_setup(config)
     report = locimpute.impute_locations(records, tree, lexicon, steps=("ad",))
     write_records(records, args.out)
     print(f"assigned\t{report.ad_assigned}")
@@ -347,8 +344,8 @@ def cmd_impute_ad(args) -> int:
     return EXIT_OK
 
 
-def cmd_impute_location(args) -> int:
-    tree, lexicon, records = _location_setup(args)
+def cmd_impute_location(args, config: PipelineConfig) -> int:
+    tree, lexicon, records = _location_setup(config)
     report = locimpute.impute_locations(records, tree, lexicon)
     write_records(records, args.out)
     if args.report:
@@ -358,8 +355,7 @@ def cmd_impute_location(args) -> int:
     return EXIT_OK
 
 
-def cmd_geocode(args) -> int:
-    config = PipelineConfig.load(None, _config_overrides(args))
+def cmd_geocode(args, config: PipelineConfig) -> int:
     records = _load_records(config.corpus)
     results = _geocode(records, _make_provider(config), _require_file(config.keys, "keys"), config.rate)
     geocode.write_results(results, args.out)
@@ -370,9 +366,9 @@ def cmd_geocode(args) -> int:
     return EXIT_OK
 
 
-def cmd_kfunction(args) -> int:
+def cmd_kfunction(args, config: PipelineConfig) -> int:
     radii = spatial.check_radii([float(r) for r in args.radii.split(",")])
-    columns = _ingest(args.corpus).columns
+    columns = _ingest(config.corpus).columns
     lons = [lon for lon in columns["lon"] if lon is not None]
     if len(lons) < 2:
         raise StageError("need at least two records with coordinates")
@@ -385,14 +381,19 @@ def cmd_kfunction(args) -> int:
     return EXIT_OK
 
 
-def cmd_export(args) -> int:
+def cmd_export(args, config: PipelineConfig) -> int:
+    category = None
+    if args.category is not None:
+        category = normalize_category(args.category)
+        if category is None:
+            raise ConfigError(f"unknown category {args.category!r}")
     year_range = None
     if args.from_year is not None or args.to_year is not None:
         year_range = (args.from_year, args.to_year)
         if None not in year_range and args.from_year > args.to_year:
             raise ConfigError(f"--from-year {args.from_year} is after --to-year {args.to_year}")
-    result = _ingest(args.corpus)
-    report = spatial.export_geojson(result, args.out, category=args.category, year_range=year_range)
+    result = _ingest(config.corpus)
+    report = spatial.export_geojson(result, args.out, category=category, year_range=year_range)
     print(f"written\t{report.written}")
     print(f"skipped_no_coordinates\t{report.skipped_no_coordinates}")
     return EXIT_OK
@@ -429,11 +430,16 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
     unknown = skip - set(PIPELINE_STAGES)
     if unknown:
         raise ConfigError(f"unknown pipeline stages in --skip: {sorted(unknown)}")
-    # every configuration error is raised here, before any stage writes
+    # every configuration error is raised here, before any stage writes;
+    # a stage that needs a skipped one's result is one too
     _require_file(config.corpus, "corpus")
     lexicon_path = _require_file(config.lexicon, "lexicon")
+    if "train" in skip and "impute-category" not in skip:
+        _require_file(config.model, "model")
     if "build-gazetteer" not in skip:
         gazetteer_path = _require_file(config.gazetteer, "gazetteer")
+    elif "impute-location" not in skip:
+        raise ConfigError("impute-location needs the build-gazetteer stage")
     if "geocode" not in skip:
         provider = _make_provider(config)
         keys = _require_file(config.keys, "keys")
@@ -462,11 +468,10 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
         if "impute-category" not in skip:
             if model is None:
                 raise StageError("no model available for category imputation")
-            report = classify.impute_categories(records, model, lexicon, model.dim)
+            report = classify.impute_categories(records, model, lexicon)
             timer.record("impute-category", report.filled)
 
         stage = "build-gazetteer"
-        tree = None
         if "build-gazetteer" not in skip:
             entries, _ = gazetteer.read_gazetteer(gazetteer_path)
             tree = gazetteer.build(entries)
@@ -474,8 +479,6 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
 
         stage = "impute-location"
         if "impute-location" not in skip:
-            if tree is None:
-                raise StageError("impute-location needs the gazetteer stage")
             location_report = locimpute.impute_locations(records, tree, lexicon)
             location_report.write(out / "location_report.tsv")
             timer.record("impute-location", location_report.postcode_filled)
@@ -517,10 +520,8 @@ def _write_summary(report: MissingnessReport, path: Path) -> None:
     ))
 
 
-def cmd_pipeline(args) -> int:
-    config = PipelineConfig.load(args.config, _config_overrides(args))
-    skip = set(filter(None, (args.skip or "").split(",")))
-    return run_pipeline(config, skip)
+def cmd_pipeline(args, config: PipelineConfig) -> int:
+    return run_pipeline(config, set(filter(None, (args.skip or "").split(","))))
 
 
 # --- argument parsing ---------------------------------------------------
@@ -531,7 +532,7 @@ _CONFIG_FLAGS = {f.name: type(f.default) for f in dc_fields(PipelineConfig)}
 
 
 def _config_overrides(args) -> dict:
-    return {name: getattr(args, name, None) for name in _CONFIG_FLAGS if getattr(args, name, None) is not None}
+    return {name: value for name in _CONFIG_FLAGS if (value := getattr(args, name, None)) is not None}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -546,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", dest="synth_seed", metavar="SEED", type=int, default=7)
     p.add_argument("--lexicon-seed", dest="lexicon_seed", type=int, default=101)
     p.add_argument("--missing-category", type=float, default=0.4364)
     p.add_argument("--missing-postcode", type=float, default=0.2575)
@@ -555,27 +556,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="read a record TSV and report missingness")
-    p.add_argument("--corpus", required=True)
     p.add_argument("--out")
+    _add_config_flags(p, "corpus")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("segment", help="tokenize text or corpus names")
-    p.add_argument("--lexicon", required=True)
     p.add_argument("--text")
-    p.add_argument("--corpus")
     p.add_argument("--out")
+    _add_config_flags(p, "lexicon", "corpus")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("vectorize", help="hash record names to sparse vectors")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--dim", type=int, default=DEFAULT_DIM)
     p.add_argument("--out", required=True)
+    _add_config_flags(p, "corpus", "lexicon", "dim")
     p.set_defaults(func=cmd_vectorize)
 
     p = sub.add_parser("train", help="train a classifier on labeled records")
-    p.add_argument("--model", required=True)
-    _add_config_flags(p, "corpus", "lexicon", "method", "dim", "workers", "alpha", "iters", "step", "l2")
+    _add_config_flags(p, "model", "corpus", "lexicon", "method", "dim", "workers", "alpha", "iters", "step", "l2")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="k-fold cross-validation")
@@ -587,7 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("speedup", help="training wall-time versus worker count")
-    p.add_argument("--workers", required=True, help="comma-separated counts, must include 1")
+    p.add_argument("--workers", dest="worker_counts", metavar="WORKERS", required=True,
+                   help="comma-separated counts, must include 1")
     p.add_argument("--synthetic", type=int, help="benchmark on N generated vectors")
     p.add_argument("--out", required=True)
     _add_config_flags(p, "corpus", "lexicon", "method", "dim", "seed", "alpha", "iters", "step", "l2")
@@ -601,13 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_impute_category)
 
     p = sub.add_parser("build-gazetteer", help="build and summarize the address tree")
-    p.add_argument("--gazetteer", required=True)
+    _add_config_flags(p, "gazetteer")
     p.set_defaults(func=cmd_build_gazetteer)
 
     p = sub.add_parser("validate-gazetteer", help="coverage of the tree on complete records")
-    p.add_argument("--gazetteer", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--lexicon", required=True)
+    _add_config_flags(p, "gazetteer", "corpus", "lexicon")
     p.set_defaults(func=cmd_validate_gazetteer)
 
     for name, func in (
@@ -629,17 +625,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_geocode)
 
     p = sub.add_parser("kfunction", help="Ripley K curve over record coordinates")
-    p.add_argument("--corpus", required=True)
     p.add_argument("--radii", required=True, help="comma-separated, increasing, km")
     p.add_argument("--out", required=True)
+    _add_config_flags(p, "corpus")
     p.set_defaults(func=cmd_kfunction)
 
     p = sub.add_parser("export", help="GeoJSON point export with filters")
-    p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--category")
+    p.add_argument("--category", help="symbol, English or Chinese name")
     p.add_argument("--from-year", dest="from_year", type=int)
     p.add_argument("--to-year", dest="to_year", type=int)
+    _add_config_flags(p, "corpus")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("pipeline", help="run the full workflow")
@@ -653,10 +649,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = None
+        if _CONFIG_FLAGS.keys() & vars(args).keys():
+            config = PipelineConfig.load(getattr(args, "config", None), _config_overrides(args))
+        return args.func(args, config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -25,13 +25,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .records import POSTCODE_RE, EnterpriseRecord, RowDiagnostic, read_tsv, write_tsv
 from .segmenter import ADDRESS_TAGS, Lexicon, word_lists
-
-if TYPE_CHECKING:
-    import numpy as np
 
 LEVELS = ("province", "city", "county", "street")
 LEVEL_WEIGHTS = {"province": 8, "city": 4, "county": 2, "street": 1}
@@ -97,8 +96,6 @@ class AddressTree:
     """Immutable four-level index over validated, de-duplicated entries."""
 
     def __init__(self, entries: Sequence[PostcodeEntry]):
-        import numpy as np
-
         self.entries: tuple[PostcodeEntry, ...] = tuple(
             sorted(set(entries), key=lambda e: (e.path(), e.postcode))
         )
@@ -131,8 +128,6 @@ class AddressTree:
         or is contained by, the noun, and the level-bit mask of those levels."""
         cached = self._noun_cache.get(noun)
         if cached is None:
-            import numpy as np
-
             masks: dict[int, int] = {}
             for name, levels in self._by_name.items():
                 if noun in name or name in noun:
@@ -148,8 +143,6 @@ class AddressTree:
         """Ascending indices of the entries that the nouns, all non-empty,
         match, and each one's matched weight: the OR of the nouns' masks.
         Only entries in among (ascending, non-empty) when it is given."""
-        import numpy as np
-
         weight = np.zeros(len(self.entries) if among is None else among.size, dtype=np.int64)
         for noun in nouns:
             idx, mask = self._noun_masks(noun)

@@ -28,7 +28,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
+
+import numpy as np
 
 from .gazetteer import AddressTree, best_postcodes, match
 from .records import EnterpriseRecord, write_tsv
@@ -37,9 +39,6 @@ from .segmenter import ADDRESS_TAGS, Lexicon, tokenize
 # (ROADMAP item 1), so they stay importable until the tracer drops them.
 from .parallel import map_partitions  # noqa: F401
 from .segmenter import segment  # noqa: F401
-
-if TYPE_CHECKING:
-    import numpy as np
 
 SOURCE_ORIGINAL = "original"
 SOURCE_POSTCODE_LOOKUP = "postcode-lookup"
@@ -89,8 +88,6 @@ class PostcodeEvidence:
 
     def __init__(self, postcodes: Sequence[str | None], rec_ids: np.ndarray, word_ids: np.ndarray,
                  lexicon: Lexicon):
-        import numpy as np
-
         rows = Counter(p for p in postcodes if p)
         codes = sorted(rows)
         code_of = {p: i for i, p in enumerate(codes)}
@@ -115,8 +112,6 @@ class PostcodeEvidence:
 
     def count_with(self, postcode: str, query: frozenset[str]) -> int:
         """Records carrying this postcode whose nouns include the query's."""
-        import numpy as np
-
         n_rows, start, end = self._spans.get(postcode, (0, 0, 0))
         words = self._words
         ids = [bisect_left(words, noun) for noun in query]
@@ -179,21 +174,18 @@ def _postcode_for(nouns: Sequence[str], tree: AddressTree, evidence: PostcodeEvi
 def impute_ad(
     record: EnterpriseRecord,
     tree: AddressTree,
-    lexicon: Lexicon | None = None,
-    nouns: Sequence[str] | None = None,
+    nouns: Sequence[str] = (),
 ) -> ImputedLocation | None:
     """AD levels for a record's postcode; None when the postcode is unknown
     to the tree (caller flags the record). When the postcode has several AD
-    paths, the record's query nouns pick one: nouns when given, else those
-    extract_query_nouns finds with lexicon; with neither, the first path."""
+    paths, the record's query nouns (extract_query_nouns) pick one; with
+    none, the first path."""
     if not record.postcode:
         raise ValueError(f"record {record.id} has no postcode")
     entries = tree.entries_for_postcode(record.postcode)
     if not entries:
         return None
     chosen = entries[0]
-    if len(entries) > 1 and nouns is None and lexicon is not None:
-        nouns = extract_query_nouns(record, lexicon)
     if len(entries) > 1 and nouns:
         # Best own-noun degree wins, ties to the first path: match orders
         # one postcode's entries that way, and an entry it does not return
@@ -306,8 +298,6 @@ def impute_locations(
     and evidence are taken before any record changes, and a record's
     steps read only its own fields, so filling a record cannot change
     another record's result."""
-    import numpy as np
-
     fill_postcodes, fill_ads = "postcode" in steps, "ad" in steps
     if fill_postcodes:
         segmented: Sequence[int] = range(len(records))

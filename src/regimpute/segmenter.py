@@ -42,20 +42,18 @@ This is FMM text by text, exactly:
 segment, feature_words and address_nouns are one-text calls into the
 kernel. A caller that segments a whole corpus makes one batch call, to
 tokenize, segment_texts or word_lists, since a call costs ~0.1 ms of
-numpy set-up however short its texts. numpy is imported inside the
-functions, so importing this module does not load it.
+numpy set-up however short its texts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
+
+import numpy as np
 
 from .records import read_tsv, write_tsv
-
-if TYPE_CHECKING:
-    import numpy as np
 
 POS_TAGS = ("n", "v", "vn", "ns", "x")
 FEATURE_TAGS = frozenset({"n", "v", "vn"})
@@ -128,8 +126,6 @@ class Lexicon:
     def tables(self) -> _Tables:
         """The tokenize tables, built on first use."""
         if self._tables is None:
-            import numpy as np
-
             alphabet = sorted({ch for word in self.words for ch in word})
             code = {ch: i + 1 for i, ch in enumerate(alphabet)}
             base = len(alphabet) + 1
@@ -167,8 +163,6 @@ def tokenize(texts: Sequence[str], lexicon: Lexicon, tags: Collection[str] | Non
     order. Word ids index lexicon.words; -1 is a character that is no word,
     tagged x. Only tokens whose tag is in tags are kept, all when tags is
     None."""
-    import numpy as np
-
     tables = lexicon.tables()
     keep = None if tags is None else np.isin(tables.word_tag, [POS_TAGS.index(t) for t in tags])
     # layout offset just past each text's separator, batch-wide, for the
@@ -192,8 +186,6 @@ def tokenize(texts: Sequence[str], lexicon: Lexicon, tags: Collection[str] | Non
 
 def _tokenize_run(texts, first: int, max_len: int, tables: _Tables, keep) -> tuple:
     """tokenize's arrays for texts, the batch's texts from index first on."""
-    import numpy as np
-
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     # 1. codes, a separator after each text and max_len - 1 more as padding,
     #    so the trie walk can read max_len codes from any position
@@ -253,8 +245,6 @@ def segment_texts(texts: Sequence[str], lexicon: Lexicon) -> list[list[Token]]:
 
 def word_lists(texts: Sequence[str], lexicon: Lexicon, tags: Collection[str]) -> list[list[str]]:
     """Each text's lexicon words tagged in tags, in order, duplicates kept."""
-    import numpy as np
-
     text_ids, word_ids, _ = tokenize(texts, lexicon, tags)
     is_word = word_ids >= 0
     words = lexicon.words

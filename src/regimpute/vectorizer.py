@@ -11,14 +11,16 @@ This matrix is the only form category data takes: build_labeled gives the
 training matrix and its labels, and every classifier trains and predicts
 on it. Word hashes are memoised: names reuse a small vocabulary, and the
 byte loop of fnv1a_32, the reference implementation, is slow in pure
-Python. scipy is imported by the functions that build a matrix, so
-importing this module loads neither numpy nor scipy.
+Python. scipy is imported by the function that builds a matrix, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .records import EnterpriseRecord, write_tsv
 from .segmenter import FEATURE_TAGS, Lexicon, tokenize
@@ -62,8 +64,6 @@ def hash_index(word: str, dim: int) -> int:
 def count_rows(column_lists: Iterable[Iterable[int]], dim: int):
     """CSR matrix whose row r counts each column index of column_lists[r]:
     float64 counts, sorted indices, duplicates summed."""
-    import numpy as np
-
     if dim < 1:
         raise ValueError("dim must be >= 1")
     columns: list[int] = []
@@ -75,7 +75,6 @@ def count_rows(column_lists: Iterable[Iterable[int]], dim: int):
 
 
 def _count_matrix(columns, indptr, dim: int):
-    import numpy as np
     from scipy import sparse
 
     X = sparse.csr_matrix((np.ones(len(columns)), columns, indptr), shape=(len(indptr) - 1, dim))
@@ -91,8 +90,6 @@ def hash_rows(word_lists: Iterable[Iterable[str]], dim: int = DEFAULT_DIM):
 def vectorize_names(names: Sequence[str], lexicon: Lexicon, dim: int = DEFAULT_DIM):
     """hash_rows of each name's feature_words, from one tokenize call and
     one hash_index per distinct word id."""
-    import numpy as np
-
     if dim < 1:
         raise ValueError("dim must be >= 1")
     text_ids, word_ids, _ = tokenize(names, lexicon, FEATURE_TAGS)

@@ -127,7 +127,7 @@ def test_criterion_03_synthetic_category_imputation(tmp_path, world_50k):
         assert report.overall_accuracy >= 0.95, f"CV accuracy {report.overall_accuracy:.4f}"
 
         model = classify.train("logistic_regression", X, labels, params)
-        fill = classify.impute_categories(records, model, world_50k.lexicon, DIM)
+        fill = classify.impute_categories(records, model, world_50k.lexicon)
         maskable = fill.missing - fill.skipped_no_name
         assert fill.filled == maskable, "every maskable record must be filled"
         assert all(r.category is not None for r in records if r.name)

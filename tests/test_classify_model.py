@@ -92,7 +92,7 @@ def test_impute_categories_fills_every_named_record(small_world, small_corpus):
     records, truth = small_corpus
     X, labels, _ = build_labeled(records, small_world.lexicon, dim=2048)
     model = classify.train("naive_bayes", X, labels)
-    report = impute_categories(records, model, small_world.lexicon, dim=2048)
+    report = impute_categories(records, model, small_world.lexicon)
     assert report.missing == sum(1 for r in records if truth.get(r.id, "category") is not None)
     assert report.filled + report.skipped_no_name == report.missing
     assert all(r.category is not None for r in records if r.name)
@@ -109,7 +109,7 @@ def test_impute_categories_no_missing_is_noop(small_world):
     model = classify.train(
         "naive_bayes", *synth_labeled_points(50, dim=2048, n_classes=4, seed=1)
     )
-    report = impute_categories(records, model, small_world.lexicon, dim=2048)
+    report = impute_categories(records, model, small_world.lexicon)
     assert report.missing == report.filled == 0
     assert records[0].category == "RE" and records[0].provenance_of("category") == "original"
 

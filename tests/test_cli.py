@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ import regimpute
 from regimpute import cli as cli_module
 from regimpute import records as records_module
 from regimpute import segmenter
-from regimpute.cli import PIPELINE_STAGES, main
+from regimpute.cli import PIPELINE_STAGES, PipelineConfig, build_parser, main
 from regimpute.geocode import MockGeocoder
 from regimpute.records import ingest, write_records
 
@@ -290,6 +292,30 @@ def test_export_rejects_an_inverted_year_window_before_reading(tmp_path, monkeyp
     assert not out.exists()
 
 
+def test_export_category_accepts_the_aliases_ingest_accepts(tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "mixed.tsv"
+    corpus.write_text(
+        "id\tname\tcategory\taddress\tpostcode\tdata_source\tlon\tlat\n"
+        + "".join(f"E{i}\t\t{'M' if i % 2 else 'RE'}\t\t\t2004_x\t{114.0 + i / 10}\t30.0\n" for i in range(6)),
+        encoding="utf-8",
+    )
+    written = []
+    for i, label in enumerate(("M", "Manufacturing", "制造业")):
+        out = tmp_path / f"points{i}.geojson"
+        assert main(["export", "--corpus", str(corpus), "--out", str(out), "--category", label]) == 0
+        assert "written\t3\n" in capsys.readouterr().out
+        written.append(out.read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+
+    read = []
+    monkeypatch.setattr(cli_module, "ingest", lambda path: read.append(path))
+    out = tmp_path / "unknown.geojson"
+    assert main(["export", "--corpus", str(corpus), "--out", str(out), "--category", "ZZZ"]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert read == []
+    assert not out.exists()
+
+
 @pytest.fixture()
 def half_located(synth_dir, tmp_path):
     """The synth corpus with every other record already georeferenced."""
@@ -476,8 +502,10 @@ def test_lr_pipeline_model_does_not_depend_on_workers(synth_dir, tmp_path):
     ("--alpha", "nan"),
     ("--rate", "-5"),
     ("--rate", "nan"),
+    ("--skip", "build-gazetteer"),
+    ("--skip", "train"),
 ], ids=["provider", "method", "keys", "gazetteer", "workers", "dim", "iters", "step", "step-inf",
-        "l2", "l2-nan", "alpha", "alpha-nan", "rate", "rate-nan"])
+        "l2", "l2-nan", "alpha", "alpha-nan", "rate", "rate-nan", "skip-gazetteer", "skip-train"])
 def test_config_error_exits_2_before_any_stage(synth_dir, tmp_path, capsys, flag, value):
     keys = write_keys(tmp_path / "keys.tsv")
     out = tmp_path / "never_run"
@@ -486,6 +514,21 @@ def test_config_error_exits_2_before_any_stage(synth_dir, tmp_path, capsys, flag
     assert main(args) == 2
     assert "configuration error:" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_plans_with_stand_ins_for_skipped_stages_run(synth_dir, tmp_path):
+    keys = write_keys(tmp_path / "keys.tsv")
+    full, saved, no_location = tmp_path / "full", tmp_path / "saved", tmp_path / "no_location"
+    assert main(pipeline_args(synth_dir, full, keys)) == 0
+    # a saved model stands in for the train stage
+    model = full / "model.json"
+    assert main(pipeline_args(synth_dir, saved, keys) + ["--skip", "train", "--model", str(model)]) == 0
+    assert not (saved / "model.json").exists()
+    assert (saved / "records_final.tsv").read_bytes() == (full / "records_final.tsv").read_bytes()
+    # impute-location is skipped along with the gazetteer it needs
+    assert main(pipeline_args(synth_dir, no_location, keys) + ["--skip", "build-gazetteer,impute-location"]) == 0
+    assert not (no_location / "location_report.tsv").exists()
+    assert (no_location / "records_final.tsv").is_file()
 
 
 def test_config_file_and_env_overrides(synth_dir, tmp_path, monkeypatch):
@@ -532,3 +575,86 @@ def test_exit_code_1_on_stage_failure(synth_dir, tmp_path):
     assert main(args) == 1
     # artifacts from completed stages are retained
     assert (tmp_path / "fail_run" / "missingness_before.tsv").is_file()
+
+
+# --- every command takes its configuration keys through PipelineConfig ----
+
+
+def moved_command_args(synth_dir, located, out):
+    """command -> (its configuration keys, its other arguments), for the
+    commands that once declared their keys by hand."""
+    corpus, lexicon, gaz = (str(synth_dir / name) for name in ("corpus.tsv", "lexicon.tsv", "gazetteer.tsv"))
+    return {
+        "ingest": ({"corpus": corpus}, ["--out", str(out / "records.tsv")]),
+        "segment": ({"lexicon": lexicon, "corpus": corpus}, ["--out", str(out / "tokens.tsv")]),
+        "vectorize": ({"corpus": corpus, "lexicon": lexicon, "dim": DIM}, ["--out", str(out / "vectors.tsv")]),
+        "build-gazetteer": ({"gazetteer": gaz}, []),
+        "validate-gazetteer": ({"gazetteer": gaz, "corpus": corpus, "lexicon": lexicon}, []),
+        "kfunction": ({"corpus": str(located)}, ["--radii", "10,50", "--out", str(out / "k.tsv")]),
+        "export": ({"corpus": str(located)}, ["--out", str(out / "points.geojson")]),
+    }
+
+
+MOVED_COMMANDS = ("ingest", "segment", "vectorize", "build-gazetteer", "validate-gazetteer", "kfunction", "export")
+
+
+@pytest.mark.parametrize("command", MOVED_COMMANDS)
+def test_keys_come_from_env_and_flags_beat_it(synth_dir, tmp_path, monkeypatch, capsys, command):
+    located = located_corpus(tmp_path / "located.tsv")
+    results = {}
+    for how in ("flags", "env", "env-and-flags"):
+        out = tmp_path / how
+        out.mkdir()
+        keys, rest = moved_command_args(synth_dir, located, out)[command]
+        flags = [] if how == "env" else [arg for key, value in keys.items() for arg in (f"--{key}", value)]
+        for key, value in keys.items():
+            if how == "flags":
+                monkeypatch.delenv(f"REGIMPUTE_{key.upper()}", raising=False)
+            else:
+                # under the flags, the environment names a missing file or another dim
+                beaten = "16" if key == "dim" else str(tmp_path / "missing.tsv")
+                monkeypatch.setenv(f"REGIMPUTE_{key.upper()}", value if how == "env" else beaten)
+        assert main([command, *rest, *flags]) == 0, how
+        results[how] = (capsys.readouterr().out, {p.name: p.read_bytes() for p in out.iterdir()})
+    assert results["env"] == results["flags"]
+    assert results["env-and-flags"] == results["flags"]
+
+
+def test_unknown_env_key_stops_every_command_with_keys(synth_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REGIMPUTE_NO_SUCH_KEY", "1")
+    out = tmp_path / "records.tsv"
+    assert main(["ingest", "--corpus", str(synth_dir / "corpus.tsv"), "--out", str(out)]) == 2
+    assert "configuration error: unknown config key 'no_such_key'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_vectorize_dim_0_is_a_configuration_error(synth_dir, tmp_path, capsys):
+    out = tmp_path / "vectors.tsv"
+    assert main(["vectorize", *corpus_args(synth_dir), "--dim", "0", "--out", str(out)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kfunction_without_a_corpus_is_a_configuration_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("REGIMPUTE_CORPUS", raising=False)
+    out = tmp_path / "k.tsv"
+    assert main(["kfunction", "--radii", "10,50", "--out", str(out)]) == 2
+    assert "configuration error: corpus path not configured" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_keys_are_declared_only_by_add_config_flags():
+    # a flag that sets a PipelineConfig field must be what _add_config_flags
+    # makes: its own name, no default and the field's type, so that main's
+    # PipelineConfig.load is the one place a command gets a key's value
+    fields = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig)}
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = 0
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.dest in fields:
+                declared += 1
+                made = ([f"--{action.dest.replace('_', '-')}"], None, fields[action.dest], False)
+                assert (action.option_strings, action.default, action.type, action.required) == made, \
+                    (command, action.dest)
+    assert declared > len(fields)

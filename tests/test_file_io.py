@@ -12,7 +12,9 @@ import pytest
 import regimpute
 from regimpute import records as records_module
 from regimpute.classify import load_model
-from regimpute.cli import PipelineConfig, _StageTimer, _write_missingness, _write_summary, build_parser
+from regimpute.cli import (
+    PipelineConfig, _config_overrides, _StageTimer, _write_missingness, _write_summary, build_parser,
+)
 from regimpute.evaluate import ClassAccuracy, EvalReport, SpeedupCurve, SpeedupPoint, write_category_accuracy
 from regimpute.gazetteer import PostcodeEntry, read_gazetteer, write_gazetteer
 from regimpute.geocode import GeocodeResult, read_keys, write_results
@@ -52,7 +54,7 @@ def _segment(d: Path, version: str) -> None:
     args = build_parser().parse_args(
         ["segment", "--lexicon", str(DEMO_LEXICON), "--text", f"武汉{version}", "--out", str(d / "out.tsv")]
     )
-    args.func(args)
+    args.func(args, PipelineConfig.load(None, _config_overrides(args)))
 
 
 # name -> writer(directory, version): writes its file(s) into the directory,

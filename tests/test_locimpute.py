@@ -223,11 +223,11 @@ def test_impute_ad_multi_path_prefers_own_nouns(demo_lexicon):
     b = PostcodeEntry("广东省", "广州市", "越秀区", "南京路", "430014")
     tree = build([a, b])
     rec = EnterpriseRecord(id="1", address="南京路1号", data_source="注册_武汉市", postcode="430014")
-    loc = impute_ad(rec, tree, demo_lexicon)
+    loc = impute_ad(rec, tree, extract_query_nouns(rec, demo_lexicon))
     assert loc.province == "湖北省"  # own nouns beat the path-order default
     # without nouns to lean on, the lexicographically first path wins
     bare = EnterpriseRecord(id="2", address="南京路1号", postcode="430014")
-    assert impute_ad(bare, tree, demo_lexicon).province == "广东省"
+    assert impute_ad(bare, tree, extract_query_nouns(bare, demo_lexicon)).province == "广东省"
 
 
 def test_impute_locations_complete_corpus_is_noop(small_world, small_tree):
