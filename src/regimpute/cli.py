@@ -27,7 +27,10 @@ import numpy as np
 
 from . import classify, evaluate, gazetteer, geocode, locimpute, spatial
 from .categories import normalize_category
-from .records import GroundTruth, MissingnessReport, ingest, missingness, tsv_line, write_records, write_tsv
+from .records import (
+    GroundTruth, MissingnessReport, format_coordinates, ingest, missingness, tsv_line, write_columns,
+    write_records, write_tsv,
+)
 from .segmenter import Lexicon, segment_texts
 from .synth import SynthConfig, synth, synth_labeled_points, synth_world
 from .vectorizer import DEFAULT_DIM, build_labeled, vectorize_names, write_vectors
@@ -133,6 +136,13 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
+def _require_directory_of(path: str, what: str) -> None:
+    """A file is written beside a temporary one, so its directory must exist."""
+    directory = Path(path).parent
+    if not directory.is_dir():
+        raise ConfigError(f"{what} directory not found: {directory}")
+
+
 def _ingest(path: str, what: str = "corpus"):
     result = ingest(_require_file(path, what))
     if result.diagnostics:
@@ -160,12 +170,6 @@ def _make_provider(config: PipelineConfig):
             raise ConfigError("http provider needs url_template")
         return geocode.HttpGeocoder(config.url_template)
     raise ConfigError(f"unknown provider {config.provider!r}")
-
-
-def _geocode(records, provider, keys: Path, rate: float) -> list[geocode.GeocodeResult]:
-    """Geocode the records that lack coordinates; one result per record."""
-    rate = rate if rate > 0 else None
-    return geocode.geocode_missing(records, provider, geocode.read_keys(keys), rate=rate)
 
 
 # --- stage subcommands -------------------------------------------------
@@ -237,6 +241,7 @@ def cmd_vectorize(args, config: PipelineConfig) -> int:
 def cmd_train(args, config: PipelineConfig) -> int:
     if not config.model:
         raise ConfigError("model path not configured")
+    _require_directory_of(config.model, "model")
     lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
     records = _load_records(config.corpus)
     X, labels, skipped = build_labeled(records, lexicon, config.dim)
@@ -356,12 +361,15 @@ def cmd_impute_location(args, config: PipelineConfig) -> int:
 
 
 def cmd_geocode(args, config: PipelineConfig) -> int:
-    records = _load_records(config.corpus)
-    results = _geocode(records, _make_provider(config), _require_file(config.keys, "keys"), config.rate)
-    geocode.write_results(results, args.out)
+    columns = _ingest(config.corpus).columns
+    provider, keys = _make_provider(config), geocode.read_keys(_require_file(config.keys, "keys"))
+    statuses, results = geocode.geocode_columns(columns, provider, keys, rate=config.rate or None)
+    # each coordinate is formatted once, for both files
+    lon_text, lat_text = format_coordinates(columns["lon"]), format_coordinates(columns["lat"])
+    write_tsv(args.out, geocode.RESULT_COLUMNS, zip(columns["id"], lon_text, lat_text, statuses))
     if args.merged_out:
-        geocode.apply_results(records, results)
-        write_records(records, args.merged_out)
+        geocoded = [status == geocode.STATUS_OK for status in statuses]
+        write_columns(columns, lon_text, lat_text, geocoded, args.merged_out)
     print(f"ok_rate\t{geocode.ok_rate(results):.4f}")
     return EXIT_OK
 
@@ -434,7 +442,9 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
     # a stage that needs a skipped one's result is one too
     _require_file(config.corpus, "corpus")
     lexicon_path = _require_file(config.lexicon, "lexicon")
-    if "train" in skip and "impute-category" not in skip:
+    if "train" not in skip and config.model:
+        _require_directory_of(config.model, "model")
+    elif "train" in skip and "impute-category" not in skip:
         _require_file(config.model, "model")
     if "build-gazetteer" not in skip:
         gazetteer_path = _require_file(config.gazetteer, "gazetteer")
@@ -485,7 +495,7 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
 
         stage = "geocode"
         if "geocode" not in skip:
-            results = _geocode(records, provider, keys, config.rate)
+            results = geocode.geocode_missing(records, provider, geocode.read_keys(keys), rate=config.rate or None)
             geocode.apply_results(records, results)
             geocode.write_results(results, out / "coordinates.tsv")
             timer.record("geocode", len(results))

@@ -1,13 +1,16 @@
 """Address geocoding with sharded dispatch and per-key daily quotas.
 
-A batch is split into contiguous shards, one per API key; shards run
-concurrently while requests within a shard stay sequential and
+A request is a record id and an address. A batch of requests is split
+into contiguous shards of ids and addresses, one shard per API key;
+shards run concurrently while requests within a shard stay sequential and
 rate-limited. Quota accounting is an atomic check-and-increment on a
 shared counter that resets when the (injectable) clock's day changes, so
-no schedule can push a key past its daily quota. Every input record gets
-exactly one result; once a shard's key is exhausted its remaining records
-are all reported as quota-exhausted. geocode_missing requests only records
-that lack coordinates: the others keep theirs and cost no quota.
+no schedule can push a key past its daily quota. Every request gets
+exactly one result; once a shard's key is exhausted its remaining requests
+are all reported as quota-exhausted. Only rows that lack coordinates are
+requested: the others keep theirs and cost no quota. geocode_missing
+requests them for records, geocode_columns for ingest columns, whose lon
+and lat columns it fills in place.
 
 The default provider is an offline deterministic mock; an HTTP JSON
 provider with a templated URL is available for real services.
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .parallel import map_partitions, split
 from .records import EnterpriseRecord, read_tsv, write_tsv
@@ -115,12 +118,20 @@ class TokenBucket:
 @dataclass(frozen=True)
 class Shard:
     index: int
-    records: tuple[EnterpriseRecord, ...]
+    ids: Sequence[str]
+    addresses: Sequence[str]  # "" where a record has no address
     key_id: str
 
+    @property
+    def records(self) -> tuple[EnterpriseRecord, ...]:
+        """The requests as records. Nothing in the package reads this:
+        perfbench's tracer does (ROADMAP item 1), so it stays until the
+        tracer drops it."""
+        return tuple(EnterpriseRecord(rec_id, address=address or None)
+                     for rec_id, address in zip(self.ids, self.addresses))
 
-@dataclass(frozen=True, slots=True)
-class GeocodeResult:
+
+class GeocodeResult(NamedTuple):
     record_id: str
     lon: float | None
     lat: float | None
@@ -129,14 +140,16 @@ class GeocodeResult:
     attempts: int
 
 
-def shard(records: Sequence[EnterpriseRecord], keys: Sequence[ApiKey]) -> list[Shard]:
-    """Contiguous even shards, one key per shard; empty input, no shards."""
+def shard(ids: Sequence[str], addresses: Sequence[str], keys: Sequence[ApiKey]) -> list[Shard]:
+    """Contiguous even shards of the requests (ids[i], addresses[i]), one
+    key per shard; no requests, no shards."""
     if not keys:
         raise ValueError("at least one API key is required")
-    if not records:
+    if not ids:
         return []
-    parts = split(records, min(len(keys), len(records)))
-    return [Shard(i, tuple(part), keys[i].key_id) for i, part in enumerate(parts)]
+    parts = min(len(keys), len(ids))
+    return [Shard(i, rec_ids, part, keys[i].key_id)
+            for i, (rec_ids, part) in enumerate(zip(split(ids, parts), split(addresses, parts)))]
 
 
 def _unit_interval(h32: int) -> float:
@@ -262,15 +275,14 @@ class HttpGeocoder:
         return None if lon is None or lat is None else (lon, lat)
 
 
-def _geocode_one(record, provider, counter, limiter, exhausted, max_attempts, sleep):
+def _geocode_one(rec_id, address, provider, counter, limiter, exhausted, max_attempts, sleep):
     if exhausted[0]:
-        return GeocodeResult(record.id, None, None, STATUS_QUOTA, provider.name, 0)
-    address = record.address or ""
+        return GeocodeResult(rec_id, None, None, STATUS_QUOTA, provider.name, 0)
     attempts = 0
     while attempts < max_attempts:
         if not counter.try_acquire():
             exhausted[0] = True
-            return GeocodeResult(record.id, None, None, STATUS_QUOTA, provider.name, attempts)
+            return GeocodeResult(rec_id, None, None, STATUS_QUOTA, provider.name, attempts)
         if limiter is not None:
             limiter.acquire()
         attempts += 1
@@ -281,11 +293,11 @@ def _geocode_one(record, provider, counter, limiter, exhausted, max_attempts, sl
                 sleep(BACKOFF_SECONDS[min(attempts - 1, len(BACKOFF_SECONDS) - 1)])
             continue
         except ProviderError:
-            return GeocodeResult(record.id, None, None, STATUS_PROVIDER_ERROR, provider.name, attempts)
+            return GeocodeResult(rec_id, None, None, STATUS_PROVIDER_ERROR, provider.name, attempts)
         if coords is None:
-            return GeocodeResult(record.id, None, None, STATUS_NO_RESULT, provider.name, attempts)
-        return GeocodeResult(record.id, coords[0], coords[1], STATUS_OK, provider.name, attempts)
-    return GeocodeResult(record.id, None, None, STATUS_PROVIDER_ERROR, provider.name, attempts)
+            return GeocodeResult(rec_id, None, None, STATUS_NO_RESULT, provider.name, attempts)
+        return GeocodeResult(rec_id, coords[0], coords[1], STATUS_OK, provider.name, attempts)
+    return GeocodeResult(rec_id, None, None, STATUS_PROVIDER_ERROR, provider.name, attempts)
 
 
 def geocode_batch(
@@ -297,8 +309,8 @@ def geocode_batch(
     sleep: Callable[[float], None] = time.sleep,
     clock: Callable[[], date] = date.today,
 ) -> list[GeocodeResult]:
-    """Geocode all shards concurrently; one result per input record, in
-    input order. rate=None disables request pacing (offline providers)."""
+    """Geocode all shards concurrently; one result per request, in input
+    order. rate=None disables request pacing (offline providers)."""
     if not shards:
         return []
     counters = {key.key_id: QuotaCounter(key, clock) for key in keys}
@@ -308,8 +320,8 @@ def geocode_batch(
         limiter = TokenBucket(rate, sleep) if rate is not None else None
         exhausted = [False]
         return [
-            _geocode_one(rec, provider, counter, limiter, exhausted, max_attempts, sleep)
-            for rec in sh.records
+            _geocode_one(rec_id, address, provider, counter, limiter, exhausted, max_attempts, sleep)
+            for rec_id, address in zip(sh.ids, sh.addresses)
         ]
 
     per_shard = map_partitions(shards, run_shard, workers=len(shards))
@@ -326,12 +338,36 @@ def geocode_missing(
     coordinates are sharded across the keys and requested; a record that
     has coordinates gets a STATUS_ORIGINAL result carrying them."""
     pending = [rec for rec in records if rec.coordinates is None]
-    fetched = iter(geocode_batch(shard(pending, keys), provider, keys, rate=rate))
+    requests = shard([rec.id for rec in pending], [rec.address or "" for rec in pending], keys)
+    fetched = iter(geocode_batch(requests, provider, keys, rate=rate))
     return [
         next(fetched) if rec.coordinates is None
         else GeocodeResult(rec.id, *rec.coordinates, STATUS_ORIGINAL, provider.name, 0)
         for rec in records
     ]
+
+
+def geocode_columns(
+    columns: dict[str, list],
+    provider,
+    keys: Sequence[ApiKey],
+    rate: float | None = DEFAULT_RATE,
+) -> tuple[list[str], list[GeocodeResult]]:
+    """geocode_missing on ingest columns (IngestResult.columns): only the
+    rows whose lon is None are requested, and each ok result goes into the
+    lon and lat columns in place. Returns the status column, one status
+    per row and STATUS_ORIGINAL on the rows that were not requested, and
+    the requested rows' results."""
+    lons, lats, ids, addresses = map(columns.__getitem__, ("lon", "lat", "id", "address"))
+    pending = [i for i, lon in enumerate(lons) if lon is None]
+    requests = shard([ids[i] for i in pending], [addresses[i] for i in pending], keys)
+    results = geocode_batch(requests, provider, keys, rate=rate)
+    statuses = [STATUS_ORIGINAL] * len(lons)
+    for i, res in zip(pending, results):
+        statuses[i] = res.status
+        if res.status == STATUS_OK:
+            lons[i], lats[i] = res.lon, res.lat
+    return statuses, results
 
 
 def apply_results(records: Sequence[EnterpriseRecord], results: Sequence[GeocodeResult]) -> int:
@@ -371,13 +407,16 @@ def read_keys(path: str | Path) -> list[ApiKey]:
     return keys
 
 
+RESULT_COLUMNS = ("id", "lon", "lat", "status")
+
+
 def write_results(results: Sequence[GeocodeResult], path: str | Path) -> None:
     rows = (
         (r.record_id, "" if r.lon is None else repr(r.lon),
          "" if r.lat is None else repr(r.lat), r.status)
         for r in results
     )
-    write_tsv(path, ("id", "lon", "lat", "status"), rows)
+    write_tsv(path, RESULT_COLUMNS, rows)
 
 
 def ok_rate(results: Sequence[GeocodeResult]) -> float:

@@ -22,9 +22,11 @@ of each data_source cell, so the records share those values. A bad cell is
 never memoised: each row holding one gets its own diagnostic. A lon or lat
 that is not a finite number makes the row bad.
 
-IngestResult keeps the good rows as columns, which the spatial commands
-read directly, and builds the records from them on first access. Each
-record gets its own provenance dict, a copy of the one parsed for its cell.
+IngestResult keeps the good rows as columns, which the geocode and
+spatial commands read directly, and builds the records from them on first
+access. Each record gets its own provenance dict, a copy of the one parsed
+for its cell. write_columns writes the columns back as write_records
+writes those records.
 """
 
 from __future__ import annotations
@@ -372,6 +374,35 @@ def write_tsv(
             except TypeError:  # a None cell
                 exact = False
             fh.write(text if exact else "".join(map(tsv_line, block)))
+
+
+def format_coordinates(values: Sequence[float | None]) -> list[str]:
+    """The text write_records gives each coordinate: its repr, "" for None."""
+    text = repr
+    return ["" if value is None else text(value) for value in values]
+
+
+def write_columns(
+    columns: dict[str, list], lon_text: Sequence[str], lat_text: Sequence[str], geocoded: Sequence[bool],
+    path: str | Path,
+) -> None:
+    """Write ingest columns as write_records writes the records IngestResult
+    builds from them, with the coordinates as format_coordinates gives them,
+    marked imputed on the rows `geocoded` flags, as apply_results marks
+    them. Absent values are written as empty cells. Each distinct
+    (provenance cell, flag) pair is formatted once."""
+    marked = {}
+    for cell, flag in set(zip(columns["provenance"], geocoded)):
+        prov = _parse_provenance(cell)
+        if flag:
+            prov["coordinates"] = IMPUTED
+        marked[cell, flag] = _format_provenance(tuple(prov.items()))
+    category, postcode, source = ([value or "" for value in columns[name]]
+                                  for name in ("category", "postcode", "data_source"))
+    write_tsv(path, _ALL_COLUMNS, zip(
+        columns["id"], columns["name"], category, columns["address"], postcode, source,
+        lon_text, lat_text, map(marked.__getitem__, zip(columns["provenance"], geocoded)),
+    ))
 
 
 def write_records(records: Iterable[EnterpriseRecord], path: str | Path) -> None:

@@ -29,9 +29,9 @@ integer-lattice points whose pair distances land exactly on the radii.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Sequence
 
@@ -135,6 +135,18 @@ def project_equirectangular(coords: Sequence[tuple[float, float]]) -> np.ndarray
     return np.column_stack([x, y])
 
 
+# One feature and the collection, as json.dumps(doc, ensure_ascii=False,
+# sort_keys=True, separators=(",", ":")) writes them: keys sorted, no
+# spaces. The text is the same byte for byte: strings go through
+# encode_basestring, the encoder dumps uses when ensure_ascii is False;
+# json writes an int or a finite float as its repr, as %r and %s do; and
+# None is null. Ingest leaves only finite float coordinates, int years and
+# str ids and categories.
+_FEATURE = ('{"geometry":{"coordinates":[%r,%r],"type":"Point"},'
+            '"properties":{"category":%s,"id":%s,"year":%s},"type":"Feature"}')
+_COLLECTION = '{"features":[%s],"type":"FeatureCollection"}'
+
+
 @dataclass(frozen=True)
 class ExportReport:
     written: int
@@ -169,15 +181,8 @@ def export_geojson(
         if lon is None:
             skipped += 1
             continue
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": [lon, lat]},
-                "properties": {"id": rec_id, "category": rec_category, "year": year},
-            }
-        )
-    doc = {"type": "FeatureCollection", "features": features}
+        features.append(_FEATURE % (lon, lat, "null" if rec_category is None else encode_basestring(rec_category),
+                                    encode_basestring(rec_id), "null" if year is None else year))
     with atomic_writer(path) as fh:
-        # dumps, not dump: only dumps takes the C encoder; the text is the same
-        fh.write(json.dumps(doc, ensure_ascii=False, sort_keys=True, separators=(",", ":")))
+        fh.write(_COLLECTION % ",".join(features))
     return ExportReport(len(features), skipped)

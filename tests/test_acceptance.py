@@ -224,7 +224,8 @@ def test_criterion_06_geocoding_rate():
 
         def run():
             keys = [ApiKey(f"k{i}", 6000) for i in range(4)]
-            return geocode_batch(shard(records, keys), provider, keys, rate=None)
+            requests = shard([r.id for r in records], [r.address or "" for r in records], keys)
+            return geocode_batch(requests, provider, keys, rate=None)
 
         pre = ok_rate(run())
         impute_locations(records, tree, world.lexicon)
@@ -240,7 +241,8 @@ def test_criterion_07_quota_safety():
 
         records = [EnterpriseRecord(id=f"r{i}", address="prefix street") for i in range(10_000)]
         keys = [ApiKey(f"k{i}", daily_quota=2000) for i in range(4)]
-        results = geocode_batch(shard(records, keys), MockGeocoder(), keys, rate=None)
+        requests = shard([r.id for r in records], [r.address for r in records], keys)
+        results = geocode_batch(requests, MockGeocoder(), keys, rate=None)
         assert len(results) == len(records)
         assert all(k.used_today <= k.daily_quota for k in keys)
         statuses = [r.status for r in results]

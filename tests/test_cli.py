@@ -366,6 +366,68 @@ def test_geocode_skips_located_records(half_located, tmp_path, requested):
     assert "quota-exhausted" not in statuses
 
 
+# id, name, category, address, postcode, data_source, lon, lat, provenance
+GEOCODE_ROWS = [
+    ("E1", "武汉物业管理有限公司", "RE", "湖北省武汉市江岸区 南京路16号", "430014", "2004_x", "114.50", "30.5",
+     "postcode=imputed;category=imputed"),
+    ("E2", "", "", "湖北省武汉市江岸区 中山路4号", "", "", "", "", "coordinates=original"),
+    ("E2", "汉口贸易", "M", "湖北省武汉市江汉区 解放大道8号", "430015", "1999", "", "", ""),
+    ("E3", "", "", "湖北省武汉市江岸区 中山路4号", "", "", "1e1", "2.50", "coordinates=imputed"),
+    ("E4", "无地址", "", "", "", "2010_y", "", "", "category=imputed"),
+    ("E5", "", "SRTS", "江岸区 黄浦路2号", "", "2001", "-0.0", "1E-7", "coordinates=original;postcode=imputed"),
+] + [
+    (f"F{i}", f"企业{i}", ("RE", "", "M")[i % 3], f"湖北省武汉市{i % 4}区 路{i}号", ("", "430016")[i % 2],
+     ("", f"{1990 + i}_z")[i % 2], *(("114.25", "30.125") if i % 5 == 0 else ("", "")),
+     ("", "postcode=imputed;category=imputed", "coordinates=original", "ad=imputed;address=imputed")[i % 4])
+    for i in range(14)
+] + [("E2", "重复", "", "湖北省武汉市江岸区 南京路16号", "", "", "", "", "postcode=imputed")]
+
+
+def geocode_reference(corpus, keys, out):
+    """The geocode command through records: geocode_missing, apply_results
+    and write_records."""
+    from regimpute.geocode import apply_results, geocode_missing, ok_rate, read_keys, write_results
+
+    records = ingest(corpus).records
+    results = geocode_missing(records, MockGeocoder(), read_keys(keys), rate=None)
+    write_results(results, out / "coordinates.tsv")
+    apply_results(records, results)
+    write_records(records, out / "merged.tsv")
+    return f"ok_rate\t{ok_rate(results):.4f}\n"
+
+
+@pytest.mark.parametrize("quotas", [(1000,), (3, 100), (0, 2)], ids=["ample", "runs-out-mid-shard", "none-left"])
+def test_geocode_command_equals_the_record_reference(tmp_path, monkeypatch, capsys, quotas):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(
+        "\t".join(records_module._ALL_COLUMNS) + "\n" + "".join("\t".join(row) + "\n" for row in GEOCODE_ROWS),
+        encoding="utf-8",
+    )
+    keys = tmp_path / "keys.tsv"
+    keys.write_text("".join(f"k{i}\t{quota}\n" for i, quota in enumerate(quotas)), encoding="utf-8")
+    reference, command = tmp_path / "reference", tmp_path / "command"
+    reference.mkdir()
+    command.mkdir()
+    printed = geocode_reference(corpus, keys, reference)
+
+    def no_records(result):
+        raise AssertionError("the geocode command read IngestResult.records")
+
+    monkeypatch.setattr(records_module.IngestResult, "records", property(no_records))
+    assert main(["geocode", "--corpus", str(corpus), "--keys", str(keys), "--provider", "mock",
+                 "--out", str(command / "coordinates.tsv"), "--merged-out", str(command / "merged.tsv")]) == 0
+    assert capsys.readouterr().out == printed
+    for name in ("coordinates.tsv", "merged.tsv"):
+        assert (command / name).read_bytes() == (reference / name).read_bytes(), name
+    lines = (command / "coordinates.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    statuses = {line.split("\t")[3] for line in lines}
+    assert {"ok", "original"} <= statuses
+    if quotas == (1000,):
+        assert "no-result" in statuses and "quota-exhausted" not in statuses
+    else:
+        assert "quota-exhausted" in statuses
+
+
 def test_pipeline_geocode_skips_located_records(synth_dir, half_located, tmp_path, requested):
     corpus, located = half_located
     keys = write_keys(tmp_path / "keys.tsv", n=1, quota=800 - len(located))
@@ -504,8 +566,10 @@ def test_lr_pipeline_model_does_not_depend_on_workers(synth_dir, tmp_path):
     ("--rate", "nan"),
     ("--skip", "build-gazetteer"),
     ("--skip", "train"),
+    ("--model", "{tmp}/nodir/sub/model.json"),
 ], ids=["provider", "method", "keys", "gazetteer", "workers", "dim", "iters", "step", "step-inf",
-        "l2", "l2-nan", "alpha", "alpha-nan", "rate", "rate-nan", "skip-gazetteer", "skip-train"])
+        "l2", "l2-nan", "alpha", "alpha-nan", "rate", "rate-nan", "skip-gazetteer", "skip-train",
+        "model-dir"])
 def test_config_error_exits_2_before_any_stage(synth_dir, tmp_path, capsys, flag, value):
     keys = write_keys(tmp_path / "keys.tsv")
     out = tmp_path / "never_run"
@@ -514,6 +578,16 @@ def test_config_error_exits_2_before_any_stage(synth_dir, tmp_path, capsys, flag
     assert main(args) == 2
     assert "configuration error:" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_train_model_in_a_missing_directory_exits_2_before_reading(synth_dir, tmp_path, monkeypatch, capsys):
+    read = []
+    monkeypatch.setattr(cli_module, "ingest", lambda path: read.append(path))
+    model = tmp_path / "nodir" / "sub" / "model.json"
+    assert main(["train", *corpus_args(synth_dir), "--method", "naive_bayes", "--model", str(model)]) == 2
+    assert "configuration error: model directory not found" in capsys.readouterr().err
+    assert read == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_plans_with_stand_ins_for_skipped_stages_run(synth_dir, tmp_path):

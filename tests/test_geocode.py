@@ -33,33 +33,38 @@ def recs(n, address="湖北省武汉市江岸区 南京路16号"):
     return [EnterpriseRecord(id=f"r{i}", address=address) for i in range(n)]
 
 
+def requests(records):
+    """The ids and addresses shard takes, from records."""
+    return [r.id for r in records], [r.address or "" for r in records]
+
+
 def keys(n, quota=6000):
     return [ApiKey(f"key{i}", quota) for i in range(n)]
 
 
 class TestSharding:
     def test_ten_records_three_keys(self):
-        shards = shard(recs(10), keys(3))
+        shards = shard(*requests(recs(10)), keys(3))
         assert [len(s.records) for s in shards] == [4, 3, 3]
         assert [s.key_id for s in shards] == ["key0", "key1", "key2"]
         flat = [r.id for s in shards for r in s.records]
         assert flat == [f"r{i}" for i in range(10)]
 
     def test_single_key_single_shard(self):
-        shards = shard(recs(7), keys(1))
+        shards = shard(*requests(recs(7)), keys(1))
         assert len(shards) == 1
         assert len(shards[0].records) == 7
 
     def test_no_records_no_shards(self):
-        assert shard([], keys(3)) == []
+        assert shard(*requests([]), keys(3)) == []
 
     def test_more_keys_than_records(self):
-        shards = shard(recs(2), keys(5))
+        shards = shard(*requests(recs(2)), keys(5))
         assert [len(s.records) for s in shards] == [1, 1]
 
     def test_no_keys_is_fatal(self):
         with pytest.raises(ValueError):
-            shard(recs(2), [])
+            shard(*requests(recs(2)), [])
 
 
 class TestMockProvider:
@@ -114,14 +119,14 @@ class TestMockProvider:
 class TestQuota:
     def test_boundary_five_of_eight(self):
         ks = keys(1, quota=5)
-        results = geocode_batch(shard(recs(8), ks), MockGeocoder(), ks, rate=None)
+        results = geocode_batch(shard(*requests(recs(8)), ks), MockGeocoder(), ks, rate=None)
         statuses = [r.status for r in results]
         assert statuses == ["ok"] * 5 + ["quota-exhausted"] * 3
         assert ks[0].used_today == 5
 
     def test_batch_within_quota(self):
         ks = keys(4, quota=6000)
-        results = geocode_batch(shard(recs(1000), ks), MockGeocoder(), ks, rate=None)
+        results = geocode_batch(shard(*requests(recs(1000)), ks), MockGeocoder(), ks, rate=None)
         assert len(results) == 1000
         assert all(r.status == "ok" for r in results)
         assert all(k.used_today <= 6000 for k in ks)
@@ -184,7 +189,7 @@ class TestRetries:
         provider = FlakyProvider(failures_before_success=2)
         ks = keys(1)
         results = geocode_batch(
-            shard(recs(1), ks), provider, ks, rate=None, sleep=slept.append
+            shard(*requests(recs(1)), ks), provider, ks, rate=None, sleep=slept.append
         )
         assert results[0].status == "ok"
         assert results[0].attempts == 3
@@ -194,13 +199,13 @@ class TestRetries:
     def test_exhausted_retries_mark_provider_error(self):
         provider = FlakyProvider(failures_before_success=99)
         ks = keys(1)
-        results = geocode_batch(shard(recs(1), ks), provider, ks, rate=None, sleep=NO_SLEEP)
+        results = geocode_batch(shard(*requests(recs(1)), ks), provider, ks, rate=None, sleep=NO_SLEEP)
         assert results[0].status == "provider-error"
         assert results[0].attempts == 3
 
     def test_hard_failure_not_retried(self):
         ks = keys(1)
-        results = geocode_batch(shard(recs(3), ks), BrokenProvider(), ks, rate=None, sleep=NO_SLEEP)
+        results = geocode_batch(shard(*requests(recs(3)), ks), BrokenProvider(), ks, rate=None, sleep=NO_SLEEP)
         assert all(r.status == "provider-error" and r.attempts == 1 for r in results)
 
 
@@ -221,13 +226,13 @@ def test_shards_run_at_once():
     # guard: each shard's requests wait for the other shard's, so shards
     # run one after the other break the barrier
     ks = keys(2)
-    results = geocode_batch(shard(recs(4), ks), BarrierProvider(2), ks, rate=None)
+    results = geocode_batch(shard(*requests(recs(4)), ks), BarrierProvider(2), ks, rate=None)
     assert [r.status for r in results] == ["ok"] * 4
 
 
 def test_results_preserve_input_order():
     ks = keys(3)
-    results = geocode_batch(shard(recs(20), ks), MockGeocoder(), ks, rate=None)
+    results = geocode_batch(shard(*requests(recs(20)), ks), MockGeocoder(), ks, rate=None)
     assert [r.record_id for r in results] == [f"r{i}" for i in range(20)]
 
 
@@ -235,7 +240,7 @@ def test_every_record_accounted_for():
     records = recs(10)
     records[3].address = None  # no-result
     ks = keys(2, quota=4)
-    results = geocode_batch(shard(records, ks), MockGeocoder(), ks, rate=None)
+    results = geocode_batch(shard(*requests(records), ks), MockGeocoder(), ks, rate=None)
     assert len(results) == 10
     assert {r.status for r in results} <= {"ok", "no-result", "quota-exhausted"}
 

@@ -109,7 +109,8 @@ def test_batch_keeps_going_past_malformed_answers(http_server):
     provider = HttpGeocoder(url_of(http_server, "/abc"))
     keys = [ApiKey("k0", 100)]
     records = [EnterpriseRecord(id=f"r{i}", address=f"prefix street{i}") for i in range(4)]
-    results = geocode_batch(shard(records, keys), provider, keys, rate=None, sleep=lambda _t: None)
+    requests = shard([r.id for r in records], [r.address for r in records], keys)
+    results = geocode_batch(requests, provider, keys, rate=None, sleep=lambda _t: None)
     assert [(r.record_id, r.status, r.attempts) for r in results] == [
         (f"r{i}", "no-result", 1) for i in range(4)
     ]
@@ -132,7 +133,8 @@ def test_batch_retries_transient_http_errors(http_server):
     provider = HttpGeocoder(url_of(http_server, "/flaky"))
     keys = [ApiKey("k0", 100)]
     records = [EnterpriseRecord(id="r0", address="prefix street1")]
-    results = geocode_batch(shard(records, keys), provider, keys, rate=None, sleep=lambda _t: None)
+    requests = shard([r.id for r in records], [r.address for r in records], keys)
+    results = geocode_batch(requests, provider, keys, rate=None, sleep=lambda _t: None)
     assert results[0].status == "ok"
     assert results[0].attempts == 3  # two 503s, then success
     assert (results[0].lon, results[0].lat) == (114.25, 30.5)

@@ -283,22 +283,36 @@ def test_export_of_ingested_columns_equals_export_of_records(tmp_path, year_rang
 
 
 def test_export_bytes_equal_a_json_dump_reference(tmp_path):
-    records = [
-        EnterpriseRecord(id="武汉-01", category="RE", reg_year=None, coordinates=(114.25, 30.5)),
-        EnterpriseRecord(id="é\u2028\"q\"", category=None, reg_year=1999, coordinates=(-0.0, 1e-7)),
-        EnterpriseRecord(id="c", category=None, reg_year=None, coordinates=(1 / 3, 2e22)),
+    inputs = [
+        [
+            EnterpriseRecord(id="武汉-01", category="RE", reg_year=None, coordinates=(114.25, 30.5)),
+            EnterpriseRecord(id="é\u2028\"q\"", category=None, reg_year=1999, coordinates=(-0.0, 1e-7)),
+            EnterpriseRecord(id="c", category=None, reg_year=None, coordinates=(1 / 3, 2e22)),
+        ],
+        [
+            EnterpriseRecord(id="back\\slash", category="SRTS", reg_year=2004, coordinates=(-0.0, -1e-7)),
+            EnterpriseRecord(id='say "hi"', category=None, reg_year=None, coordinates=(2e22, 1e-7)),
+            EnterpriseRecord(id="bell\x07\x1f", category="RE", reg_year=None, coordinates=(114.5, -30.25)),
+            EnterpriseRecord(id="line\u2028para\u2029", category=None, reg_year=1995, coordinates=(1e16, 5e-324)),
+            EnterpriseRecord(id="湖北省武汉市企业", category="M", reg_year=2015, coordinates=(114, 30)),
+            EnterpriseRecord(id="no-point", category=None, reg_year=None, coordinates=None),
+        ],
+        [EnterpriseRecord(id="none-located", category="RE", reg_year=2000, coordinates=None)],
+        [],
     ]
-    path = tmp_path / "x.geojson"
-    export_geojson(records, path)
-    features = [
-        {
-            "type": "Feature",
-            "geometry": {"type": "Point", "coordinates": list(r.coordinates)},
-            "properties": {"id": r.id, "category": r.category, "year": r.reg_year},
-        }
-        for r in records
-    ]
-    reference = io.StringIO()
-    json.dump({"type": "FeatureCollection", "features": features}, reference,
-              ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    assert path.read_bytes() == reference.getvalue().encode("utf-8")
+    for i, records in enumerate(inputs):
+        path = tmp_path / f"x{i}.geojson"
+        export_geojson(records, path)
+        features = [
+            {
+                "type": "Feature",
+                "geometry": {"type": "Point", "coordinates": list(r.coordinates)},
+                "properties": {"id": r.id, "category": r.category, "year": r.reg_year},
+            }
+            for r in records
+            if r.coordinates is not None
+        ]
+        reference = io.StringIO()
+        json.dump({"type": "FeatureCollection", "features": features}, reference,
+                  ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        assert path.read_bytes() == reference.getvalue().encode("utf-8"), i
