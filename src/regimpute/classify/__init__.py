@@ -69,23 +69,40 @@ class CategoryImputeReport:
     skipped_no_name: int
 
 
+def predict_categories(
+    records: Sequence[EnterpriseRecord],
+    model: TrainedModel,
+    lexicon: Lexicon,
+) -> tuple[CategoryImputeReport, list[tuple[int, str]]]:
+    """The categories impute_categories fills, as (record index, class)
+    pairs, and its report; the records are not changed.
+
+    Records that already carry a category are left out; records with no
+    name cannot be vectorized and are only counted. The named records are
+    hashed at the model's dim and predicted in one batch."""
+    missing = [i for i, rec in enumerate(records) if rec.category is None]
+    named = [i for i in missing if records[i].name]
+    labels = predict_labels(model, vectorize_names([records[i].name for i in named], lexicon, model.dim))
+    fills = [(i, model.classes[label]) for i, label in zip(named, labels)]
+    return CategoryImputeReport(len(records), len(missing), len(named), len(missing) - len(named)), fills
+
+
+def fill_categories(records: Sequence[EnterpriseRecord], fills: Sequence[tuple[int, str]]) -> None:
+    """Set each (record index, class) pair's category and mark it imputed."""
+    for i, category in fills:
+        records[i].category = category
+        records[i].mark_imputed("category")
+
+
 def impute_categories(
     records: Sequence[EnterpriseRecord],
     model: TrainedModel,
     lexicon: Lexicon,
 ) -> CategoryImputeReport:
-    """Fill absent categories in place from the record names.
-
-    Records that already carry a category are untouched; records with no
-    name cannot be vectorized and are only counted. The named records are
-    hashed at the model's dim and predicted in one batch."""
-    missing = [rec for rec in records if rec.category is None]
-    named = [rec for rec in missing if rec.name]
-    labels = predict_labels(model, vectorize_names([rec.name for rec in named], lexicon, model.dim))
-    for rec, label in zip(named, labels):
-        rec.category = model.classes[label]
-        rec.mark_imputed("category")
-    return CategoryImputeReport(len(records), len(missing), len(named), len(missing) - len(named))
+    """Fill absent categories in place from the record names."""
+    report, fills = predict_categories(records, model, lexicon)
+    fill_categories(records, fills)
+    return report
 
 
 __all__ = [
@@ -93,6 +110,7 @@ __all__ = [
     "NBStats",
     "Prediction",
     "TrainedModel",
+    "fill_categories",
     "impute_categories",
     "infer_classes",
     "load_model",
@@ -101,6 +119,7 @@ __all__ = [
     "merge_stats",
     "partial_stats",
     "predict",
+    "predict_categories",
     "predict_labels",
     "save_model",
     "score_rows",

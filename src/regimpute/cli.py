@@ -1,12 +1,15 @@
 """Command-line interface: individual stage subcommands plus a pipeline
 orchestrator running ingest -> train -> impute-category -> build-gazetteer
--> impute-location -> geocode -> report.
+-> impute-location -> geocode -> report. With workers >= 2 the category
+track (train, impute-category) runs in a forked child beside the location
+track (build-gazetteer, impute-location, geocode).
 
 Configuration is a flat key=value file; REGIMPUTE_<KEY> environment
 variables override the file and command-line flags override both. Every
 command that takes a configuration key declares it with _add_config_flags,
 and main resolves the configuration once, before the handler runs, so the
-precedence and the value checks hold for every command. Exit codes: 0 ok,
+precedence and the value checks hold for every command; it also checks
+the directory of each file the command writes. Exit codes: 0 ok,
 1 stage failure, 2 configuration error. Stage timings go to the log and
 timings.tsv only, so every other artifact is byte-stable for a fixed
 configuration and seed.
@@ -15,17 +18,20 @@ configuration and seed.
 from __future__ import annotations
 
 import argparse
+import bisect
 import logging
 import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields as dc_fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import classify, evaluate, gazetteer, geocode, locimpute, spatial
+from . import classify, evaluate, gazetteer, geocode, locimpute, parallel, spatial
 from .categories import normalize_category
 from .records import (
     GroundTruth, MissingnessReport, format_coordinates, ingest, missingness, tsv_line, write_columns,
@@ -176,7 +182,7 @@ def _make_provider(config: PipelineConfig):
 
 
 def cmd_synth(args, _config: None) -> int:
-    out = Path(args.out)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = SynthConfig(
         n=args.n,
@@ -264,7 +270,7 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
         config.method, X, labels, plan, _train_params(config),
         workers=config.workers, measure_alloc=args.measure_alloc,
     )
-    out = Path(args.out)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report.write(out)
     print(f"overall_accuracy\t{report.overall_accuracy:.4f}")
@@ -415,22 +421,54 @@ class _StageTimer:
     from the end of the previous one, so the rows cover all pipeline work.
     A skipped stage gets no row, except `report`: records_final.tsv is
     written under it whether or not it is skipped, so its row is always
-    there and covers at least that write."""
+    there and covers at least that write.
+
+    With workers >= 2 the category track runs in a forked child beside the
+    location track. Then the train and impute-category rows hold the
+    child's own seconds, from the end of ingest, and overlap the
+    build-gazetteer to geocode rows, so the rows add up to more than the
+    run took. With any workers those two rows are logged when the tracks
+    join, after geocode's row, and timings.tsv keeps stage order."""
 
     def __init__(self):
         self.rows: list[tuple[str, int, float]] = []
         self._mark = time.perf_counter()
 
-    def record(self, stage: str, count: int) -> None:
+    def lap(self, stage: str, count: int) -> tuple[str, int, float]:
+        """The row of a stage that ends now, neither kept nor logged."""
         now = time.perf_counter()
         seconds, self._mark = now - self._mark, now
-        self.rows.append((stage, count, seconds))
-        log.info("stage=%s records=%d duration=%.3f", stage, count, seconds)
+        return stage, count, seconds
+
+    def add(self, row: tuple[str, int, float]) -> None:
+        """Keep a row, in stage order, and log it."""
+        bisect.insort(self.rows, row, key=lambda kept: PIPELINE_STAGES.index(kept[0]))
+        log.info("stage=%s records=%d duration=%.3f", *row)
+
+    def record(self, stage: str, count: int) -> None:
+        self.add(self.lap(stage, count))
 
     def write(self, path: Path) -> None:
         write_tsv(path, ("stage", "records", "seconds"), (
             (stage, str(count), f"{seconds:.3f}") for stage, count, seconds in self.rows
         ))
+
+
+class _StageFailed(Exception):
+    """A pipeline stage's error, with the stage; it pickles, so it can come
+    from the category track's forked child."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(stage, message)
+        self.stage, self.message = stage, message
+
+
+@contextmanager
+def _stage(name: str):
+    try:
+        yield
+    except (OSError, ValueError, StageError) as exc:
+        raise _StageFailed(name, str(exc)) from exc
 
 
 def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
@@ -446,6 +484,7 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
         _require_directory_of(config.model, "model")
     elif "train" in skip and "impute-category" not in skip:
         _require_file(config.model, "model")
+    gazetteer_path = provider = keys = None
     if "build-gazetteer" not in skip:
         gazetteer_path = _require_file(config.gazetteer, "gazetteer")
     elif "impute-location" not in skip:
@@ -456,64 +495,84 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     timer = _StageTimer()
-    stage = "ingest"
     try:
-        records = _load_records(config.corpus)
-        _write_missingness(missingness(records), out / "missingness_before.tsv")
-        lexicon = Lexicon.from_tsv(lexicon_path)
-        timer.record("ingest", len(records))
+        with _stage("ingest"):
+            records = _load_records(config.corpus)
+            _write_missingness(missingness(records), out / "missingness_before.tsv")
+            lexicon = Lexicon.from_tsv(lexicon_path)
+            timer.record("ingest", len(records))
 
-        stage = "train"
-        model = None
+        # The tracks touch disjoint fields. With workers >= 2 the category
+        # track runs in a forked child beside the location track; a child
+        # that exits without a result fails the category track's first stage.
+        first = "train" if "train" not in skip else "impute-category"
+        with _stage(first):
+            (category_rows, fills), _ = parallel.beside(
+                partial(_category_track, timer, config, skip, records, lexicon, out),
+                partial(_location_track, timer, config, skip, records, lexicon, out, gazetteer_path, provider, keys),
+                fork=config.workers > 1 and first not in skip,
+            )
+        for row in category_rows:
+            timer.add(row)
+        classify.fill_categories(records, fills)
+
+        with _stage("report"):
+            write_records(records, out / "records_final.tsv")
+            if "report" not in skip:
+                report = missingness(records)
+                _write_missingness(report, out / "missingness_after.tsv")
+                _write_summary(report, out / "summary.tsv")
+            timer.record("report", len(records))
+            timer.write(out / "timings.tsv")
+    except _StageFailed as exc:
+        timer.write(out / "timings.tsv")
+        log.error("stage=%s failed: %s", exc.stage, exc.message)
+        print(f"pipeline failed at stage {exc.stage}: {exc.message}", file=sys.stderr)
+        return EXIT_STAGE_FAILURE
+    return EXIT_OK
+
+
+def _category_track(timer, config, skip, records, lexicon, out):
+    """train and impute-category: the stages' timer rows and the categories
+    to fill, as (record index, class) pairs. The track may run in a forked
+    child, so it changes no record and logs nothing."""
+    rows, fills, model = [], [], None
+    with _stage("train"):
         if "train" not in skip:
             X, labels, _ = build_labeled(records, lexicon, config.dim)
             if labels:
                 model = classify.train(config.method, X, labels, _train_params(config), workers=config.workers)
                 classify.save_model(model, config.model or str(out / "model.json"))
-            timer.record("train", len(labels))
+            rows.append(timer.lap("train", len(labels)))
         if model is None and config.model and Path(config.model).is_file():
             model = classify.load_model(config.model)
-
-        stage = "impute-category"
+    with _stage("impute-category"):
         if "impute-category" not in skip:
             if model is None:
                 raise StageError("no model available for category imputation")
-            report = classify.impute_categories(records, model, lexicon)
-            timer.record("impute-category", report.filled)
+            report, fills = classify.predict_categories(records, model, lexicon)
+            rows.append(timer.lap("impute-category", report.filled))
+    return rows, fills
 
-        stage = "build-gazetteer"
+
+def _location_track(timer, config, skip, records, lexicon, out, gazetteer_path, provider, keys) -> None:
+    """build-gazetteer, impute-location and geocode, on the records in place."""
+    with _stage("build-gazetteer"):
         if "build-gazetteer" not in skip:
             entries, _ = gazetteer.read_gazetteer(gazetteer_path)
             tree = gazetteer.build(entries)
             timer.record("build-gazetteer", len(tree))
-
-        stage = "impute-location"
+    with _stage("impute-location"):
         if "impute-location" not in skip:
             location_report = locimpute.impute_locations(records, tree, lexicon)
             location_report.write(out / "location_report.tsv")
             timer.record("impute-location", location_report.postcode_filled)
-
-        stage = "geocode"
+    with _stage("geocode"):
         if "geocode" not in skip:
             results = geocode.geocode_missing(records, provider, geocode.read_keys(keys), rate=config.rate or None)
             geocode.apply_results(records, results)
             geocode.write_results(results, out / "coordinates.tsv")
             timer.record("geocode", len(results))
-
-        stage = "report"
-        write_records(records, out / "records_final.tsv")
-        if "report" not in skip:
-            report = missingness(records)
-            _write_missingness(report, out / "missingness_after.tsv")
-            _write_summary(report, out / "summary.tsv")
-        timer.record("report", len(records))
-        timer.write(out / "timings.tsv")
-    except (OSError, ValueError, StageError) as exc:
-        timer.write(out / "timings.tsv")
-        log.error("stage=%s failed: %s", stage, exc)
-        print(f"pipeline failed at stage {stage}: {exc}", file=sys.stderr)
-        return EXIT_STAGE_FAILURE
-    return EXIT_OK
 
 
 def _write_missingness(report: MissingnessReport, path: Path) -> None:
@@ -541,6 +600,12 @@ def cmd_pipeline(args, config: PipelineConfig) -> int:
 _CONFIG_FLAGS = {f.name: type(f.default) for f in dc_fields(PipelineConfig)}
 
 
+# the dests of the flags that name a file a command writes: main checks
+# their directories before the command reads anything (synth and evaluate
+# write into an --out directory they create, under the dest out_dir)
+_OUTPUT_FILES = ("out", "merged_out", "report")
+
+
 def _config_overrides(args) -> dict:
     return {name: value for name in _CONFIG_FLAGS if (value := getattr(args, name, None)) is not None}
 
@@ -555,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", dest="out_dir", metavar="OUT", required=True)
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--seed", dest="synth_seed", metavar="SEED", type=int, default=7)
     p.add_argument("--lexicon-seed", dest="lexicon_seed", type=int, default=101)
@@ -587,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="k-fold cross-validation")
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", dest="out_dir", metavar="OUT", required=True)
     p.add_argument("--measure-alloc", action="store_true")
     _add_config_flags(p, "corpus", "lexicon", "method", "dim", "workers", "seed",
                       "alpha", "iters", "step", "l2")
@@ -664,6 +729,9 @@ def main(argv: list[str] | None = None) -> int:
         config = None
         if _CONFIG_FLAGS.keys() & vars(args).keys():
             config = PipelineConfig.load(getattr(args, "config", None), _config_overrides(args))
+        for name in _OUTPUT_FILES:
+            if path := getattr(args, name, None):
+                _require_directory_of(path, f"--{name.replace('_', '-')}")
         return args.func(args, config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

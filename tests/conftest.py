@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import signal
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,16 @@ def small_tree(small_world):
 def small_corpus(small_config):
     # Fresh records each test; imputation mutates them.
     return synth(small_config)
+
+
+@pytest.fixture()
+def deadline():
+    """Fail a test that blocks for 30 s, instead of hanging the run."""
+    def expired(signum, frame):
+        raise TimeoutError("blocked for 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

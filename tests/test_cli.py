@@ -477,14 +477,15 @@ def test_pipeline_end_to_end(synth_dir, tmp_path):
 @pytest.mark.parametrize("skip", [(), ("geocode",), ("report",)])
 def test_pipeline_timings_have_a_row_per_stage(synth_dir, tmp_path, skip):
     keys = write_keys(tmp_path / "keys.tsv")
-    out = tmp_path / "timed"
-    args = pipeline_args(synth_dir, out, keys) + (["--skip", ",".join(skip)] if skip else [])
-    assert main(args) == 0
-    lines = (out / "timings.tsv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "stage\trecords\tseconds"
-    # records_final.tsv is always written under `report`, so it keeps its row
-    ran = [s for s in PIPELINE_STAGES if s not in skip or s == "report"]
-    assert [line.split("\t")[0] for line in lines[1:]] == ran
+    for workers in ("1", "2"):
+        out = tmp_path / f"timed_w{workers}"
+        args = pipeline_args(synth_dir, out, keys) + (["--skip", ",".join(skip)] if skip else [])
+        assert main(args + ["--workers", workers]) == 0
+        lines = (out / "timings.tsv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "stage\trecords\tseconds"
+        # records_final.tsv is always written under `report`, so it keeps its row
+        ran = [s for s in PIPELINE_STAGES if s not in skip or s == "report"]
+        assert [line.split("\t")[0] for line in lines[1:]] == ran
 
 
 def test_pipeline_skip_geocode(synth_dir, tmp_path):
@@ -511,28 +512,36 @@ def test_pipeline_rerun_is_idempotent(synth_dir, tmp_path):
 
 @pytest.mark.parametrize("method", ["naive_bayes", "logistic_regression"])
 def test_pipeline_deterministic_artifacts(synth_dir, tmp_path, method):
-    # the second run is a fresh `python -m regimpute.cli` process with
+    # the reference run is a fresh `python -m regimpute.cli` process with
     # another hash seed, so no set or str-keyed dict order may reach an
-    # artifact
+    # artifact; in-process runs at workers 1 and 2 (where the category
+    # track runs in a forked child) must write the same bytes
     keys = write_keys(tmp_path / "keys.tsv")
-    outs = [tmp_path / "d1", tmp_path / "d2"]
-    runs = []
-    for out in outs:
-        args = pipeline_args(synth_dir, out, keys)
-        args[args.index("--method") + 1] = method
-        runs.append(args)
-    assert main(runs[0]) == 0
+
+    def args(out, workers):
+        argv = pipeline_args(synth_dir, out, keys) + ["--workers", workers]
+        argv[argv.index("--method") + 1] = method
+        return argv
+
+    reference = tmp_path / "reference"
     src = str(Path(regimpute.__file__).resolve().parents[1])
     env = {
         **os.environ,
         "PYTHONHASHSEED": "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1",
         "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
     }
-    child = subprocess.run([sys.executable, "-m", "regimpute.cli", *runs[1]], env=env, capture_output=True)
+    child = subprocess.run([sys.executable, "-m", "regimpute.cli", *args(reference, "1")], env=env, capture_output=True)
     assert child.returncode == 0, child.stderr.decode()
-    for name in ("model.json", "records_final.tsv", "coordinates.tsv",
-                 "location_report.tsv", "summary.tsv", "missingness_after.tsv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    names = sorted(path.name for path in reference.iterdir())
+    assert "model.json" in names and "records_final.tsv" in names
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(args(out, workers)) == 0
+        assert sorted(path.name for path in out.iterdir()) == names
+        for name in names:
+            if name != "timings.tsv":
+                assert (out / name).read_bytes() == (reference / name).read_bytes(), (workers, name)
+    assert_reaped_and_clean(tmp_path)
 
 
 def test_lr_pipeline_model_does_not_depend_on_workers(synth_dir, tmp_path):
@@ -644,11 +653,147 @@ def test_exit_code_1_on_stage_failure(synth_dir, tmp_path):
     keys = write_keys(tmp_path / "keys.tsv")
     broken = tmp_path / "broken_gazetteer.tsv"
     broken.write_text("wrong\theader\n", encoding="utf-8")
-    args = pipeline_args(synth_dir, tmp_path / "fail_run", keys)
-    args[args.index("--gazetteer") + 1] = str(broken)
-    assert main(args) == 1
-    # artifacts from completed stages are retained
-    assert (tmp_path / "fail_run" / "missingness_before.tsv").is_file()
+    for workers in ("1", "2"):
+        args = pipeline_args(synth_dir, tmp_path / f"fail_run_w{workers}", keys)
+        args[args.index("--gazetteer") + 1] = str(broken)
+        assert main(args + ["--workers", workers]) == 1
+        # artifacts from completed stages are retained
+        assert (tmp_path / f"fail_run_w{workers}" / "missingness_before.tsv").is_file()
+
+
+# --- output paths are checked before a command reads anything --------------
+
+
+def output_path_cases(synth_dir, keys, good, bad):
+    """case id -> (argv whose output flag names a file in a missing
+    directory, that flag)."""
+    corpus = corpus_args(synth_dir)
+    gazetteer_args = ["--gazetteer", str(synth_dir / "gazetteer.tsv")]
+    cases = {
+        "ingest": (["ingest", "--corpus", corpus[1], "--out", bad], "--out"),
+        "segment": (["segment", *corpus, "--out", bad], "--out"),
+        "vectorize": (["vectorize", *corpus, "--dim", DIM, "--out", bad], "--out"),
+        "impute-category": (["impute-category", *corpus, "--model", str(good / "m.json"), "--out", bad], "--out"),
+        "impute-category-report": (["impute-category", *corpus, "--model", str(good / "m.json"),
+                                    "--out", str(good / "o.tsv"), "--truth", str(synth_dir / "truth.tsv"),
+                                    "--report", bad], "--report"),
+        "impute-location-report": (["impute-location", *corpus, *gazetteer_args, "--out", str(good / "o.tsv"),
+                                    "--report", bad], "--report"),
+        "geocode": (["geocode", "--corpus", corpus[1], "--keys", str(keys), "--out", bad], "--out"),
+        "geocode-merged": (["geocode", "--corpus", corpus[1], "--keys", str(keys), "--out", str(good / "c.tsv"),
+                            "--merged-out", bad], "--merged-out"),
+        "kfunction": (["kfunction", "--corpus", corpus[1], "--radii", "10,50", "--out", bad], "--out"),
+        "export": (["export", "--corpus", corpus[1], "--out", bad], "--out"),
+        "speedup": (["speedup", "--workers", "1,2", "--synthetic", "500", "--method", "naive_bayes",
+                     "--dim", "64", "--out", bad], "--out"),
+    }
+    for command in ("impute-postcode", "impute-ad", "impute-location"):
+        cases[command] = ([command, *corpus, *gazetteer_args, "--out", bad], "--out")
+    return cases
+
+
+OUTPUT_CASES = ("ingest", "segment", "vectorize", "impute-category", "impute-category-report", "impute-postcode",
+                "impute-ad", "impute-location", "impute-location-report", "geocode", "geocode-merged",
+                "kfunction", "export", "speedup")
+
+
+@pytest.mark.parametrize("case", OUTPUT_CASES)
+def test_output_in_a_missing_directory_exits_2_before_reading(synth_dir, tmp_path, monkeypatch, capsys,
+                                                              requested, case):
+    keys = write_keys(tmp_path / "keys.tsv")
+    good = tmp_path / "good"
+    good.mkdir()
+    bad = tmp_path / "nodir" / "sub" / "out.tsv"
+    argv, flag = output_path_cases(synth_dir, keys, good, str(bad))[case]
+    read = []
+    monkeypatch.setattr(cli_module, "_require_file", lambda path, what: read.append(path))
+    monkeypatch.setattr(cli_module, "synth_labeled_points", lambda *a, **k: read.append("synthetic"))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    assert f"configuration error: {flag} directory not found: {bad.parent}" in capsys.readouterr().err
+    assert read == [] and requested == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+# --- the category track beside the location track (workers >= 2) -----------
+
+
+def assert_reaped_and_clean(path):
+    """No child process is left to reap and no temporary file under path."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(path.rglob("*.tmp")) == []
+
+
+def broken_gazetteer(path):
+    path.write_text("wrong\theader\n", encoding="utf-8")
+    return str(path)
+
+
+def failing_train(monkeypatch, how):
+    """Patch classify.train to fail: raise a ValueError, or exit the
+    process with status 3 (only in a forked child, never this process)."""
+    parent = os.getpid()
+
+    def train(*args, **kwargs):
+        if how == "exit" and os.getpid() != parent:
+            os._exit(3)
+        raise ValueError("planted training failure")
+
+    monkeypatch.setattr(cli_module.classify, "train", train)
+
+
+def test_child_that_exits_without_a_result_fails_its_first_stage(synth_dir, tmp_path, monkeypatch, capsys, deadline):
+    failing_train(monkeypatch, "exit")
+    out = tmp_path / "out"
+    assert main(pipeline_args(synth_dir, out, write_keys(tmp_path / "keys.tsv")) + ["--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "pipeline failed at stage train: child process exited with status 3 before it sent a result" in err
+    assert "Error" not in err  # no EOFError or UnpicklingError
+    assert (out / "location_report.tsv").is_file()  # the location track ran to its end
+    assert_reaped_and_clean(tmp_path)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("failing", [("train",), ("build-gazetteer",), ("train", "build-gazetteer")],
+                         ids=["train", "build-gazetteer", "both"])
+def test_the_first_failed_stage_is_reported(synth_dir, tmp_path, monkeypatch, capsys, workers, failing):
+    if "train" in failing:
+        failing_train(monkeypatch, "raise")
+    out = tmp_path / "out"
+    args = pipeline_args(synth_dir, out, write_keys(tmp_path / "keys.tsv"))
+    if "build-gazetteer" in failing:
+        args[args.index("--gazetteer") + 1] = broken_gazetteer(tmp_path / "broken.tsv")
+    assert main(args + ["--workers", workers]) == 1
+    err = capsys.readouterr().err
+    if "train" in failing:
+        assert "pipeline failed at stage train: planted training failure" in err
+    else:  # the category track trained beside the failing location track
+        assert "pipeline failed at stage build-gazetteer:" in err
+        assert (out / "model.json").is_file()
+    assert_reaped_and_clean(tmp_path)
+
+
+def test_interrupted_location_track_waits_for_the_category_child(synth_dir, tmp_path, monkeypatch):
+    def interrupted(entries):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_module.gazetteer, "build", interrupted)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(pipeline_args(synth_dir, out, write_keys(tmp_path / "keys.tsv")) + ["--workers", "2"])
+    assert (out / "model.json").is_file()  # the child was let finish, not killed mid-write
+    assert_reaped_and_clean(tmp_path)
+
+
+@pytest.mark.parametrize("workers,skip", [("1", ""), ("2", "train,impute-category")])
+def test_pipeline_forks_only_to_overlap_the_category_track(synth_dir, tmp_path, monkeypatch, workers, skip):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    args = pipeline_args(synth_dir, tmp_path / "out", write_keys(tmp_path / "keys.tsv"))
+    assert main(args + ["--workers", workers] + (["--skip", skip] if skip else [])) == 0
 
 
 # --- every command takes its configuration keys through PipelineConfig ----
