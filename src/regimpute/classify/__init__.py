@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..records import EnterpriseRecord
 from ..segmenter import Lexicon
 from ..vectorizer import vectorize_names
 # Unused here: perfbench's tracer patches this name when it installs
@@ -70,38 +69,44 @@ class CategoryImputeReport:
 
 
 def predict_categories(
-    records: Sequence[EnterpriseRecord],
+    names: Sequence[str | None],
+    categories: Sequence[str | None],
     model: TrainedModel,
     lexicon: Lexicon,
 ) -> tuple[CategoryImputeReport, list[tuple[int, str]]]:
-    """The categories impute_categories fills, as (record index, class)
-    pairs, and its report; the records are not changed.
+    """The categories impute_categories fills, as (row index, class) pairs,
+    and its report, from row-aligned name and category columns, which are
+    not changed.
 
-    Records that already carry a category are left out; records with no
-    name cannot be vectorized and are only counted. The named records are
-    hashed at the model's dim and predicted in one batch."""
-    missing = [i for i, rec in enumerate(records) if rec.category is None]
-    named = [i for i in missing if records[i].name]
-    labels = predict_labels(model, vectorize_names([records[i].name for i in named], lexicon, model.dim))
+    Rows that already carry a category are left out; rows with no name
+    cannot be vectorized and are only counted. The named rows are hashed
+    at the model's dim and predicted in one batch."""
+    missing = [i for i, category in enumerate(categories) if category is None]
+    named = [i for i in missing if names[i]]
+    labels = predict_labels(model, vectorize_names([names[i] for i in named], lexicon, model.dim))
     fills = [(i, model.classes[label]) for i, label in zip(named, labels)]
-    return CategoryImputeReport(len(records), len(missing), len(named), len(missing) - len(named)), fills
+    return CategoryImputeReport(len(categories), len(missing), len(named), len(missing) - len(named)), fills
 
 
-def fill_categories(records: Sequence[EnterpriseRecord], fills: Sequence[tuple[int, str]]) -> None:
-    """Set each (record index, class) pair's category and mark it imputed."""
+def fill_categories(columns: dict[str, list], flags: dict[str, bytearray], fills: Sequence[tuple[int, str]]) -> None:
+    """Set each (row index, class) pair's category column cell and its
+    imputed flag."""
+    categories, imputed = columns["category"], flags["category"]
     for i, category in fills:
-        records[i].category = category
-        records[i].mark_imputed("category")
+        categories[i] = category
+        imputed[i] = 1
 
 
 def impute_categories(
-    records: Sequence[EnterpriseRecord],
+    columns: dict[str, list],
+    flags: dict[str, bytearray],
     model: TrainedModel,
     lexicon: Lexicon,
 ) -> CategoryImputeReport:
-    """Fill absent categories in place from the record names."""
-    report, fills = predict_categories(records, model, lexicon)
-    fill_categories(records, fills)
+    """Fill absent categories of ingest columns in place from the names,
+    flagging each fill."""
+    report, fills = predict_categories(columns["name"], columns["category"], model, lexicon)
+    fill_categories(columns, flags, fills)
     return report
 
 

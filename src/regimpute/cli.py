@@ -13,12 +13,23 @@ the directory of each file the command writes. Exit codes: 0 ok,
 1 stage failure, 2 configuration error. Stage timings go to the log and
 timings.tsv only, so every other artifact is byte-stable for a fixed
 configuration and seed.
+
+Every command that reads a corpus works on its ingest columns
+(IngestResult.columns) and records its fills as imputed flags
+(records.new_flags). Only synth, which generates records, and
+validate-gazetteer build EnterpriseRecords. Each stage subcommand
+(ingest, train, impute-category, impute-postcode, impute-ad,
+impute-location, geocode) calls the function its pipeline stage calls.
+main freezes the objects that exist when the command starts, the
+imports' among them (gc.freeze), so the cyclic collector does not rescan
+them and a forked child does not copy their pages.
 """
 
 from __future__ import annotations
 
 import argparse
 import bisect
+import gc
 import logging
 import math
 import os
@@ -34,8 +45,8 @@ import numpy as np
 from . import classify, evaluate, gazetteer, geocode, locimpute, parallel, spatial
 from .categories import normalize_category
 from .records import (
-    GroundTruth, MissingnessReport, format_coordinates, ingest, missingness, tsv_line, write_columns,
-    write_records, write_tsv,
+    GroundTruth, MissingnessReport, format_coordinates, imputed_rows, ingest, missingness, new_flags, tsv_line,
+    write_columns, write_records, write_tsv,
 )
 from .segmenter import Lexicon, segment_texts
 from .synth import SynthConfig, synth, synth_labeled_points, synth_world
@@ -156,10 +167,6 @@ def _ingest(path: str, what: str = "corpus"):
     return result
 
 
-def _load_records(path: str, what: str = "corpus"):
-    return _ingest(path, what).records
-
-
 def _train_params(config: PipelineConfig) -> dict:
     if config.method == "naive_bayes":
         return {"alpha": config.alpha}
@@ -206,13 +213,14 @@ def cmd_synth(args, _config: None) -> int:
 
 def cmd_ingest(args, config: PipelineConfig) -> int:
     result = ingest(_require_file(config.corpus, "corpus"))
-    report = missingness(result.records)
-    print(f"records\t{len(result.records)}")
+    flags = new_flags(len(result.columns["id"]))
+    report = missingness(result.columns, flags)
+    print(f"records\t{report.total}")
     print(f"skipped_rows\t{result.error_count}")
     for field_name, fraction in report.missing.items():
         print(f"missing_{field_name}\t{fraction:.4f}")
     if args.out:
-        write_records(result.records, args.out)
+        write_columns(result.columns, flags, args.out)
     return EXIT_OK
 
 
@@ -221,8 +229,8 @@ def cmd_segment(args, config: PipelineConfig) -> int:
     if args.text is not None:
         texts = [("-", args.text)]
     else:
-        records = _load_records(config.corpus)
-        texts = [(r.id, r.name or "") for r in records]
+        columns = _ingest(config.corpus).columns
+        texts = list(zip(columns["id"], columns["name"]))
     rows = [
         (rec_id, token.surface, token.pos, str(token.span[0]), str(token.span[1]))
         for (rec_id, _), tokens in zip(texts, segment_texts([text for _, text in texts], lexicon))
@@ -237,9 +245,10 @@ def cmd_segment(args, config: PipelineConfig) -> int:
 
 def cmd_vectorize(args, config: PipelineConfig) -> int:
     lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-    named = [rec for rec in _load_records(config.corpus) if rec.name]
-    X = vectorize_names([rec.name for rec in named], lexicon, config.dim)
-    write_vectors([rec.id for rec in named], [rec.category or "" for rec in named], X, args.out)
+    ids, names, categories = map(_ingest(config.corpus).columns.__getitem__, ("id", "name", "category"))
+    named = [i for i, name in enumerate(names) if name]
+    X = vectorize_names([names[i] for i in named], lexicon, config.dim)
+    write_vectors([ids[i] for i in named], [categories[i] or "" for i in named], X, args.out)
     print(f"vectorized\t{len(named)}")
     return EXIT_OK
 
@@ -249,8 +258,8 @@ def cmd_train(args, config: PipelineConfig) -> int:
         raise ConfigError("model path not configured")
     _require_directory_of(config.model, "model")
     lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-    records = _load_records(config.corpus)
-    X, labels, skipped = build_labeled(records, lexicon, config.dim)
+    columns = _ingest(config.corpus).columns
+    X, labels, skipped = build_labeled(columns["name"], columns["category"], lexicon, config.dim)
     if not labels:
         raise StageError("no labeled records to train on")
     t0 = time.perf_counter()
@@ -263,8 +272,8 @@ def cmd_train(args, config: PipelineConfig) -> int:
 
 def cmd_evaluate(args, config: PipelineConfig) -> int:
     lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-    records = _load_records(config.corpus)
-    X, labels, _ = build_labeled(records, lexicon, config.dim)
+    columns = _ingest(config.corpus).columns
+    X, labels, _ = build_labeled(columns["name"], columns["category"], lexicon, config.dim)
     plan = evaluate.kfold(len(labels), args.k, config.seed)
     report = evaluate.cross_validate(
         config.method, X, labels, plan, _train_params(config),
@@ -287,7 +296,8 @@ def cmd_speedup(args, config: PipelineConfig) -> int:
         X, labels = synth_labeled_points(args.synthetic, dim=config.dim, seed=config.seed)
     else:
         lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-        X, labels, _ = build_labeled(_load_records(config.corpus), lexicon, config.dim)
+        columns = _ingest(config.corpus).columns
+        X, labels, _ = build_labeled(columns["name"], columns["category"], lexicon, config.dim)
     curve = evaluate.speedup(config.method, X, labels, worker_counts, _train_params(config))
     curve.write(args.out)
     for p in curve.points:
@@ -297,16 +307,18 @@ def cmd_speedup(args, config: PipelineConfig) -> int:
 
 def cmd_impute_category(args, config: PipelineConfig) -> int:
     lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-    records = _load_records(config.corpus)
+    columns = _ingest(config.corpus).columns
+    flags = new_flags(len(columns["id"]))
     model = classify.load_model(_require_file(config.model, "model"))
-    report = classify.impute_categories(records, model, lexicon)
-    write_records(records, args.out)
+    report = classify.impute_categories(columns, flags, model, lexicon)
+    write_columns(columns, flags, args.out)
     print(f"missing\t{report.missing}")
     print(f"filled\t{report.filled}")
     print(f"skipped_no_name\t{report.skipped_no_name}")
     if args.truth and args.report:
         truth = GroundTruth.read(_require_file(args.truth, "truth"))
-        rows = evaluate.category_accuracy(records, truth, model.classes)
+        rows = evaluate.category_accuracy(columns["id"], columns["category"],
+                                          imputed_rows(columns, flags, "category"), truth, model.classes)
         evaluate.write_category_accuracy(rows, args.report)
     return EXIT_OK
 
@@ -321,8 +333,8 @@ def cmd_build_gazetteer(args, config: PipelineConfig) -> int:
 
 
 def cmd_validate_gazetteer(args, config: PipelineConfig) -> int:
-    tree, lexicon, records = _location_setup(config)
-    report = gazetteer.validate(tree, records, lexicon)
+    tree, lexicon = _location_setup(config)
+    report = gazetteer.validate(tree, _ingest(config.corpus).records, lexicon)
     print(f"evaluated\t{report.evaluated}")
     print(f"match_rate\t{report.match_rate:.4f}")
     print(f"presence_rate\t{report.presence_rate:.4f}")
@@ -331,34 +343,35 @@ def cmd_validate_gazetteer(args, config: PipelineConfig) -> int:
 
 def _location_setup(config: PipelineConfig):
     entries, _ = gazetteer.read_gazetteer(_require_file(config.gazetteer, "gazetteer"))
-    tree = gazetteer.build(entries)
-    lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-    records = _load_records(config.corpus)
-    return tree, lexicon, records
+    return gazetteer.build(entries), Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
+
+
+def _impute_locations(config: PipelineConfig, steps: tuple[str, ...], out: str) -> locimpute.LocationReport:
+    """The impute-location stage, or one of its steps, on the corpus, written to out."""
+    tree, lexicon = _location_setup(config)
+    columns = _ingest(config.corpus).columns
+    flags = new_flags(len(columns["id"]))
+    report = locimpute.impute_locations(columns, flags, tree, lexicon, steps=steps)
+    write_columns(columns, flags, out)
+    return report
 
 
 def cmd_impute_postcode(args, config: PipelineConfig) -> int:
-    tree, lexicon, records = _location_setup(config)
-    report = locimpute.impute_locations(records, tree, lexicon, steps=("postcode",))
-    write_records(records, args.out)
+    report = _impute_locations(config, ("postcode",), args.out)
     print(f"filled\t{report.postcode_filled}")
     print(f"failed\t{report.postcode_failed}")
     return EXIT_OK
 
 
 def cmd_impute_ad(args, config: PipelineConfig) -> int:
-    tree, lexicon, records = _location_setup(config)
-    report = locimpute.impute_locations(records, tree, lexicon, steps=("ad",))
-    write_records(records, args.out)
+    report = _impute_locations(config, ("ad",), args.out)
     print(f"assigned\t{report.ad_assigned}")
     print(f"failed\t{report.ad_failed}")
     return EXIT_OK
 
 
 def cmd_impute_location(args, config: PipelineConfig) -> int:
-    tree, lexicon, records = _location_setup(config)
-    report = locimpute.impute_locations(records, tree, lexicon)
-    write_records(records, args.out)
+    report = _impute_locations(config, ("postcode", "ad"), args.out)
     if args.report:
         report.write(args.report)
     for key, value in report.rows():
@@ -368,14 +381,14 @@ def cmd_impute_location(args, config: PipelineConfig) -> int:
 
 def cmd_geocode(args, config: PipelineConfig) -> int:
     columns = _ingest(config.corpus).columns
+    flags = new_flags(len(columns["id"]))
     provider, keys = _make_provider(config), geocode.read_keys(_require_file(config.keys, "keys"))
-    statuses, results = geocode.geocode_columns(columns, provider, keys, rate=config.rate or None)
+    statuses, results = geocode.geocode_columns(columns, flags, provider, keys, rate=config.rate or None)
     # each coordinate is formatted once, for both files
     lon_text, lat_text = format_coordinates(columns["lon"]), format_coordinates(columns["lat"])
-    write_tsv(args.out, geocode.RESULT_COLUMNS, zip(columns["id"], lon_text, lat_text, statuses))
+    geocode.write_results(columns["id"], lon_text, lat_text, statuses, args.out)
     if args.merged_out:
-        geocoded = [status == geocode.STATUS_OK for status in statuses]
-        write_columns(columns, lon_text, lat_text, geocoded, args.merged_out)
+        write_columns(columns, flags, args.merged_out, lon_text, lat_text)
     print(f"ok_rate\t{geocode.ok_rate(results):.4f}")
     return EXIT_OK
 
@@ -497,32 +510,34 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
     timer = _StageTimer()
     try:
         with _stage("ingest"):
-            records = _load_records(config.corpus)
-            _write_missingness(missingness(records), out / "missingness_before.tsv")
+            columns = _ingest(config.corpus).columns
+            flags = new_flags(len(columns["id"]))
+            _write_missingness(missingness(columns, flags), out / "missingness_before.tsv")
             lexicon = Lexicon.from_tsv(lexicon_path)
-            timer.record("ingest", len(records))
+            timer.record("ingest", len(columns["id"]))
 
-        # The tracks touch disjoint fields. With workers >= 2 the category
+        # The tracks touch disjoint columns. With workers >= 2 the category
         # track runs in a forked child beside the location track; a child
         # that exits without a result fails the category track's first stage.
         first = "train" if "train" not in skip else "impute-category"
         with _stage(first):
             (category_rows, fills), _ = parallel.beside(
-                partial(_category_track, timer, config, skip, records, lexicon, out),
-                partial(_location_track, timer, config, skip, records, lexicon, out, gazetteer_path, provider, keys),
+                partial(_category_track, timer, config, skip, columns["name"], columns["category"], lexicon, out),
+                partial(_location_track, timer, config, skip, columns, flags, lexicon, out,
+                        gazetteer_path, provider, keys),
                 fork=config.workers > 1 and first not in skip,
             )
         for row in category_rows:
             timer.add(row)
-        classify.fill_categories(records, fills)
+        classify.fill_categories(columns, flags, fills)
 
         with _stage("report"):
-            write_records(records, out / "records_final.tsv")
+            write_columns(columns, flags, out / "records_final.tsv")
             if "report" not in skip:
-                report = missingness(records)
+                report = missingness(columns, flags)
                 _write_missingness(report, out / "missingness_after.tsv")
                 _write_summary(report, out / "summary.tsv")
-            timer.record("report", len(records))
+            timer.record("report", len(columns["id"]))
             timer.write(out / "timings.tsv")
     except _StageFailed as exc:
         timer.write(out / "timings.tsv")
@@ -532,14 +547,15 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
     return EXIT_OK
 
 
-def _category_track(timer, config, skip, records, lexicon, out):
-    """train and impute-category: the stages' timer rows and the categories
-    to fill, as (record index, class) pairs. The track may run in a forked
-    child, so it changes no record and logs nothing."""
+def _category_track(timer, config, skip, names, categories, lexicon, out):
+    """train and impute-category on the name and category columns: the
+    stages' timer rows and the categories to fill, as (row index, class)
+    pairs. The track may run in a forked child, so it changes no column and
+    logs nothing."""
     rows, fills, model = [], [], None
     with _stage("train"):
         if "train" not in skip:
-            X, labels, _ = build_labeled(records, lexicon, config.dim)
+            X, labels, _ = build_labeled(names, categories, lexicon, config.dim)
             if labels:
                 model = classify.train(config.method, X, labels, _train_params(config), workers=config.workers)
                 classify.save_model(model, config.model or str(out / "model.json"))
@@ -550,13 +566,14 @@ def _category_track(timer, config, skip, records, lexicon, out):
         if "impute-category" not in skip:
             if model is None:
                 raise StageError("no model available for category imputation")
-            report, fills = classify.predict_categories(records, model, lexicon)
+            report, fills = classify.predict_categories(names, categories, model, lexicon)
             rows.append(timer.lap("impute-category", report.filled))
     return rows, fills
 
 
-def _location_track(timer, config, skip, records, lexicon, out, gazetteer_path, provider, keys) -> None:
-    """build-gazetteer, impute-location and geocode, on the records in place."""
+def _location_track(timer, config, skip, columns, flags, lexicon, out, gazetteer_path, provider, keys) -> None:
+    """build-gazetteer, impute-location and geocode, on the columns and
+    flags in place."""
     with _stage("build-gazetteer"):
         if "build-gazetteer" not in skip:
             entries, _ = gazetteer.read_gazetteer(gazetteer_path)
@@ -564,15 +581,18 @@ def _location_track(timer, config, skip, records, lexicon, out, gazetteer_path, 
             timer.record("build-gazetteer", len(tree))
     with _stage("impute-location"):
         if "impute-location" not in skip:
-            location_report = locimpute.impute_locations(records, tree, lexicon)
+            location_report = locimpute.impute_locations(columns, flags, tree, lexicon)
             location_report.write(out / "location_report.tsv")
             timer.record("impute-location", location_report.postcode_filled)
     with _stage("geocode"):
         if "geocode" not in skip:
-            results = geocode.geocode_missing(records, provider, geocode.read_keys(keys), rate=config.rate or None)
-            geocode.apply_results(records, results)
-            geocode.write_results(results, out / "coordinates.tsv")
-            timer.record("geocode", len(results))
+            statuses, _ = geocode.geocode_columns(columns, flags, provider, geocode.read_keys(keys),
+                                                  rate=config.rate or None)
+            # formatted here and again for records_final.tsv: holding the
+            # text until the report would raise the run's peak memory
+            geocode.write_results(columns["id"], format_coordinates(columns["lon"]),
+                                  format_coordinates(columns["lat"]), statuses, out / "coordinates.tsv")
+            timer.record("geocode", len(statuses))
 
 
 def _write_missingness(report: MissingnessReport, path: Path) -> None:
@@ -725,6 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
+    gc.freeze()
     try:
         config = None
         if _CONFIG_FLAGS.keys() & vars(args).keys():
@@ -739,6 +760,8 @@ def main(argv: list[str] | None = None) -> int:
     except (StageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE_FAILURE
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import classify
-from .records import EnterpriseRecord, GroundTruth, write_tsv
+from .records import GroundTruth, write_tsv
 
 
 @dataclass(frozen=True)
@@ -196,19 +196,22 @@ class ClassAccuracy:
 
 
 def category_accuracy(
-    records: Sequence[EnterpriseRecord], truth: GroundTruth, classes: Sequence[str]
+    ids: Sequence[str], categories: Sequence[str | None], imputed: Sequence[bool], truth: GroundTruth,
+    classes: Sequence[str],
 ) -> list[ClassAccuracy]:
-    """Imputed-category accuracy against ground truth, by true class."""
-    imputed = {c: 0 for c in classes}
+    """Imputed-category accuracy against ground truth, by true class, over
+    row-aligned id and category columns and each row's imputed mark
+    (records.imputed_rows)."""
+    counted = {c: 0 for c in classes}
     correct = {c: 0 for c in classes}
-    for rec in records:
-        expected = truth.get(rec.id, "category")
-        if expected is None or rec.provenance_of("category") != "imputed":
+    for rec_id, category, marked in zip(ids, categories, imputed):
+        expected = truth.get(rec_id, "category")
+        if expected is None or not marked:
             continue
-        imputed[expected] += 1
-        if rec.category == expected:
+        counted[expected] += 1
+        if category == expected:
             correct[expected] += 1
-    return [ClassAccuracy(c, imputed[c], correct[c]) for c in classes]
+    return [ClassAccuracy(c, counted[c], correct[c]) for c in classes]
 
 
 def write_category_accuracy(rows: Sequence[ClassAccuracy], path: str | Path) -> None:

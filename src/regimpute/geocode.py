@@ -5,12 +5,15 @@ into contiguous shards of ids and addresses, one shard per API key;
 shards run concurrently while requests within a shard stay sequential and
 rate-limited. Quota accounting is an atomic check-and-increment on a
 shared counter that resets when the (injectable) clock's day changes, so
-no schedule can push a key past its daily quota. Every request gets
-exactly one result; once a shard's key is exhausted its remaining requests
-are all reported as quota-exhausted. Only rows that lack coordinates are
-requested: the others keep theirs and cost no quota. geocode_missing
-requests them for records, geocode_columns for ingest columns, whose lon
-and lat columns it fills in place.
+no schedule can push a key past its daily quota. A shard reserves its
+quota a block of QUOTA_BLOCK requests at a time, under one lock and one
+clock read, and gives back what it did not use when it ends; a request is
+charged to the day its block was granted on. Every request gets exactly
+one result; once a shard's key is exhausted its remaining requests are
+all reported as quota-exhausted. Only rows that lack coordinates are
+requested: the others keep theirs and cost no quota. geocode_columns
+requests them for ingest columns, whose lon and lat columns it fills in
+place, and write_results writes one row of coordinates.tsv per row.
 
 The default provider is an offline deterministic mock; an HTTP JSON
 provider with a templated URL is available for real services.
@@ -67,6 +70,10 @@ class ApiKey:
     day_stamp: date | None = None
 
 
+# requests a shard reserves from its key's counter at once
+QUOTA_BLOCK = 64
+
+
 class QuotaCounter:
     """Thread-safe daily counter for one key."""
 
@@ -75,21 +82,55 @@ class QuotaCounter:
         self._clock = clock
         self._lock = threading.Lock()
 
-    def try_acquire(self) -> bool:
-        """Reserve one request; False when the day's quota is spent."""
+    def acquire(self, n: int) -> tuple[int, date]:
+        """Reserve up to n requests of today's quota: (the count granted, 0
+        when the quota is spent; the day they count against)."""
         with self._lock:
             today = self._clock()
             if self.key.day_stamp != today:
                 self.key.day_stamp = today
                 self.key.used_today = 0
-            if self.key.used_today >= self.key.daily_quota:
-                return False
-            self.key.used_today += 1
-            return True
+            granted = max(0, min(n, self.key.daily_quota - self.key.used_today))
+            self.key.used_today += granted
+            return granted, today
+
+    def release(self, n: int, day: date) -> None:
+        """Give back n unused requests granted on day; nothing once the
+        count has moved on to another day."""
+        with self._lock:
+            if self.key.day_stamp == day:
+                self.key.used_today -= n
+
+    def try_acquire(self) -> bool:
+        """Reserve one request; False when the day's quota is spent."""
+        return self.acquire(1)[0] == 1
 
     @property
     def used(self) -> int:
         return self.key.used_today
+
+
+class _Grants:
+    """One shard's reserved requests, taken from its key's counter a block
+    at a time. Once a block comes back empty the shard is exhausted for
+    good; close gives the unused rest back."""
+
+    def __init__(self, counter: QuotaCounter):
+        self.counter, self.left, self.day, self.exhausted = counter, 0, None, False
+
+    def take(self) -> bool:
+        if not self.left and not self.exhausted:
+            self.left, self.day = self.counter.acquire(QUOTA_BLOCK)
+            self.exhausted = not self.left
+        if self.exhausted:
+            return False
+        self.left -= 1
+        return True
+
+    def close(self) -> None:
+        if self.left:
+            self.counter.release(self.left, self.day)
+            self.left = 0
 
 
 class TokenBucket:
@@ -275,19 +316,18 @@ class HttpGeocoder:
         return None if lon is None or lat is None else (lon, lat)
 
 
-def _geocode_one(rec_id, address, provider, counter, limiter, exhausted, max_attempts, sleep):
-    if exhausted[0]:
+def _geocode_one(rec_id, address, provider, key_id, grants, limiter, max_attempts, sleep):
+    if grants.exhausted:
         return GeocodeResult(rec_id, None, None, STATUS_QUOTA, provider.name, 0)
     attempts = 0
     while attempts < max_attempts:
-        if not counter.try_acquire():
-            exhausted[0] = True
+        if not grants.take():
             return GeocodeResult(rec_id, None, None, STATUS_QUOTA, provider.name, attempts)
         if limiter is not None:
             limiter.acquire()
         attempts += 1
         try:
-            coords = provider.geocode(address, api_key=counter.key.key_id)
+            coords = provider.geocode(address, api_key=key_id)
         except TransientProviderError:
             if attempts < max_attempts:
                 sleep(BACKOFF_SECONDS[min(attempts - 1, len(BACKOFF_SECONDS) - 1)])
@@ -316,64 +356,51 @@ def geocode_batch(
     counters = {key.key_id: QuotaCounter(key, clock) for key in keys}
 
     def run_shard(sh: Shard) -> list[GeocodeResult]:
-        counter = counters[sh.key_id]
         limiter = TokenBucket(rate, sleep) if rate is not None else None
-        exhausted = [False]
-        return [
-            _geocode_one(rec_id, address, provider, counter, limiter, exhausted, max_attempts, sleep)
-            for rec_id, address in zip(sh.ids, sh.addresses)
-        ]
+        grants = _Grants(counters[sh.key_id])
+        try:
+            return [
+                _geocode_one(rec_id, address, provider, sh.key_id, grants, limiter, max_attempts, sleep)
+                for rec_id, address in zip(sh.ids, sh.addresses)
+            ]
+        finally:
+            grants.close()
 
     per_shard = map_partitions(shards, run_shard, workers=len(shards))
     return [result for chunk in per_shard for result in chunk]
 
 
-def geocode_missing(
-    records: Sequence[EnterpriseRecord],
-    provider,
-    keys: Sequence[ApiKey],
-    rate: float | None = DEFAULT_RATE,
-) -> list[GeocodeResult]:
-    """One result per record, in input order. Only records without
-    coordinates are sharded across the keys and requested; a record that
-    has coordinates gets a STATUS_ORIGINAL result carrying them."""
-    pending = [rec for rec in records if rec.coordinates is None]
-    requests = shard([rec.id for rec in pending], [rec.address or "" for rec in pending], keys)
-    fetched = iter(geocode_batch(requests, provider, keys, rate=rate))
-    return [
-        next(fetched) if rec.coordinates is None
-        else GeocodeResult(rec.id, *rec.coordinates, STATUS_ORIGINAL, provider.name, 0)
-        for rec in records
-    ]
-
-
 def geocode_columns(
     columns: dict[str, list],
+    flags: dict[str, bytearray],
     provider,
     keys: Sequence[ApiKey],
     rate: float | None = DEFAULT_RATE,
 ) -> tuple[list[str], list[GeocodeResult]]:
-    """geocode_missing on ingest columns (IngestResult.columns): only the
-    rows whose lon is None are requested, and each ok result goes into the
-    lon and lat columns in place. Returns the status column, one status
-    per row and STATUS_ORIGINAL on the rows that were not requested, and
-    the requested rows' results."""
+    """Geocode ingest columns (IngestResult.columns): only the rows whose
+    lon is None are sharded across the keys and requested, and each ok
+    result goes into the lon and lat columns in place, with the row's
+    coordinates flag set. Returns the status column, one status per row
+    and STATUS_ORIGINAL on the rows that were not requested, and the
+    requested rows' results."""
     lons, lats, ids, addresses = map(columns.__getitem__, ("lon", "lat", "id", "address"))
     pending = [i for i, lon in enumerate(lons) if lon is None]
     requests = shard([ids[i] for i in pending], [addresses[i] for i in pending], keys)
     results = geocode_batch(requests, provider, keys, rate=rate)
     statuses = [STATUS_ORIGINAL] * len(lons)
+    geocoded = flags["coordinates"]
     for i, res in zip(pending, results):
         statuses[i] = res.status
         if res.status == STATUS_OK:
             lons[i], lats[i] = res.lon, res.lat
+            geocoded[i] = 1
     return statuses, results
 
 
 def apply_results(records: Sequence[EnterpriseRecord], results: Sequence[GeocodeResult]) -> int:
-    """Attach ok coordinates to records; returns the count. Results pair
-    with records by position, as geocode_missing returns them, so records
-    that share an id each keep their own result."""
+    """Attach ok coordinates to records, pairing them by position; returns
+    the count. The record form of geocode_columns' fill: no command calls
+    it, and perfbench's tracer wraps this name."""
     if len(records) != len(results):
         raise ValueError(f"{len(results)} results for {len(records)} records")
     applied = 0
@@ -410,13 +437,12 @@ def read_keys(path: str | Path) -> list[ApiKey]:
 RESULT_COLUMNS = ("id", "lon", "lat", "status")
 
 
-def write_results(results: Sequence[GeocodeResult], path: str | Path) -> None:
-    rows = (
-        (r.record_id, "" if r.lon is None else repr(r.lon),
-         "" if r.lat is None else repr(r.lat), r.status)
-        for r in results
-    )
-    write_tsv(path, RESULT_COLUMNS, rows)
+def write_results(
+    ids: Sequence[str], lon_text: Sequence[str], lat_text: Sequence[str], statuses: Sequence[str], path: str | Path
+) -> None:
+    """coordinates.tsv: one row per row of ids, with its coordinates as
+    records.format_coordinates gives them and its geocode status."""
+    write_tsv(path, RESULT_COLUMNS, zip(ids, lon_text, lat_text, statuses))
 
 
 def ok_rate(results: Sequence[GeocodeResult]) -> float:

@@ -14,11 +14,14 @@ and combines the resulting province/city/county prefix with the record's
 street-level address; the assembled full address is "<prefix> <street
 part>" with a single space between the two parts.
 
-A batch is filled by impute_locations: one tokenize call gives every
-record's query nouns, which also make up the tie-break evidence, and then
-fill_postcode and fill_ad run record by record, each applied as soon as it
-has a result and counted in a LocationReport. The single-step commands
-run the same batch code with one of the two steps.
+A batch is the ingest columns, filled in place by impute_locations: the
+query rows' nouns come from one tokenize call and the tie-break evidence
+from a second, over only the rows that carry a postcode some query ties
+on (its docstring gives the exactness argument). Every fill sets the
+row's imputed flag and is counted in a LocationReport. The single-step
+commands run the same batch code with one of the two steps.
+extract_query_nouns, impute_postcode and impute_ad are the one-record
+forms of the same steps.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from .gazetteer import AddressTree, best_postcodes, match
+from .gazetteer import AddressTree, PostcodeEntry, best_postcodes, match
 from .records import EnterpriseRecord, write_tsv
 from .segmenter import ADDRESS_TAGS, Lexicon, tokenize
 # Unused here: perfbench's tracer patches these names when it installs
@@ -65,17 +68,23 @@ class PostcodeImputation:
 
 def extract_query_nouns(record: EnterpriseRecord, lexicon: Lexicon) -> list[str]:
     """Address nouns from data_source, address and name, de-duplicated."""
-    return list(dict.fromkeys(lexicon.words[w] for w in _noun_tokens([record], lexicon)[1].tolist()))
+    fields = {name: [getattr(record, name)] for name in ("data_source", "address", "name")}
+    return list(dict.fromkeys(lexicon.words[w] for w in _noun_tokens(fields, [0], lexicon)[1].tolist()))
 
 
-def _noun_tokens(records: Sequence[EnterpriseRecord], lexicon: Lexicon) -> tuple[np.ndarray, np.ndarray]:
-    """(record index, word id) arrays of every address noun occurrence in
-    the records' data_source, address and name, in record order and then
-    text order, from one tokenize call. A record may repeat a noun."""
+def _noun_tokens(columns: Mapping[str, Sequence[str | None]], rows: Sequence[int],
+                 lexicon: Lexicon) -> tuple[np.ndarray, np.ndarray]:
+    """(row, word id) arrays of every address noun occurrence in the
+    data_source, address and name cells of `rows`, in the order of rows and
+    then text order, from one tokenize call, and none for no rows. A row
+    may repeat a noun."""
+    if not rows:
+        return np.zeros(0, np.int64), np.zeros(0, np.int32)
+    sources, addresses, names = columns["data_source"], columns["address"], columns["name"]
     text_ids, word_ids, _ = tokenize(
-        [text or "" for rec in records for text in (rec.data_source, rec.address, rec.name)], lexicon, ADDRESS_TAGS
+        [text or "" for i in rows for text in (sources[i], addresses[i], names[i])], lexicon, ADDRESS_TAGS
     )
-    return text_ids // 3, word_ids
+    return np.asarray(rows, dtype=np.int64)[text_ids // 3], word_ids
 
 
 class PostcodeEvidence:
@@ -107,8 +116,13 @@ class PostcodeEvidence:
 
     @classmethod
     def from_records(cls, records: Sequence[EnterpriseRecord], lexicon: Lexicon) -> "PostcodeEvidence":
+        """The evidence of every postcode-bearing record. The single-record
+        API and the tests use it; no stage does, and perfbench's tracer
+        wraps this name."""
         with_postcode = [rec for rec in records if rec.postcode]
-        return cls([rec.postcode for rec in with_postcode], *_noun_tokens(with_postcode, lexicon), lexicon)
+        fields = {name: [getattr(rec, name) for rec in with_postcode] for name in ("data_source", "address", "name")}
+        return cls([rec.postcode for rec in with_postcode],
+                   *_noun_tokens(fields, range(len(with_postcode)), lexicon), lexicon)
 
     def count_with(self, postcode: str, query: frozenset[str]) -> int:
         """Records carrying this postcode whose nouns include the query's."""
@@ -149,58 +163,71 @@ def impute_postcode(
     evidence: PostcodeEvidence,
     lexicon: Lexicon,
 ) -> PostcodeImputation | None:
-    """Infer a missing postcode; None when nothing matches. A tie is broken
-    by the corpus evidence (PostcodeEvidence.from_records)."""
+    """Infer one record's missing postcode; None when nothing matches. A
+    tie is broken by the corpus evidence (PostcodeEvidence.from_records)."""
     if record.postcode:
         raise ValueError(f"record {record.id} already has a postcode")
-    return _postcode_for(extract_query_nouns(record, lexicon), tree, evidence)
+    nouns = extract_query_nouns(record, lexicon)
+    return _postcode_for(best_postcodes(nouns, tree) if nouns else (), nouns, evidence)
 
 
-def _postcode_for(nouns: Sequence[str], tree: AddressTree, evidence: PostcodeEvidence) -> PostcodeImputation | None:
-    if not nouns:
+def _postcode_for(tied: Sequence[str], nouns: Sequence[str], evidence: PostcodeEvidence) -> PostcodeImputation | None:
+    """The postcode of a query whose best-matching postcodes are `tied`."""
+    if not tied:
         return None
-    tied_postcodes = best_postcodes(nouns, tree)
-    if not tied_postcodes:
-        return None
-    if len(tied_postcodes) == 1:
-        return PostcodeImputation(tied_postcodes[0], SOURCE_VSM)
+    if len(tied) == 1:
+        return PostcodeImputation(tied[0], SOURCE_VSM)
     query = frozenset(nouns)
-    counts = {p: evidence.count_with(p, query) for p in tied_postcodes}
+    counts = {p: evidence.count_with(p, query) for p in tied}
     if sum(counts.values()) == 0:
-        return PostcodeImputation(tied_postcodes[0], SOURCE_TIEBREAK, low_confidence=True)
+        return PostcodeImputation(tied[0], SOURCE_TIEBREAK, low_confidence=True)
     return PostcodeImputation(select_tied_postcode(counts), SOURCE_TIEBREAK)
 
 
-def impute_ad(
-    record: EnterpriseRecord,
-    tree: AddressTree,
-    nouns: Sequence[str] = (),
-) -> ImputedLocation | None:
-    """AD levels for a record's postcode; None when the postcode is unknown
-    to the tree (caller flags the record). When the postcode has several AD
-    paths, the record's query nouns (extract_query_nouns) pick one; with
-    none, the first path."""
-    if not record.postcode:
-        raise ValueError(f"record {record.id} has no postcode")
-    entries = tree.entries_for_postcode(record.postcode)
-    if not entries:
-        return None
-    chosen = entries[0]
+def _ad_entry(postcode: str, tree: AddressTree, nouns: Sequence[str]) -> PostcodeEntry | None:
+    """The AD path of a postcode, None when the tree does not know it. When
+    the postcode has several, the query nouns pick one; with none, the
+    first path."""
+    entries = tree.entries_for_postcode(postcode)
     if len(entries) > 1 and nouns:
         # Best own-noun degree wins, ties to the first path: match orders
         # one postcode's entries that way, and an entry it does not return
         # matches no noun, so path-sorted entries[0] is the fallback.
-        ranked = match(nouns, tree, postcode=record.postcode)
+        ranked = match(nouns, tree, postcode=postcode)
         if ranked:
-            chosen = ranked[0].entry
-    address = record.address
-    # an empty level is named by any address
-    if address and chosen.province in address and chosen.city in address and chosen.county in address:
-        full_address, source = address, SOURCE_ORIGINAL
-    else:
-        full_address = f"{chosen.province}{chosen.city}{chosen.county} {address or chosen.street}"
-        source = SOURCE_POSTCODE_LOOKUP
-    return ImputedLocation(chosen.province, chosen.city, chosen.county, chosen.street, full_address, source)
+            return ranked[0].entry
+    return entries[0] if entries else None
+
+
+def _full_address(entry: PostcodeEntry, address: str | None) -> str | None:
+    """"<prefix> <street part>" for an address ("" or None when absent);
+    None when the address already names the entry's AD levels (an empty
+    level is named by any address)."""
+    if address and entry.province in address and entry.city in address and entry.county in address:
+        return None
+    return f"{entry.province}{entry.city}{entry.county} {address or entry.street}"
+
+
+def impute_ad(
+    postcode: str | None,
+    address: str | None,
+    tree: AddressTree,
+    nouns: Sequence[str] = (),
+) -> ImputedLocation | None:
+    """AD levels for a postcode and the full address of a row holding it
+    and `address`; None when the postcode is unknown to the tree (caller
+    flags the row). When the postcode has several AD paths, the row's
+    query nouns (extract_query_nouns) pick one; with none, the first path.
+    impute_locations makes the same choice through the same helpers."""
+    if not postcode:
+        raise ValueError("AD imputation needs a postcode")
+    chosen = _ad_entry(postcode, tree, nouns)
+    if chosen is None:
+        return None
+    full_address = _full_address(chosen, address)
+    source = SOURCE_ORIGINAL if full_address is None else SOURCE_POSTCODE_LOOKUP
+    return ImputedLocation(chosen.province, chosen.city, chosen.county, chosen.street,
+                           address if full_address is None else full_address, source)
 
 
 @dataclass
@@ -236,82 +263,87 @@ class LocationReport:
         write_tsv(path, ("metric", "value"), self.rows())
 
 
-def fill_postcode(
-    rec: EnterpriseRecord,
-    nouns: Sequence[str],
-    tree: AddressTree,
-    evidence: PostcodeEvidence,
-    report: LocationReport,
-) -> None:
-    """Impute rec's postcode in place from its query nouns if it has none;
-    count the outcome."""
-    if rec.postcode:
-        return
-    report.postcode_missing += 1
-    imputation = _postcode_for(nouns, tree, evidence)
-    if imputation is None:
-        report.postcode_failed += 1
-        return
-    rec.postcode = imputation.postcode
-    rec.mark_imputed("postcode")
-    report.postcode_filled += 1
-    report.postcode_sources[imputation.source] = report.postcode_sources.get(imputation.source, 0) + 1
-    if imputation.low_confidence:
-        report.low_confidence += 1
-
-
-def fill_ad(rec: EnterpriseRecord, nouns: Sequence[str], tree: AddressTree, report: LocationReport) -> None:
-    """Give rec, in place, the full address impute_ad assembles from its
-    postcode and query nouns, unless the address already names those AD
-    levels; skip a record with no postcode; count the outcome."""
-    if not rec.postcode:
-        return
-    loc = impute_ad(rec, tree, nouns=nouns)
-    if loc is None:
-        report.ad_failed += 1
-    elif loc.source == SOURCE_ORIGINAL:
-        report.ad_original += 1
-    else:
-        if rec.address is None:
-            report.address_filled += 1
-            rec.mark_imputed("address")
-        else:
-            rec.mark_imputed("ad")
-        rec.address = loc.full_address
-        report.ad_assigned += 1
-
-
 def impute_locations(
-    records: Sequence[EnterpriseRecord],
+    columns: dict[str, list],
+    flags: dict[str, bytearray],
     tree: AddressTree,
     lexicon: Lexicon,
     steps: Collection[str] = ("postcode", "ad"),
 ) -> LocationReport:
-    """Fill postcodes then AD info for a whole batch, in place; only the
-    steps named, for the single-step commands. Per-record failures are
-    counted, never raised.
+    """Fill absent postcodes, then AD info, of ingest columns in place,
+    setting the postcode, address and ad flags of each fill; only the steps
+    named, for the single-step commands. Per-row failures are counted,
+    never raised.
 
-    One tokenize call gives the nouns of every record that needs them
-    (a repeated noun is harmless: matching reads the set of nouns):
-    all records when postcodes are filled, as queries and as tie-break
-    evidence, else only those whose postcode has several AD paths. Nouns
-    and evidence are taken before any record changes, and a record's
-    steps read only its own fields, so filling a record cannot change
-    another record's result."""
+    Two tokenize calls give the nouns that are read (a repeated noun is
+    harmless: matching reads the set of nouns). The first takes the query
+    rows: rows without a postcode, when postcodes are filled, and rows
+    whose postcode has several AD paths, when AD is. Their best-matching
+    postcodes are found next, and the second call takes the rows that carry
+    a postcode some query ties on and were not queries: their nouns are
+    the tie-break evidence. That is exact: PostcodeEvidence.count_with(p, q)
+    reads only the rows carrying p, and every row carrying a tied postcode
+    is in the evidence. Nouns and evidence are taken before any row
+    changes, and a row's steps read only its own cells, the tree and the
+    evidence, so filling a row cannot change another row's result."""
+    postcodes, addresses = columns["postcode"], columns["address"]
     fill_postcodes, fill_ads = "postcode" in steps, "ad" in steps
-    if fill_postcodes:
-        segmented: Sequence[int] = range(len(records))
-    else:
-        segmented = [i for i, rec in enumerate(records) if len(tree.entries_for_postcode(rec.postcode or "")) > 1]
-    rec_ids, word_ids = _noun_tokens([records[i] for i in segmented], lexicon)
-    rec_ids = np.asarray(segmented, dtype=np.int32)[rec_ids]
-    evidence = PostcodeEvidence([r.postcode for r in records], rec_ids, word_ids, lexicon) if fill_postcodes else None
-    nouns = np.array(lexicon.words, dtype=object)[word_ids].tolist()
-    ends = np.cumsum(np.bincount(rec_ids, minlength=len(records))).tolist()
-    report = LocationReport(total=len(records))
-    for rec, start, end in zip(records, [0, *ends], ends):
-        if fill_postcodes:
-            fill_postcode(rec, nouns[start:end], tree, evidence, report)
-        if fill_ads:
-            fill_ad(rec, nouns[start:end], tree, report)
+    several = {p for p in set(postcodes) if p and len(tree.entries_for_postcode(p)) > 1} if fill_ads else set()
+    queries = [i for i, p in enumerate(postcodes) if (not p and fill_postcodes) or p in several]
+    rows, word_ids = _noun_tokens(columns, queries, lexicon)
+    words = np.array(lexicon.words, dtype=object)
+    nouns = words[word_ids].tolist()
+    ends = np.searchsorted(rows, queries, side="right").tolist()
+    query_nouns = dict(zip(queries, (nouns[start:end] for start, end in zip([0, *ends], ends))))
+    tied = {i: best_postcodes(query_nouns[i], tree) if query_nouns[i] else ()
+            for i in queries if not postcodes[i]}
+    evidence = None
+    contested = {p for candidates in tied.values() if len(candidates) > 1 for p in candidates}
+    if contested:
+        carriers = [i for i, p in enumerate(postcodes) if p in contested]
+        more_rows, more_words = _noun_tokens(columns, [i for i in carriers if i not in query_nouns], lexicon)
+        queried = np.isin(rows, carriers)
+        at = np.searchsorted(carriers, np.concatenate((rows[queried], more_rows)))
+        evidence = PostcodeEvidence([postcodes[i] for i in carriers], at,
+                                    np.concatenate((word_ids[queried], more_words)), lexicon)
+    report = LocationReport(total=len(postcodes))
+    imputed, entry_of = flags["postcode"], {}
+    for i, candidates in tied.items():
+        report.postcode_missing += 1
+        imputation = _postcode_for(candidates, query_nouns[i], evidence)
+        if imputation is None:
+            report.postcode_failed += 1
+            continue
+        postcodes[i] = imputation.postcode
+        imputed[i] = 1
+        report.postcode_filled += 1
+        report.postcode_sources[imputation.source] = report.postcode_sources.get(imputation.source, 0) + 1
+        report.low_confidence += imputation.low_confidence
+    if not fill_ads:
+        return report
+    address_flags, ad_flags = flags["address"], flags["ad"]
+    for i, postcode in enumerate(postcodes):
+        if not postcode:
+            continue
+        if i in query_nouns:
+            entry = _ad_entry(postcode, tree, query_nouns[i])
+        elif postcode in entry_of:
+            entry = entry_of[postcode]
+        else:  # one AD path or none: the same for every row holding it
+            entry = entry_of[postcode] = _ad_entry(postcode, tree, ())
+        if entry is None:
+            report.ad_failed += 1
+            continue
+        address = addresses[i]
+        full_address = _full_address(entry, address)
+        if full_address is None:
+            report.ad_original += 1
+            continue
+        if address:
+            ad_flags[i] = 1
+        else:
+            report.address_filled += 1
+            address_flags[i] = 1
+        addresses[i] = full_address
+        report.ad_assigned += 1
     return report

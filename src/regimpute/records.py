@@ -22,11 +22,18 @@ of each data_source cell, so the records share those values. A bad cell is
 never memoised: each row holding one gets its own diagnostic. A lon or lat
 that is not a finite number makes the row bad.
 
-IngestResult keeps the good rows as columns, which the geocode and
-spatial commands read directly, and builds the records from them on first
-access. Each record gets its own provenance dict, a copy of the one parsed
-for its cell. write_columns writes the columns back as write_records
-writes those records.
+IngestResult keeps the good rows as columns, which every command and the
+pipeline read and change in place; name and address are "" where absent,
+category, postcode and data_source None. A run records its fills as one
+imputed flag per row for each field in FLAGGED_FIELDS (new_flags), never
+as per-row objects. A row's field counts as imputed when its provenance
+cell or the run's flag says so (imputed_rows); missingness counts and
+write_columns writes that union, so a written cell is the parsed ingest
+cell plus the run's flags, names outside TRACKED_FIELDS included.
+IngestResult builds EnterpriseRecords from the columns only on first
+access, for the tests and for callers of the record API; each record gets
+its own provenance dict, a copy of the one parsed for its cell.
+write_columns writes the columns as write_records writes those records.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
+import numpy as np
+
 from .categories import normalize_category
 
 POSTCODE_RE = re.compile(r"^[0-9]{6}$")
@@ -51,6 +60,8 @@ IMPUTED = "imputed"
 
 # Fields whose absence is tracked and that imputation stages may fill.
 TRACKED_FIELDS = ("name", "category", "address", "postcode", "data_source", "coordinates")
+# Fields a stage marks imputed: "ad" marks an address AD rewrote, which was present.
+FLAGGED_FIELDS = ("category", "postcode", "address", "ad", "coordinates")
 
 _CORE_COLUMNS = ("id", "name", "category", "address", "postcode", "data_source")
 _ALL_COLUMNS = _CORE_COLUMNS + ("lon", "lat", "provenance")
@@ -128,21 +139,34 @@ def parse_reg_year(data_source: str | None) -> int | None:
     return None
 
 
-def missingness(records: Sequence[EnterpriseRecord]) -> MissingnessReport:
+def new_flags(n: int) -> dict[str, bytearray]:
+    """A run's imputed flags for n rows, none set: one byte per row for
+    each field in FLAGGED_FIELDS."""
+    return {name: bytearray(n) for name in FLAGGED_FIELDS}
+
+
+def imputed_rows(columns: dict[str, list], flags: dict[str, bytearray], field_name: str) -> np.ndarray:
+    """Each row's imputed mark for a field, as a bool array: set by the
+    row's provenance cell or by the run's flag. Each distinct cell is
+    parsed once."""
+    cells = columns["provenance"]
+    marked = {cell for cell in set(cells) if _parse_provenance(cell).get(field_name) == IMPUTED}
+    rows = (np.fromiter(map(marked.__contains__, cells), dtype=bool, count=len(cells)) if marked
+            else np.zeros(len(cells), dtype=bool))
+    if field_name in flags:
+        rows |= np.frombuffer(flags[field_name], dtype=bool)
+    return rows
+
+
+def missingness(columns: dict[str, list], flags: dict[str, bytearray]) -> MissingnessReport:
     """Per-field absent and imputed counts and the fraction absent, from
-    one pass over the records; a value is absent when it is None or the
-    empty string. Fractions are zero for empty input."""
-    absent = dict.fromkeys(TRACKED_FIELDS, 0)
-    imputed = dict.fromkeys(TRACKED_FIELDS, 0)
-    for rec in records:
-        for f in TRACKED_FIELDS:
-            value = getattr(rec, f)
-            if value is None or value == "":
-                absent[f] += 1
-        for f, how in rec.provenance.items():
-            if how == IMPUTED and f in imputed:
-                imputed[f] += 1
-    total = len(records)
+    ingest columns and a run's flags; a value is absent when it is None or
+    the empty string, and a row's coordinates are absent when its lon is.
+    Fractions are zero for empty input."""
+    total = len(columns["id"])
+    absent = {f: columns[f].count(None) + columns[f].count("") for f in TRACKED_FIELDS if f != "coordinates"}
+    absent["coordinates"] = columns["lon"].count(None)
+    imputed = {f: int(np.count_nonzero(imputed_rows(columns, flags, f))) for f in TRACKED_FIELDS}
     fractions = {f: absent[f] / total if total else 0.0 for f in TRACKED_FIELDS}
     return MissingnessReport(total, fractions, absent, imputed)
 
@@ -383,25 +407,33 @@ def format_coordinates(values: Sequence[float | None]) -> list[str]:
 
 
 def write_columns(
-    columns: dict[str, list], lon_text: Sequence[str], lat_text: Sequence[str], geocoded: Sequence[bool],
-    path: str | Path,
+    columns: dict[str, list], flags: dict[str, bytearray], path: str | Path,
+    lon_text: Sequence[str] | None = None, lat_text: Sequence[str] | None = None,
 ) -> None:
     """Write ingest columns as write_records writes the records IngestResult
-    builds from them, with the coordinates as format_coordinates gives them,
-    marked imputed on the rows `geocoded` flags, as apply_results marks
-    them. Absent values are written as empty cells. Each distinct
-    (provenance cell, flag) pair is formatted once."""
+    builds from them, with each row's provenance cell plus the fields its
+    flags mark imputed, and the coordinates as format_coordinates gives
+    them, unless the caller formatted them already. Absent values are
+    written as empty cells. Each distinct (provenance cell, flags) pair is
+    formatted once."""
+    cells, n = columns["provenance"], len(columns["id"])
+    flagged = [(name, np.frombuffer(flags[name], dtype=np.uint8)) for name in FLAGGED_FIELDS if 1 in flags[name]]
+    mask_of_row = np.zeros(n, np.int64)  # bit k: the row's flag of flagged[k]
+    for k, (_, flag) in enumerate(flagged):
+        mask_of_row |= flag.astype(np.int64) << k
+    bits = mask_of_row.tolist()
     marked = {}
-    for cell, flag in set(zip(columns["provenance"], geocoded)):
+    for cell, mask in set(zip(cells, bits)):
         prov = _parse_provenance(cell)
-        if flag:
-            prov["coordinates"] = IMPUTED
-        marked[cell, flag] = _format_provenance(tuple(prov.items()))
+        prov.update((name, IMPUTED) for k, (name, _) in enumerate(flagged) if mask >> k & 1)
+        marked[cell, mask] = _format_provenance(tuple(prov.items()))
     category, postcode, source = ([value or "" for value in columns[name]]
                                   for name in ("category", "postcode", "data_source"))
     write_tsv(path, _ALL_COLUMNS, zip(
         columns["id"], columns["name"], category, columns["address"], postcode, source,
-        lon_text, lat_text, map(marked.__getitem__, zip(columns["provenance"], geocoded)),
+        format_coordinates(columns["lon"]) if lon_text is None else lon_text,
+        format_coordinates(columns["lat"]) if lat_text is None else lat_text,
+        map(marked.__getitem__, zip(cells, bits)),
     ))
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .records import EnterpriseRecord, write_tsv
+from .records import write_tsv
 from .segmenter import FEATURE_TAGS, Lexicon, tokenize
 # Unused here: perfbench's tracer patches this name when it installs
 # (ROADMAP item 1), so it stays importable until the tracer drops it.
@@ -112,15 +112,15 @@ def row_entries(X) -> list[list[tuple[int, int]]]:
 
 
 def build_labeled(
-    records: Sequence[EnterpriseRecord], lexicon: Lexicon, dim: int = DEFAULT_DIM
+    names: Sequence[str | None], categories: Sequence[str | None], lexicon: Lexicon, dim: int = DEFAULT_DIM
 ):
     """(X, labels, skipped): one row per record with a name and a category,
     in record order, those records' categories, and the count of records
-    skipped for having no name."""
-    named = [rec for rec in records if rec.name]
-    labeled = [rec for rec in named if rec.category is not None]
-    X = vectorize_names([rec.name for rec in labeled], lexicon, dim)
-    return X, [rec.category for rec in labeled], len(records) - len(named)
+    skipped for having no name. names and categories are row-aligned
+    columns; an absent name is "" or None, an absent category None."""
+    labeled = [i for i, (name, category) in enumerate(zip(names, categories)) if name and category is not None]
+    X = vectorize_names([names[i] for i in labeled], lexicon, dim)
+    return X, [categories[i] for i in labeled], sum(1 for name in names if not name)
 
 
 def write_vectors(ids: Sequence[str], labels: Sequence[str], X, path) -> None:

@@ -36,9 +36,10 @@ from regimpute.geocode import (
 from regimpute.locimpute import PostcodeEvidence, impute_locations, impute_postcode, tie_break_probabilities
 from regimpute.spatial import PointSet, Rect, ripley_k
 from regimpute.synth import SynthConfig, synth, synth_labeled_points, synth_world
-from regimpute.vectorizer import build_labeled
+from regimpute.records import imputed_rows
 
 from matrices import csr
+from record_forms import columns_of, labeled_of, records_of
 from test_naive_bayes import bayes_oracle, fit, make_dataset, probe_vectors
 from test_spatial import brute_force_k
 
@@ -119,7 +120,7 @@ def test_criterion_03_synthetic_category_imputation(tmp_path, world_50k):
     with criterion(3, "50k-corpus LR ten-fold CV >= 0.95 and all maskable records filled"):
         start = time.perf_counter()
         records, truth = fresh_corpus_50k()
-        X, labels, _ = build_labeled(records, world_50k.lexicon, DIM)
+        X, labels, _ = labeled_of(records, world_50k.lexicon, DIM)
         params = {"iters": 100, "step": 1.0, "l2": 0.01}
 
         plan = kfold(len(labels), 10, seed=7)
@@ -127,12 +128,15 @@ def test_criterion_03_synthetic_category_imputation(tmp_path, world_50k):
         assert report.overall_accuracy >= 0.95, f"CV accuracy {report.overall_accuracy:.4f}"
 
         model = classify.train("logistic_regression", X, labels, params)
-        fill = classify.impute_categories(records, model, world_50k.lexicon)
+        columns, flags = columns_of(records)
+        fill = classify.impute_categories(columns, flags, model, world_50k.lexicon)
+        records = records_of(columns, flags)
         maskable = fill.missing - fill.skipped_no_name
         assert fill.filled == maskable, "every maskable record must be filled"
         assert all(r.category is not None for r in records if r.name)
 
-        rows = category_accuracy(records, truth, model.classes)
+        rows = category_accuracy(columns["id"], columns["category"], imputed_rows(columns, flags, "category"),
+                                 truth, model.classes)
         out = tmp_path / "per_class_accuracy.tsv"
         write_category_accuracy(rows, out)
         assert out.is_file()
@@ -188,7 +192,9 @@ def test_criterion_04_tie_break_probabilities(world_50k, tree_50k):
 def test_criterion_05_location_imputation(world_50k, tree_50k):
     with criterion(5, "postcode recovery >= 0.90 and AD agreement >= 0.95 on 50k corpus"):
         records, truth = fresh_corpus_50k()
-        report = impute_locations(records, tree_50k, world_50k.lexicon)
+        columns, flags = columns_of(records)
+        report = impute_locations(columns, flags, tree_50k, world_50k.lexicon)
+        records = records_of(columns, flags)
 
         masked = truth.ids_for("postcode")
         by_id = {r.id: r for r in records}
@@ -228,7 +234,9 @@ def test_criterion_06_geocoding_rate():
             return geocode_batch(requests, provider, keys, rate=None)
 
         pre = ok_rate(run())
-        impute_locations(records, tree, world.lexicon)
+        columns, flags = columns_of(records)
+        impute_locations(columns, flags, tree, world.lexicon)
+        records[:] = records_of(columns, flags)
         post = ok_rate(run())
         assert pre <= 0.60, f"pre-imputation ok-rate {pre:.4f}"
         assert post >= 0.97, f"post-imputation ok-rate {post:.4f}"

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regimpute import classify
 from regimpute import records as records_module
@@ -19,7 +20,7 @@ from matrices import csr, pairs
 from regimpute.classify.model import check_training_data, softmax
 from regimpute.records import EnterpriseRecord
 from regimpute.synth import synth_labeled_points
-from regimpute.vectorizer import build_labeled
+from record_forms import columns_of, labeled_of, records_of
 
 
 @pytest.fixture(scope="module")
@@ -90,9 +91,11 @@ def test_predict_labels_agrees_with_predict(train_set, probe_set):
 
 def test_impute_categories_fills_every_named_record(small_world, small_corpus):
     records, truth = small_corpus
-    X, labels, _ = build_labeled(records, small_world.lexicon, dim=2048)
+    X, labels, _ = labeled_of(records, small_world.lexicon, dim=2048)
     model = classify.train("naive_bayes", X, labels)
-    report = impute_categories(records, model, small_world.lexicon)
+    columns, flags = columns_of(records)
+    report = impute_categories(columns, flags, model, small_world.lexicon)
+    records = records_of(columns, flags)
     assert report.missing == sum(1 for r in records if truth.get(r.id, "category") is not None)
     assert report.filled + report.skipped_no_name == report.missing
     assert all(r.category is not None for r in records if r.name)
@@ -109,7 +112,9 @@ def test_impute_categories_no_missing_is_noop(small_world):
     model = classify.train(
         "naive_bayes", *synth_labeled_points(50, dim=2048, n_classes=4, seed=1)
     )
-    report = impute_categories(records, model, small_world.lexicon)
+    columns, flags = columns_of(records)
+    report = impute_categories(columns, flags, model, small_world.lexicon)
+    records = records_of(columns, flags)
     assert report.missing == report.filled == 0
     assert records[0].category == "RE" and records[0].provenance_of("category") == "original"
 
@@ -201,3 +206,26 @@ def test_check_training_data_names_a_label_outside_the_classes():
     assert check_training_data(X, ["RE", "SRTS", "RE"], ["SRTS", "RE"])[1].tolist() == [1, 0, 1]
     with pytest.raises(ValueError, match="'ZZZ'"):
         check_training_data(X, ["RE", "ZZZ", "RE"], ["SRTS", "RE"])
+
+
+def axis_max_softmax(z):
+    """softmax with the row max taken by z.max(axis=-1)."""
+    z = z - z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+SCORES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300, np.inf, -np.inf, np.nan]) | st.floats(-50, 50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 6).flatmap(lambda k: st.lists(st.lists(SCORES, min_size=k, max_size=k), min_size=1,
+                                                            max_size=8)))
+def test_softmax_is_bit_equal_to_the_axis_max_version(rows):
+    # ties, signed zeros, infinities and NaN rows; a 1-D row too
+    z = np.array(rows, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = softmax(z.copy()), axis_max_softmax(z.copy())
+        assert got.tobytes() == want.tobytes()
+        assert softmax(z[0].copy()).tobytes() == axis_max_softmax(z[0].copy()).tobytes()

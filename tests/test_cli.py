@@ -17,6 +17,7 @@ from regimpute import segmenter
 from regimpute.cli import PIPELINE_STAGES, PipelineConfig, build_parser, main
 from regimpute.geocode import MockGeocoder
 from regimpute.records import ingest, write_records
+from record_forms import reference_geocode_missing, reference_write_results
 
 DIM = "2048"
 
@@ -384,13 +385,13 @@ GEOCODE_ROWS = [
 
 
 def geocode_reference(corpus, keys, out):
-    """The geocode command through records: geocode_missing, apply_results
-    and write_records."""
-    from regimpute.geocode import apply_results, geocode_missing, ok_rate, read_keys, write_results
+    """The geocode command through records: a per-record geocode of the
+    records without coordinates, apply_results and write_records."""
+    from regimpute.geocode import apply_results, ok_rate, read_keys
 
     records = ingest(corpus).records
-    results = geocode_missing(records, MockGeocoder(), read_keys(keys), rate=None)
-    write_results(results, out / "coordinates.tsv")
+    results = reference_geocode_missing(records, MockGeocoder(), read_keys(keys), rate=None)
+    reference_write_results(results, out / "coordinates.tsv")
     apply_results(records, results)
     write_records(records, out / "merged.tsv")
     return f"ok_rate\t{ok_rate(results):.4f}\n"
@@ -426,6 +427,51 @@ def test_geocode_command_equals_the_record_reference(tmp_path, monkeypatch, caps
         assert "no-result" in statuses and "quota-exhausted" not in statuses
     else:
         assert "quota-exhausted" in statuses
+
+
+def refuse_records(monkeypatch):
+    """Make building an EnterpriseRecord, through ingest or otherwise, fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an EnterpriseRecord was built")
+
+    monkeypatch.setattr(records_module.IngestResult, "records", property(refuse))
+    monkeypatch.setattr(records_module.EnterpriseRecord, "__init__", refuse)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("method", ["naive_bayes", "logistic_regression"])
+def test_pipeline_builds_no_records(synth_dir, tmp_path, monkeypatch, method, workers):
+    keys = write_keys(tmp_path / "keys.tsv")
+    refuse_records(monkeypatch)
+    args = pipeline_args(synth_dir, tmp_path / "out", keys)
+    args[args.index("--method") + 1] = method
+    assert main(args + ["--workers", workers]) == 0
+    assert (tmp_path / "out" / "records_final.tsv").is_file()
+    assert_reaped_and_clean(tmp_path)
+
+
+def test_stage_commands_build_no_records(synth_dir, tmp_path, monkeypatch, capsys):
+    keys = write_keys(tmp_path / "keys.tsv")
+    corpus, gazetteer_args = corpus_args(synth_dir), ["--gazetteer", str(synth_dir / "gazetteer.tsv")]
+    model = str(tmp_path / "model.json")
+    refuse_records(monkeypatch)
+    commands = [
+        ["ingest", "--corpus", corpus[1], "--out", str(tmp_path / "ingested.tsv")],
+        ["train", *corpus, "--method", "naive_bayes", "--dim", DIM, "--model", model],
+        ["impute-category", *corpus, "--model", model, "--out", str(tmp_path / "categories.tsv"),
+         "--truth", str(synth_dir / "truth.tsv"), "--report", str(tmp_path / "per_class.tsv")],
+        ["impute-postcode", *corpus, *gazetteer_args, "--out", str(tmp_path / "postcodes.tsv")],
+        ["impute-ad", *corpus, *gazetteer_args, "--out", str(tmp_path / "ad.tsv")],
+        ["impute-location", *corpus, *gazetteer_args, "--out", str(tmp_path / "located.tsv"),
+         "--report", str(tmp_path / "location_report.tsv")],
+        ["geocode", "--corpus", corpus[1], "--keys", str(keys), "--out", str(tmp_path / "coordinates.tsv"),
+         "--merged-out", str(tmp_path / "merged.tsv")],
+        ["segment", *corpus, "--out", str(tmp_path / "tokens.tsv")],
+        ["vectorize", *corpus, "--dim", DIM, "--out", str(tmp_path / "vectors.tsv")],
+    ]
+    assert [main(argv) for argv in commands] == [0] * len(commands)
+    # the ingest command writes its input back as it read it
+    assert (tmp_path / "ingested.tsv").read_bytes() == (synth_dir / "corpus.tsv").read_bytes()
 
 
 def test_pipeline_geocode_skips_located_records(synth_dir, half_located, tmp_path, requested):

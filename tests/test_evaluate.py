@@ -11,10 +11,10 @@ from regimpute.evaluate import (
     speedup,
     write_category_accuracy,
 )
-from regimpute.records import EnterpriseRecord, GroundTruth
+from regimpute.records import GroundTruth
 from matrices import csr
 from regimpute.synth import synth_labeled_points
-from regimpute.vectorizer import build_labeled
+from record_forms import labeled_of
 
 
 def test_kfold_each_fold_one_index():
@@ -49,7 +49,7 @@ def test_kfold_validation():
 @pytest.fixture(scope="module")
 def learnable_points(small_world_module, small_corpus_module):
     records, _ = small_corpus_module
-    X, labels, _ = build_labeled(records, small_world_module.lexicon, dim=2048)
+    X, labels, _ = labeled_of(records, small_world_module.lexicon, dim=2048)
     return X, labels
 
 
@@ -167,13 +167,9 @@ def test_category_accuracy_report(tmp_path):
     truth.set("1", "category", "RE")
     truth.set("2", "category", "RE")
     truth.set("3", "category", "M")
-    records = [
-        EnterpriseRecord(id="1", category="RE", provenance={"category": "imputed"}),
-        EnterpriseRecord(id="2", category="M", provenance={"category": "imputed"}),
-        EnterpriseRecord(id="3", category="M", provenance={"category": "imputed"}),
-        EnterpriseRecord(id="4", category="RE"),  # original, not counted
-    ]
-    rows = category_accuracy(records, truth, ("RE", "M"))
+    ids, categories = ["1", "2", "3", "4"], ["RE", "M", "M", "RE"]
+    imputed = [True, True, True, False]  # the fourth is original, not counted
+    rows = category_accuracy(ids, categories, imputed, truth, ("RE", "M"))
     by_class = {r.category: r for r in rows}
     assert by_class["RE"].imputed == 2 and by_class["RE"].correct == 1
     assert by_class["M"].imputed == 1 and by_class["M"].correct == 1

@@ -17,12 +17,13 @@ from regimpute.cli import (
 )
 from regimpute.evaluate import ClassAccuracy, EvalReport, SpeedupCurve, SpeedupPoint, write_category_accuracy
 from regimpute.gazetteer import PostcodeEntry, read_gazetteer, write_gazetteer
-from regimpute.geocode import GeocodeResult, read_keys, write_results
+from regimpute.geocode import read_keys, write_results
 from regimpute.locimpute import LocationReport
 from regimpute.records import EnterpriseRecord, GroundTruth, ingest, missingness, write_records
 from regimpute.segmenter import Lexicon
 from regimpute.spatial import KCurve, export_geojson
 from regimpute.vectorizer import hash_rows, write_vectors
+from record_forms import columns_of
 
 SRC = Path(regimpute.__file__).resolve().parent
 DEMO_LEXICON = SRC / "data" / "demo_lexicon.tsv"
@@ -66,14 +67,14 @@ WRITERS = {
     "vectors": lambda d, v: write_vectors(["1"], [v], hash_rows([["a", "a"]], 8), d / "out.tsv"),
     "gazetteer": lambda d, v: write_gazetteer([_entry(v)], d / "out.tsv"),
     "location_report": lambda d, v: LocationReport(total=len(v)).write(d / "out.tsv"),
-    "geocode_results": lambda d, v: write_results([GeocodeResult(v, 100.5, 30.25, "ok", "mock", 1)], d / "out.tsv"),
+    "geocode_results": lambda d, v: write_results([v], ["100.5"], ["30.25"], ["ok"], d / "out.tsv"),
     "k_curve": lambda d, v: KCurve((1.0,), (float(len(v)),)).write(d / "out.tsv"),
     "eval_report": _eval_report,
     "speedup": lambda d, v: SpeedupCurve((SpeedupPoint(1, float(len(v)), 1.0),)).write(d / "out.tsv"),
     "category_accuracy": lambda d, v: write_category_accuracy([ClassAccuracy(v, 1, 1)], d / "out.tsv"),
     "stage_timings": _stage_timer,
-    "missingness": lambda d, v: _write_missingness(missingness(_records(v)), d / "out.tsv"),
-    "summary": lambda d, v: _write_summary(missingness(_records(v)), d / "out.tsv"),
+    "missingness": lambda d, v: _write_missingness(missingness(*columns_of(_records(v))), d / "out.tsv"),
+    "summary": lambda d, v: _write_summary(missingness(*columns_of(_records(v))), d / "out.tsv"),
     "geojson": lambda d, v: export_geojson([EnterpriseRecord(id=v, coordinates=(100.0, 30.0))], d / "out.tsv"),
     "segment_out": _segment,
 }

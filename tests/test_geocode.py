@@ -4,8 +4,10 @@ import threading
 from datetime import date
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regimpute import geocode
+from regimpute.parallel import split
 from regimpute.geocode import (
     ApiKey,
     GeocodeResult,
@@ -18,13 +20,14 @@ from regimpute.geocode import (
     ad_prefix_filter,
     apply_results,
     geocode_batch,
-    geocode_missing,
+    geocode_columns,
     ok_rate,
     read_keys,
     shard,
     write_results,
 )
 from regimpute.records import EnterpriseRecord
+from record_forms import columns_of, records_of, reference_geocode_missing
 
 NO_SLEEP = lambda _t: None
 
@@ -162,6 +165,74 @@ class TestQuota:
         assert key.used_today == 1
 
 
+class TestQuotaBlocks:
+    """A shard reserves its quota a block at a time (QUOTA_BLOCK), reading
+    the clock once per block, and gives back the rest when it ends."""
+
+    def test_day_rollover_between_two_requests_of_one_shard(self):
+        # the first block is granted on day 1; the quota runs out, and the
+        # next block comes from day 2's fresh quota
+        days = iter([date(2020, 1, 1)] + [date(2020, 1, 2)] * 10)
+        ks = keys(1, quota=3)
+        results = geocode_batch(shard(*requests(recs(5)), ks), MockGeocoder(), ks, rate=None,
+                                clock=lambda: next(days))
+        assert [r.status for r in results] == ["ok"] * 5
+        assert ks[0].day_stamp == date(2020, 1, 2)
+        assert ks[0].used_today == 2  # day 2's unused grant went back
+
+    def test_requests_count_against_the_day_their_block_was_granted_on(self):
+        today = [date(2020, 1, 1)]
+        key = ApiKey("k", daily_quota=10)
+        counter = QuotaCounter(key, clock=lambda: today[0])
+        granted, day = counter.acquire(4)
+        assert (granted, day, key.used_today) == (4, date(2020, 1, 1), 4)
+        today[0] = date(2020, 1, 2)
+        assert counter.acquire(3) == (3, date(2020, 1, 2))
+        counter.release(2, day)  # day 1's grants are gone with day 1
+        assert key.used_today == 3
+        counter.release(1, date(2020, 1, 2))
+        assert key.used_today == 2
+
+    def test_quota_runs_out_inside_a_block(self):
+        assert geocode.QUOTA_BLOCK > 5
+        ks = keys(1, quota=5)
+        provider = CountingGeocoder()
+        results = geocode_batch(shard(*requests(recs(9)), ks), provider, ks, rate=None)
+        assert [r.status for r in results] == ["ok"] * 5 + ["quota-exhausted"] * 4
+        assert [r.attempts for r in results] == [1] * 5 + [0] * 4
+        assert len(provider.addresses) == 5 and ks[0].used_today == 5
+
+    def test_used_today_equals_the_attempts_made(self):
+        # retries spend quota too; whatever a block reserved beyond the
+        # attempts goes back when its shard ends
+        n = geocode.QUOTA_BLOCK * 2 + 7
+        ks = keys(1, quota=1000)
+        provider = FlakyProvider(failures_before_success=2)
+        results = geocode_batch(shard(*requests(recs(n)), ks), provider, ks, rate=None, sleep=NO_SLEEP)
+        assert sum(r.attempts for r in results) == ks[0].used_today == provider.calls == n + 2
+        ks = keys(3, quota=1000)
+        results = geocode_batch(shard(*requests(recs(n)), ks), MockGeocoder(), ks, rate=None)
+        assert [k.used_today for k in ks] == [len(part) for part in split(range(n), 3)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(quotas=st.lists(st.integers(0, 150), min_size=1, max_size=4), n=st.integers(0, 400),
+           used=st.integers(0, 60))
+    def test_no_key_goes_past_its_quota(self, quotas, n, used):
+        ks = [ApiKey(f"k{i}", q, used_today=min(used, q), day_stamp=date(2020, 1, 1))
+              for i, q in enumerate(quotas)]
+        before = [k.used_today for k in ks]
+        results = geocode_batch(shard(*requests(recs(n)), ks), MockGeocoder(), ks, rate=None,
+                                clock=lambda: date(2020, 1, 1))
+        assert all(k.used_today <= k.daily_quota for k in ks)
+        assert sum(k.used_today for k in ks) - sum(before) == sum(r.attempts for r in results)
+        # shard i spends key i: its first quota - used requests are ok,
+        # and once the key is spent the rest are quota-exhausted
+        ok = iter(r.status == "ok" for r in results)
+        for part, quota, spent in zip(shard(*requests(recs(n)), ks), quotas, before):
+            granted = min(len(part.ids), quota - spent)
+            assert [next(ok) for _ in part.ids] == [True] * granted + [False] * (len(part.ids) - granted)
+
+
 class FlakyProvider:
     name = "flaky"
 
@@ -274,7 +345,7 @@ def test_keys_io_and_results_io(tmp_path):
     assert [(k.key_id, k.daily_quota) for k in ks] == [("alpha", 6000), ("beta", 100)]
 
     out = tmp_path / "res.tsv"
-    write_results([GeocodeResult("r0", 100.5, 30.25, "ok", "mock", 1)], out)
+    write_results(["r0"], ["100.5"], ["30.25"], ["ok"], out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "id\tlon\tlat\tstatus"
     assert lines[1] == "r0\t100.5\t30.25\tok"
@@ -327,14 +398,16 @@ def test_geocode_missing_skips_located_records():
     records[1].address = "located"
     records[1].coordinates = (100.0, 30.0)
     provider = CountingGeocoder()
+    columns, flags = columns_of(records)
     # one request of quota per key: enough only if located records cost none
-    results = geocode_missing(records, provider, keys(3, quota=1), rate=None)
+    statuses, results = geocode_columns(columns, flags, provider, keys(3, quota=1), rate=None)
     assert "located" not in provider.addresses
     assert len(provider.addresses) == 3
-    assert [r.record_id for r in results] == ["r0", "r1", "r2", "r3"]
-    assert results[1] == GeocodeResult("r1", 100.0, 30.0, "original", "mock", 0)
-    assert all(r.status == "ok" for i, r in enumerate(results) if i != 1)
-    assert apply_results(records, results) == 3
+    assert [r.record_id for r in results] == ["r0", "r2", "r3"]
+    assert statuses == ["ok", "original", "ok", "ok"]
+    assert list(flags["coordinates"]) == [1, 0, 1, 1]
+    records = records_of(columns, flags)
+    assert [rec.coordinates == (res.lon, res.lat) for rec, res in zip(records[::2], results[::2])] == [True, True]
     assert records[1].coordinates == (100.0, 30.0)
     assert records[1].provenance_of("coordinates") == "original"
     assert records[0].provenance_of("coordinates") == "imputed"
@@ -345,7 +418,7 @@ def test_apply_results_pairs_duplicate_ids_by_position():
         EnterpriseRecord(id="dup", address="located", coordinates=(100.0, 30.0)),
         EnterpriseRecord(id="dup", address="湖北省武汉市江岸区 南京路16号"),
     ]
-    results = geocode_missing(records, MockGeocoder(), keys(1), rate=None)
+    results = reference_geocode_missing(records, MockGeocoder(), keys(1), rate=None)
     assert apply_results(records, results) == 1
     assert records[0].coordinates == (100.0, 30.0)
     assert records[0].provenance_of("coordinates") == "original"

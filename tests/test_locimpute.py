@@ -21,6 +21,7 @@ from regimpute.locimpute import (
 )
 from regimpute.records import EnterpriseRecord
 from regimpute.segmenter import Lexicon
+from record_forms import columns_of, records_of
 
 WUHAN = PostcodeEntry("湖北省", "武汉市", "江岸区", "南京路", "430014")
 WUCHANG = PostcodeEntry("湖北省", "武汉市", "武昌区", "中山路", "430060")
@@ -150,21 +151,46 @@ def test_count_with_query_has_more_nouns_than_any_record():
     assert evidence.count_with("100000", frozenset({"丙路"})) == 1
 
 
+def impute_records(records, tree, lexicon, steps=("postcode", "ad")):
+    """impute_locations on the records' columns; the records are replaced
+    in place by the filled ones."""
+    columns, flags = columns_of(records)
+    report = impute_locations(columns, flags, tree, lexicon, steps=steps)
+    records[:] = records_of(columns, flags)
+    return report
+
+
 def test_impute_locations_makes_one_kernel_call_per_batch(small_world, small_corpus, monkeypatch):
+    # one call for the query rows, then one for the rows that carry a
+    # postcode some query ties on and were not queries themselves
     records, _ = small_corpus
+    lexicon = small_world.lexicon
     tree = build([replace(e, postcode=f"{i % 40:06d}") for i, e in enumerate(small_world.gazetteer)])
+    for i, rec in enumerate(records[:400]):  # rows carrying the tree's postcodes, each with several AD paths
+        if rec.postcode:
+            rec.postcode = f"{i % 40:06d}"
     batches = []
     real = locimpute.tokenize
     monkeypatch.setattr(locimpute, "tokenize", lambda texts, *a: batches.append(len(texts)) or real(texts, *a))
-    impute_locations(copy.deepcopy(records), tree, small_world.lexicon, steps=("postcode",))
-    assert batches == [3 * len(records)]
-    impute_locations(copy.deepcopy(records), tree, small_world.lexicon)
-    assert batches[1:] == [3 * len(records)]
+    missing = [r for r in records if not r.postcode]
+    contested = {p for r in missing for tied in [best_postcodes(extract_query_nouns(r, lexicon), tree)]
+                 if len(tied) > 1 for p in tied}
+    carriers = sum(1 for r in records if r.postcode in contested)
+    assert carriers
+    batches.clear()
+    impute_records(copy.deepcopy(records), tree, lexicon, steps=("postcode",))
+    assert batches == [3 * len(missing), 3 * carriers]
+    # with AD the carriers are queries already: their postcodes have several paths
+    several = sum(1 for r in records if r.postcode and len(tree.entries_for_postcode(r.postcode)) > 1)
+    batches.clear()
+    impute_records(copy.deepcopy(records), tree, lexicon)
+    assert batches == [3 * (len(missing) + several)]
     # AD alone segments only the records whose postcode has several paths
     for rec in records[:50]:
         rec.postcode = "000001"
-    impute_locations(records, tree, small_world.lexicon, steps=("ad",))
-    assert batches[2:] == [3 * 50]
+    batches.clear()
+    impute_records(records, tree, lexicon, steps=("ad",))
+    assert batches == [3 * (50 + sum(1 for r in records[50:] if r.postcode in tree.postcodes()))]
 
 
 def test_tie_without_evidence_low_confidence(demo_tree, demo_lexicon, no_evidence):
@@ -187,34 +213,32 @@ def test_present_postcode_is_a_precondition(demo_tree, demo_lexicon, no_evidence
 
 
 def test_impute_ad_table_fixture(demo_tree):
-    rec = EnterpriseRecord(id="1", address="南京路16号", postcode="430014")
-    loc = impute_ad(rec, demo_tree)
+    loc = impute_ad("430014", "南京路16号", demo_tree)
     assert (loc.province, loc.city, loc.county) == ("湖北省", "武汉市", "江岸区")
     assert loc.full_address == "湖北省武汉市江岸区 南京路16号"
     assert loc.source == "postcode-lookup"
 
 
 def test_impute_ad_existing_full_address_is_original(demo_tree):
-    rec = EnterpriseRecord(id="1", address="湖北省武汉市江岸区南京路16号", postcode="430014")
-    loc = impute_ad(rec, demo_tree)
+    address = "湖北省武汉市江岸区南京路16号"
+    loc = impute_ad("430014", address, demo_tree)
     assert loc.source == "original"
-    assert loc.full_address == rec.address
+    assert loc.full_address == address
 
 
 def test_impute_ad_missing_address_uses_street_name(demo_tree):
-    rec = EnterpriseRecord(id="1", postcode="430014")
-    loc = impute_ad(rec, demo_tree)
-    assert loc.full_address == "湖北省武汉市江岸区 南京路"
+    for absent in (None, ""):
+        loc = impute_ad("430014", absent, demo_tree)
+        assert loc.full_address == "湖北省武汉市江岸区 南京路"
 
 
 def test_impute_ad_unknown_postcode(demo_tree):
-    rec = EnterpriseRecord(id="1", address="x", postcode="999999")
-    assert impute_ad(rec, demo_tree) is None
+    assert impute_ad("999999", "x", demo_tree) is None
 
 
 def test_impute_ad_requires_postcode(demo_tree):
     with pytest.raises(ValueError):
-        impute_ad(EnterpriseRecord(id="1"), demo_tree)
+        impute_ad(None, "", demo_tree)
 
 
 def test_impute_ad_multi_path_prefers_own_nouns(demo_lexicon):
@@ -223,11 +247,11 @@ def test_impute_ad_multi_path_prefers_own_nouns(demo_lexicon):
     b = PostcodeEntry("广东省", "广州市", "越秀区", "南京路", "430014")
     tree = build([a, b])
     rec = EnterpriseRecord(id="1", address="南京路1号", data_source="注册_武汉市", postcode="430014")
-    loc = impute_ad(rec, tree, extract_query_nouns(rec, demo_lexicon))
+    loc = impute_ad(rec.postcode, rec.address, tree, extract_query_nouns(rec, demo_lexicon))
     assert loc.province == "湖北省"  # own nouns beat the path-order default
     # without nouns to lean on, the lexicographically first path wins
     bare = EnterpriseRecord(id="2", address="南京路1号", postcode="430014")
-    assert impute_ad(bare, tree, extract_query_nouns(bare, demo_lexicon)).province == "广东省"
+    assert impute_ad(bare.postcode, bare.address, tree, extract_query_nouns(bare, demo_lexicon)).province == "广东省"
 
 
 def test_impute_locations_complete_corpus_is_noop(small_world, small_tree):
@@ -240,7 +264,7 @@ def test_impute_locations_complete_corpus_is_noop(small_world, small_tree):
         )
     )
     snapshot = copy.deepcopy(records)
-    report = impute_locations(records, small_tree, small_world.lexicon)
+    report = impute_records(records, small_tree, small_world.lexicon)
     assert report.postcode_filled == 0
     assert report.ad_assigned == 0
     assert records == snapshot
@@ -248,11 +272,11 @@ def test_impute_locations_complete_corpus_is_noop(small_world, small_tree):
 
 def test_impute_locations_fills_and_is_idempotent(small_world, small_tree, small_corpus):
     records, truth = small_corpus
-    first = impute_locations(records, small_tree, small_world.lexicon)
+    first = impute_records(records, small_tree, small_world.lexicon)
     assert first.postcode_filled > 0
     assert first.ad_assigned > 0
     snapshot = copy.deepcopy(records)
-    second = impute_locations(records, small_tree, small_world.lexicon)
+    second = impute_records(records, small_tree, small_world.lexicon)
     assert records == snapshot
     assert second.postcode_filled == 0
     assert second.ad_assigned == 0
@@ -270,8 +294,8 @@ def test_impute_locations_deterministic(small_world, small_tree, small_config):
 
     r1, _ = synth(small_config)
     r2, _ = synth(small_config)
-    impute_locations(r1, small_tree, small_world.lexicon)
-    impute_locations(r2, small_tree, small_world.lexicon)
+    impute_records(r1, small_tree, small_world.lexicon)
+    impute_records(r2, small_tree, small_world.lexicon)
     assert r1 == r2
 
 
@@ -282,7 +306,7 @@ def test_impute_locations_failed_records_counted(small_world):
         EnterpriseRecord(id="1", name="x"),  # no nouns at all
         EnterpriseRecord(id="2", postcode="999999", address="y"),  # unknown postcode
     ]
-    report = impute_locations(records, foreign, small_world.lexicon)
+    report = impute_records(records, foreign, small_world.lexicon)
     assert report.postcode_failed == 1
     assert report.ad_failed == 1
     assert report.postcode_filled == 0
@@ -336,11 +360,28 @@ def test_impute_locations_equals_per_record_loop(small_world, small_corpus, shar
     tree = build(entries)
     want = copy.deepcopy(records)
     filled = reference_impute_locations(want, tree, small_world.lexicon)
-    report = impute_locations(records, tree, small_world.lexicon)
+    report = impute_records(records, tree, small_world.lexicon)
     assert records == want
     assert report.postcode_filled == filled > 0
     if shared_postcodes:
         assert report.postcode_sources["tiebreak"] > 0
+
+
+def test_tie_evidence_from_carrying_rows_equals_per_record_loop(small_world, small_corpus):
+    # the corpus carries the shared postcodes too, so the tie-break counts
+    # come from the rows that carry a tied postcode
+    records, _ = small_corpus
+    entries = [replace(e, postcode=f"{i % 40:06d}") for i, e in enumerate(small_world.gazetteer)]
+    shared = {old.postcode: new.postcode for old, new in zip(small_world.gazetteer, entries)}
+    for rec in records:
+        rec.postcode = shared.get(rec.postcode, rec.postcode)
+    tree = build(entries)
+    want = copy.deepcopy(records)
+    filled = reference_impute_locations(want, tree, small_world.lexicon)
+    report = impute_records(records, tree, small_world.lexicon)
+    assert records == want
+    assert report.postcode_filled == filled > 0
+    assert report.postcode_sources["tiebreak"] > report.low_confidence
 
 
 def test_more_nouns_never_lower_top_degree(small_world, small_tree):

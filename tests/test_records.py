@@ -20,6 +20,7 @@ from regimpute.records import (
     write_records,
     write_tsv,
 )
+from record_forms import columns_of
 
 HEADER = "id\tname\tcategory\taddress\tpostcode\tdata_source"
 
@@ -320,7 +321,7 @@ def test_parse_reg_year(source, expected):
 def test_missingness_hand_counted():
     records = [EnterpriseRecord(id=str(i), name="x", postcode="100000") for i in range(7)]
     records += [EnterpriseRecord(id=str(i + 7), name="x") for i in range(3)]
-    report = missingness(records)
+    report = missingness(*columns_of(records))
     assert report.total == 10
     assert report.missing["postcode"] == pytest.approx(0.3)
     assert report.missing["name"] == 0.0
@@ -333,7 +334,7 @@ def test_missingness_counts_absent_and_imputed_values():
         EnterpriseRecord(id="2", name="x", postcode="100000", provenance={"postcode": "imputed"}),
         EnterpriseRecord(id="3", name="y", coordinates=(100.0, 30.0)),
     ]
-    report = missingness(records)
+    report = missingness(*columns_of(records))
     assert report.absent["name"] == 1  # the empty string is absent too
     assert report.absent["category"] == 2
     assert report.absent["coordinates"] == 2
@@ -342,7 +343,7 @@ def test_missingness_counts_absent_and_imputed_values():
 
 
 def test_missingness_empty_input():
-    report = missingness([])
+    report = missingness(*columns_of([]))
     assert report.total == 0
     assert all(v == 0.0 for v in report.missing.values())
 
@@ -352,7 +353,7 @@ def test_missingness_complete_data():
         id="1", name="n", category="RE", address="a", postcode="123456",
         data_source="2000", coordinates=(100.0, 30.0),
     )
-    assert all(v == 0.0 for v in missingness([rec]).missing.values())
+    assert all(v == 0.0 for v in missingness(*columns_of([rec])).missing.values())
 
 
 def test_roundtrip_field_for_field(tmp_path, small_corpus):

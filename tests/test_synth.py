@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from regimpute.records import missingness, write_records
+from record_forms import columns_of
 from regimpute.segmenter import address_nouns, feature_words, segment
 from regimpute.synth import SynthConfig, synth, synth_labeled_points, synth_world
 
@@ -32,7 +33,7 @@ def test_full_category_masking_recoverable():
 def test_missingness_tracks_configured_rates():
     config = SynthConfig(n=10_000, seed=5)
     records, _ = synth(config)
-    report = missingness(records)
+    report = missingness(*columns_of(records))
     assert report.missing["category"] == pytest.approx(config.missing_category, abs=0.01)
     assert report.missing["postcode"] == pytest.approx(config.missing_postcode, abs=0.01)
     assert report.missing["data_source"] == pytest.approx(config.missing_data_source, abs=0.01)

@@ -17,6 +17,7 @@ from regimpute.vectorizer import (
     vectorize_name,
     write_vectors,
 )
+from record_forms import labeled_of
 
 
 def reference_fnv1a_32(data: bytes) -> int:
@@ -119,7 +120,7 @@ def test_hash_rows_equal_counts_of_reference_hashes(word_lists, dim):
 
 def test_to_labeled_composes_segment_and_hash(demo_lexicon):
     rec = EnterpriseRecord(id="1", name="武汉物业管理有限公司", category="RE")
-    X, labels, _ = build_labeled([rec], demo_lexicon, dim=128)
+    X, labels, _ = labeled_of([rec], demo_lexicon, dim=128)
     assert labels == ["RE"]
     assert pairs(X, 0) == pairs(hash_rows([["物业", "管理"]], dim=128), 0)
     assert X.sum() == 2
@@ -127,13 +128,13 @@ def test_to_labeled_composes_segment_and_hash(demo_lexicon):
 
 def test_to_labeled_unlabeled_record_returns_none(demo_lexicon):
     rec = EnterpriseRecord(id="1", name="武汉物业管理有限公司")
-    X, labels, skipped = build_labeled([rec], demo_lexicon, dim=128)
+    X, labels, skipped = labeled_of([rec], demo_lexicon, dim=128)
     assert (X.shape[0], labels, skipped) == (0, [], 0)
 
 
 def test_unknown_only_name_gives_zero_vector(demo_lexicon):
     rec = EnterpriseRecord(id="1", name="???", category="RE")
-    X, _, _ = build_labeled([rec], demo_lexicon, dim=128)
+    X, _, _ = labeled_of([rec], demo_lexicon, dim=128)
     assert pairs(X, 0) == ()
 
 
@@ -143,7 +144,7 @@ def test_build_labeled_counts_nameless(demo_lexicon):
         EnterpriseRecord(id="2", category="RE"),
         EnterpriseRecord(id="3", name="武汉金融", category=None),
     ]
-    X, labels, skipped = build_labeled(records, demo_lexicon, dim=64)
+    X, labels, skipped = build_labeled([r.name for r in records], [r.category for r in records], demo_lexicon, dim=64)
     assert len(labels) == X.shape[0] == 1
     assert skipped == 1
 
@@ -151,7 +152,7 @@ def test_build_labeled_counts_nameless(demo_lexicon):
 def test_compositional_equivalence(small_world, small_corpus):
     records, _ = small_corpus
     named = [r for r in records if r.name and r.category][:100]
-    X, labels, _ = build_labeled(named, small_world.lexicon, dim=512)
+    X, labels, _ = labeled_of(named, small_world.lexicon, dim=512)
     assert X.shape[0] == len(labels) == len(named)
     for row, rec in enumerate(named):
         assert pairs(X, row) == pairs(vectorize_name(rec.name, small_world.lexicon, 512), 0)
