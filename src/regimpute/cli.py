@@ -521,7 +521,7 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
         # that exits without a result fails the category track's first stage.
         first = "train" if "train" not in skip else "impute-category"
         with _stage(first):
-            (category_rows, fills), _ = parallel.beside(
+            (category_rows, fills), coordinate_text = parallel.beside(
                 partial(_category_track, timer, config, skip, columns["name"], columns["category"], lexicon, out),
                 partial(_location_track, timer, config, skip, columns, flags, lexicon, out,
                         gazetteer_path, provider, keys),
@@ -532,7 +532,7 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
         classify.fill_categories(columns, flags, fills)
 
         with _stage("report"):
-            write_columns(columns, flags, out / "records_final.tsv")
+            write_columns(columns, flags, out / "records_final.tsv", *coordinate_text)
             if "report" not in skip:
                 report = missingness(columns, flags)
                 _write_missingness(report, out / "missingness_after.tsv")
@@ -571,9 +571,10 @@ def _category_track(timer, config, skip, names, categories, lexicon, out):
     return rows, fills
 
 
-def _location_track(timer, config, skip, columns, flags, lexicon, out, gazetteer_path, provider, keys) -> None:
+def _location_track(timer, config, skip, columns, flags, lexicon, out, gazetteer_path, provider, keys):
     """build-gazetteer, impute-location and geocode, on the columns and
-    flags in place."""
+    flags in place. Returns the lon and lat text geocode wrote, for
+    records_final.tsv, or (None, None) when geocode is skipped."""
     with _stage("build-gazetteer"):
         if "build-gazetteer" not in skip:
             entries, _ = gazetteer.read_gazetteer(gazetteer_path)
@@ -588,11 +589,13 @@ def _location_track(timer, config, skip, columns, flags, lexicon, out, gazetteer
         if "geocode" not in skip:
             statuses, _ = geocode.geocode_columns(columns, flags, provider, geocode.read_keys(keys),
                                                   rate=config.rate or None)
-            # formatted here and again for records_final.tsv: holding the
-            # text until the report would raise the run's peak memory
-            geocode.write_results(columns["id"], format_coordinates(columns["lon"]),
-                                  format_coordinates(columns["lat"]), statuses, out / "coordinates.tsv")
+            # each coordinate is formatted once, for both files; holding the
+            # text until the report leaves the 200k peak memory as it is
+            lon_text, lat_text = format_coordinates(columns["lon"]), format_coordinates(columns["lat"])
+            geocode.write_results(columns["id"], lon_text, lat_text, statuses, out / "coordinates.tsv")
             timer.record("geocode", len(statuses))
+            return lon_text, lat_text
+    return None, None
 
 
 def _write_missingness(report: MissingnessReport, path: Path) -> None:

@@ -90,8 +90,9 @@ def _noun_tokens(columns: Mapping[str, Sequence[str | None]], rows: Sequence[int
 class PostcodeEvidence:
     """Address nouns of postcode-bearing records, grouped by postcode.
 
-    Built once, from the (record index, word id) pairs of _noun_tokens: the
-    distinct pairs, ordered by the record's postcode and then by record.
+    Built once, from (row, word id) pairs as _noun_tokens gives them, each
+    row an index into `postcodes`: the distinct pairs, ordered by the
+    row's postcode and then by row.
     Each postcode's pairs are one slice, and count_with is a reduction over
     that slice."""
 
