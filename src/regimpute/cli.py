@@ -16,8 +16,8 @@ configuration and seed.
 
 Every command that reads a corpus works on its ingest columns
 (IngestResult.columns) and records its fills as imputed flags
-(records.new_flags). Only synth, which generates records, and
-validate-gazetteer build EnterpriseRecords. Each stage subcommand
+(records.new_flags). Only synth, which generates records, builds
+EnterpriseRecords. Each stage subcommand
 (ingest, train, impute-category, impute-postcode, impute-ad,
 impute-location, geocode) calls the function its pipeline stage calls.
 main freezes the objects that exist when the command starts, the
@@ -334,7 +334,8 @@ def cmd_build_gazetteer(args, config: PipelineConfig) -> int:
 
 def cmd_validate_gazetteer(args, config: PipelineConfig) -> int:
     tree, lexicon = _location_setup(config)
-    report = gazetteer.validate(tree, _ingest(config.corpus).records, lexicon)
+    columns = _ingest(config.corpus).columns
+    report = gazetteer.validate(tree, columns["address"], columns["postcode"], lexicon)
     print(f"evaluated\t{report.evaluated}")
     print(f"match_rate\t{report.match_rate:.4f}")
     print(f"presence_rate\t{report.presence_rate:.4f}")

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .records import POSTCODE_RE, EnterpriseRecord, RowDiagnostic, read_tsv, write_tsv
+from .records import POSTCODE_RE, RowDiagnostic, read_tsv, write_tsv
 from .segmenter import ADDRESS_TAGS, Lexicon, word_lists
 
 LEVELS = ("province", "city", "county", "street")
@@ -212,22 +212,23 @@ class CoverageReport:
 
 
 def validate(
-    tree: AddressTree, records: Sequence[EnterpriseRecord], lexicon: Lexicon
+    tree: AddressTree, addresses: Sequence[str | None], postcodes: Sequence[str | None], lexicon: Lexicon
 ) -> CoverageReport:
-    """Coverage of the tree on complete records: those with a postcode and
-    an address that yields at least three distinct address nouns. An
-    address with fewer is street-only or coarser and is not evaluated."""
-    located = [rec for rec in records if rec.address and rec.postcode]
+    """Coverage of the tree on complete rows of row-aligned address and
+    postcode columns: rows with a postcode and an address that yields at
+    least three distinct address nouns. An address with fewer is
+    street-only or coarser and is not evaluated."""
+    located = [(address, postcode) for address, postcode in zip(addresses, postcodes) if address and postcode]
     evaluated, matched, present = 0, 0, 0
     known = tree.postcodes()
-    for rec, nouns in zip(located, word_lists([rec.address for rec in located], lexicon, ADDRESS_TAGS)):
+    for (_, postcode), nouns in zip(located, word_lists([address for address, _ in located], lexicon, ADDRESS_TAGS)):
         if len(set(nouns)) < 3:
             continue
         evaluated += 1
-        if rec.postcode in known:
+        if postcode in known:
             present += 1
         best = best_postcodes(nouns, tree)
-        if best and best[0] == rec.postcode:
+        if best and best[0] == postcode:
             matched += 1
     if evaluated == 0:
         return CoverageReport(0, 0.0, 0.0)

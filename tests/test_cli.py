@@ -468,6 +468,7 @@ def test_stage_commands_build_no_records(synth_dir, tmp_path, monkeypatch, capsy
          "--merged-out", str(tmp_path / "merged.tsv")],
         ["segment", *corpus, "--out", str(tmp_path / "tokens.tsv")],
         ["vectorize", *corpus, "--dim", DIM, "--out", str(tmp_path / "vectors.tsv")],
+        ["validate-gazetteer", *corpus, *gazetteer_args],
     ]
     assert [main(argv) for argv in commands] == [0] * len(commands)
     # the ingest command writes its input back as it read it

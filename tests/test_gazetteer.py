@@ -145,13 +145,17 @@ def test_partial_entry_weights():
     assert results[0].degree == 1.0
 
 
+def validate_records(tree, records, lexicon):
+    return validate(tree, [r.address for r in records], [r.postcode for r in records], lexicon)
+
+
 def test_validate_self_consistency(demo_tree, demo_lexicon):
     records = [
         EnterpriseRecord(id="1", address="湖北省武汉市江岸区南京路16号", postcode="430014"),
         EnterpriseRecord(id="2", address="湖北省武汉市武昌区中山路8号", postcode="430060"),
         EnterpriseRecord(id="3", address="广东省广州市越秀区南京路2号", postcode="510030"),
     ]
-    report = validate(demo_tree, records, demo_lexicon)
+    report = validate_records(demo_tree, records, demo_lexicon)
     assert report.evaluated == 3
     assert report.match_rate == 1.0
     assert report.presence_rate == 1.0
@@ -162,7 +166,7 @@ def test_validate_presence_fraction(demo_tree, demo_lexicon):
         EnterpriseRecord(id="1", address="湖北省武汉市江岸区南京路16号", postcode="430014"),
         EnterpriseRecord(id="2", address="湖北省武汉市武昌区中山路8号", postcode="999999"),
     ]
-    report = validate(demo_tree, records, demo_lexicon)
+    report = validate_records(demo_tree, records, demo_lexicon)
     assert report.evaluated == 2
     assert report.presence_rate == pytest.approx(0.5)
 
@@ -172,14 +176,14 @@ def test_validate_skips_addresses_with_fewer_than_three_nouns(demo_tree, demo_le
         EnterpriseRecord(id="1", address="湖北省武汉市江岸区南京路16号", postcode="430014"),
         EnterpriseRecord(id="2", address="湖北省武汉市16号", postcode="430014"),  # two nouns
     ]
-    report = validate(demo_tree, records, demo_lexicon)
+    report = validate_records(demo_tree, records, demo_lexicon)
     assert report.evaluated == 1
     assert report.match_rate == 1.0
 
 
 def test_validate_skips_incomplete_records(demo_tree, demo_lexicon):
     records = [EnterpriseRecord(id="1", address="somewhere"), EnterpriseRecord(id="2", postcode="430014")]
-    report = validate(demo_tree, records, demo_lexicon)
+    report = validate_records(demo_tree, records, demo_lexicon)
     assert report.evaluated == 0
 
 
