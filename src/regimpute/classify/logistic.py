@@ -13,6 +13,13 @@ read one row each, so they are computed once per distinct row and gathered
 back; the gradient's product and sums still run over every row, so the
 result is bit for bit that of a softmax over every row. The distinct rows
 are found once per training run.
+
+The bias gradient comes out of the weight gradient's product: the training
+matrix gets a column of ones, once per run, so one product over every row
+also sums each class's probs - indicator down the rows in row order,
+starting from 0.0. That equals probs.sum(axis=0), which adds the same rows
+in the same order starting from the first, because no entry is -0.0 (a
+probability is never -0.0, and p - 1.0 is not either).
 """
 
 from __future__ import annotations
@@ -33,15 +40,17 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 class _Rows(NamedTuple):
     """X as the training loop reads it: the distinct rows, each row's index
-    among them, the labels, and X itself."""
+    among them, the labels, X with a column of ones appended, and the flat
+    index of each row's label in a rows x classes array."""
 
     distinct: sparse.csr_matrix
     inverse: np.ndarray
     y: np.ndarray
-    X: sparse.csr_matrix
+    X1: sparse.csr_matrix
+    label_at: np.ndarray
 
 
-def _rows(X: sparse.csr_matrix, y: np.ndarray) -> _Rows:
+def _rows(X: sparse.csr_matrix, y: np.ndarray, classes: int) -> _Rows:
     """Rows are equal when their stored indices and values are, in order,
     so a distinct row's logits are bit for bit those of each copy."""
     indptr = X.indptr.tolist()
@@ -59,7 +68,9 @@ def _rows(X: sparse.csr_matrix, y: np.ndarray) -> _Rows:
         count=X.shape[0],
     )
     _, keep = np.unique(inverse, return_index=True)  # the first copy of each
-    return _Rows(X[keep], inverse, y, X)
+    n = X.shape[0]
+    X1 = sparse.hstack([X, np.ones((n, 1))], format="csr")
+    return _Rows(X[keep], inverse, y, X1, np.arange(n) * classes + y)
 
 
 def _loss(W: np.ndarray, b: np.ndarray, rows: _Rows, l2: float) -> float:
@@ -69,24 +80,27 @@ def _loss(W: np.ndarray, b: np.ndarray, rows: _Rows, l2: float) -> float:
 
 
 def _gradient(W: np.ndarray, b: np.ndarray, rows: _Rows, l2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax once per distinct row, gathered back to every row; the
-    product and sums then run over all rows."""
-    probs = softmax(rows.distinct @ W.T + b).take(rows.inverse, axis=0)
-    n = len(probs)
-    probs[np.arange(n), rows.y] -= 1.0
-    return probs.T @ rows.X / n + l2 * W, probs.sum(axis=0) / n
+    """Softmax once per distinct row, gathered back to every row; one
+    product over all rows of X with its ones column then gives the weight
+    gradient and, in the last column, the bias gradient."""
+    z = rows.distinct @ W.T
+    z += b
+    probs = softmax(z).take(rows.inverse, axis=0)
+    probs.ravel()[rows.label_at] -= 1.0
+    product = probs.T @ rows.X1 / len(probs)
+    return product[:, :-1] + l2 * W, product[:, -1]
 
 
 def lr_loss(W: np.ndarray, b: np.ndarray, X: sparse.csr_matrix, y: np.ndarray, l2: float) -> float:
     """Regularized mean cross-entropy at parameters (W, b)."""
-    return _loss(W, b, _rows(X, y), l2)
+    return _loss(W, b, _rows(X, y, len(b)), l2)
 
 
 def lr_gradient(
     W: np.ndarray, b: np.ndarray, X: sparse.csr_matrix, y: np.ndarray, l2: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of lr_loss w.r.t. (W, b)."""
-    return _gradient(W, b, _rows(X, y), l2)
+    return _gradient(W, b, _rows(X, y, len(b)), l2)
 
 
 def train_lr(
@@ -106,7 +120,7 @@ def train_lr(
     if not (math.isfinite(l2) and l2 >= 0):
         raise ValueError("l2 must be finite and >= 0")
     columns, active = active_columns(X)
-    rows = _rows(active, y)
+    rows = _rows(active, y, len(classes))
     W = np.zeros((len(classes), len(columns)))
     b = np.zeros(len(classes))
     for t in range(1, iters + 1):

@@ -85,14 +85,14 @@ def check_training_data(
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis. The max is a running np.maximum over
-    the last axis' entries: exact, like z.max(axis=-1), and much faster on
-    a few classes; where the two could differ (0.0 against -0.0) the
-    shifted scores are equal after exp."""
+    """Softmax over the last axis, written over z and returned. The max is
+    a running np.maximum over the last axis' entries: exact, like
+    z.max(axis=-1), and much faster on a few classes; where the two could
+    differ (0.0 against -0.0) the shifted scores are equal after exp."""
     top = z[..., 0].copy()
     for k in range(1, z.shape[-1]):
         np.maximum(top, z[..., k], out=top)
-    z = z - top[..., None]
+    z -= top[..., None]
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z

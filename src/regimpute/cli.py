@@ -515,6 +515,7 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
             flags = new_flags(len(columns["id"]))
             _write_missingness(missingness(columns, flags), out / "missingness_before.tsv")
             lexicon = Lexicon.from_tsv(lexicon_path)
+            lexicon.tables()  # built once, before a fork, for both tracks
             timer.record("ingest", len(columns["id"]))
 
         # The tracks touch disjoint columns. With workers >= 2 the category

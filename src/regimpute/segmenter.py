@@ -18,16 +18,26 @@ caller asked for. Within a run:
    0 for any other character and for the separators.
 2. The longest word at every position is found by walking the trie of the
    lexicon's words from all positions at once, one character per numpy
-   step. The root's children come from a table; the child of any other
-   node u on code c is looked up with searchsorted among the trie's
-   sorted edge keys u * (A + 1) + c. A position's longest word is the
-   last word node its walk passes; its length is 1 if none.
+   step. The trie is a double array (J. Aoe, IEEE TSE 15(9), 1989): state
+   0 is the root, and the child of state s on code c is t = base[s] + c
+   when check[t] == s; otherwise s has no child on c. A step is two
+   gathers and a compare per walking position. The root's children come
+   from a table, 0 where there is none. A position's longest word is the
+   last word state its walk passes; its length is 1 if none.
 3. Every text's cursor starts at the text's first position. Each numpy
    step marks the cursors and moves each one on by the length of the
    longest word at it, until it reaches its text's end. The marked
    positions are the token starts.
 
 This is FMM text by text, exactly:
+- The double array holds exactly the trie's edges. Every node gets a
+  base >= 1 such that the slots base + c of all nodes' children are
+  distinct; a child's state is its slot, and its check is its parent's
+  state. If check[base[s] + c] == s, that slot holds a child of s on some
+  code c' with base[s] + c' = base[s] + c, so c' = c: a hit is s's child
+  on c. No child lands on state 0, since every base is >= 1 and every
+  edge's code too, so 0 can also mean "no node". A free slot's check is
+  -1, and the arrays are padded so base[s] + c is in range for every code.
 - No word spans a text boundary. Words are made of codes 1..A, a
   separator is 0, and no trie edge reads a 0.
 - The longest word at a position is the first hit of FMM's loop, which
@@ -73,15 +83,16 @@ class Token:
 
 @dataclass(frozen=True, slots=True)
 class _Tables:
-    """A lexicon's tokenize tables, as numpy arrays."""
+    """A lexicon's tokenize tables, as numpy arrays. The trie is a double
+    array of states: state 0 is the root, and the child of state s on code
+    c is base[s] + c when check[base[s] + c] == s."""
 
     code: np.ndarray  # code of each code point up to the largest word character's, then 0
-    root_child: np.ndarray  # trie node of each code's one-character prefix, 0 if none
-    edge_keys: np.ndarray  # sorted node * base + code of every trie edge, then a sentinel
-    edge_child: np.ndarray  # the node each edge leads to
-    node_word: np.ndarray  # word id ending at each trie node, or -1
+    root_child: np.ndarray  # state of each code's one-character prefix, 0 if none
+    base: np.ndarray  # each state's base, >= 1; padded so base[s] + c is in range for every code
+    check: np.ndarray  # each state's parent state, -1 for a slot that holds no state
+    node_word: np.ndarray  # word id ending at each state, or -1
     word_tag: np.ndarray  # POS_TAGS index of each word id, then that of x (for -1)
-    base: int  # A + 1
 
 
 class Lexicon:
@@ -126,35 +137,94 @@ class Lexicon:
     def tables(self) -> _Tables:
         """The tokenize tables, built on first use."""
         if self._tables is None:
-            alphabet = sorted({ch for word in self.words for ch in word})
-            code = {ch: i + 1 for i, ch in enumerate(alphabet)}
-            base = len(alphabet) + 1
-            edges: dict[int, int] = {}
-            node_word = [-1]
-            for wid, word in enumerate(self.words):
-                node = 0
-                for ch in word:
-                    key = node * base + code[ch]
-                    node = edges.get(key, 0)
-                    if not node:
-                        node = edges[key] = len(node_word)
-                        node_word.append(-1)
-                node_word[node] = wid
-            points = [ord(ch) for ch in alphabet]
-            code_table = np.zeros(max(points, default=0) + 2, dtype=np.int32)
-            code_table[points] = np.arange(1, base)
-            keys = sorted(edges) + [2**63 - 1]  # a sentinel above every key
-            self._tables = _Tables(
-                code_table,
-                np.array([0] + [edges.get(c, 0) for c in range(1, base)], dtype=np.int64),
-                np.array(keys, dtype=np.int64),
-                np.array([edges.get(k, 0) for k in keys], dtype=np.int64),
-                np.array(node_word, dtype=np.int64),
-                np.array([POS_TAGS.index(self.entries[w]) for w in self.words] + [POS_TAGS.index("x")],
-                         dtype=np.int8),
-                base,
-            )
+            self._tables = _build_tables(self)
         return self._tables
+
+
+def _build_tables(lexicon: Lexicon) -> _Tables:
+    alphabet = sorted({ch for word in lexicon.words for ch in word})
+    code = {ch: i + 1 for i, ch in enumerate(alphabet)}
+    # the trie, nodes numbered from the root (0) in creation order: words
+    # are sorted, so each word leaves the previous one's path after their
+    # common prefix, and each node's children are made in code order
+    parent, label, word_node = [0], [0], []
+    path, prev = [0], ""
+    for word in lexicon.words:
+        k = 0
+        while k < len(prev) and prev[k] == word[k]:
+            k += 1
+        del path[k + 1:]
+        for ch in word[k:]:
+            parent.append(path[-1])
+            label.append(code[ch])
+            path.append(len(label) - 1)
+        word_node.append(path[-1])
+        prev = word
+    parent, label = np.array(parent, dtype=np.int64), np.array(label, dtype=np.int64)
+    node_base = _place(parent, label, len(alphabet))
+    # a node's state is its parent's base plus its code; the root's is 0.
+    # int32 holds every state: 2**31 slots would take a lexicon of about
+    # as many characters
+    state = node_base[parent] + label
+    state[0] = 0
+    size = int(max(state.max(), node_base.max())) + len(alphabet) + 1
+    base = np.ones(size, dtype=np.int32)
+    base[state] = node_base
+    check = np.full(size, -1, dtype=np.int32)
+    check[state[1:]] = state[parent[1:]]
+    node_word = np.full(size, -1, dtype=np.int32)
+    node_word[state[word_node]] = np.arange(len(word_node))
+    points = [ord(ch) for ch in alphabet]
+    code_table = np.zeros(max(points, default=0) + 2, dtype=np.int32)
+    code_table[points] = np.arange(1, len(alphabet) + 1)
+    root_child = base[0] + np.arange(len(alphabet) + 1, dtype=np.int32)
+    root_child[check[root_child] != 0] = 0
+    word_tag = [POS_TAGS.index(lexicon.entries[w]) for w in lexicon.words] + [POS_TAGS.index("x")]
+    return _Tables(code_table, root_child, base, check, node_word, np.array(word_tag, dtype=np.int8))
+
+
+def _place(parent: np.ndarray, label: np.ndarray, codes: int) -> np.ndarray:
+    """A base >= 1 for each trie node, such that the slots base + c of all
+    nodes' children are distinct and none is slot 0, the root's. parent
+    and label give each node but the root (0) its parent and its code; the
+    codes run 1..codes."""
+    count = np.bincount(parent[1:], minlength=parent.size)
+    kids = np.argsort(parent[1:], kind="stable") + 1  # each node's children together, in code order
+    first = np.cumsum(count) - count  # where a node's children start in kids
+    kid_code = label[kids]
+    base = np.ones(parent.size, dtype=np.int64)
+    used = bytearray(2 * (parent.size + codes + 1))
+    used[0] = 1
+    # nodes with several children, the largest first, by next fit: a node's
+    # search starts at the slot the previous node's first child took, so no
+    # search rescans the full slots below it
+    start = 1
+    many = np.flatnonzero(count > 1)
+    many = many[np.argsort(-count[many], kind="stable")]
+    kid_codes, firsts, counts = kid_code.tolist(), first[many].tolist(), count[many].tolist()
+    for n, f, m in zip(many.tolist(), firsts, counts):
+        low, *rest = cs = kid_codes[f:f + m]
+        at = max(start, low + 1)
+        while True:
+            at = used.find(0, at)
+            if at < 0 or at - low + cs[-1] >= len(used):
+                used.extend(bytes(len(used)))
+                at = max(start, low + 1)
+                continue
+            b = at - low
+            if not any(used[b + c] for c in rest):
+                break
+            at += 1
+        base[n] = b
+        for c in cs:
+            used[b + c] = 1
+        start = at
+    # nodes with one child take the free slots past every code, in order
+    one = np.flatnonzero(count == 1)
+    slots = np.flatnonzero(np.frombuffer(used, dtype=np.uint8)[codes + 1:] == 0) + (codes + 1)
+    slots = np.concatenate([slots, np.arange(len(used), len(used) + max(0, one.size - slots.size))])
+    base[one] = slots[:one.size] - kid_code[first[one]]
+    return base
 
 
 def tokenize(texts: Sequence[str], lexicon: Lexicon, tags: Collection[str] | None = None):
@@ -197,18 +267,17 @@ def _tokenize_run(texts, first: int, max_len: int, tables: _Tables, keep) -> tup
     codes[ends] = 0
     codes[ends[-1]:] = 0
     # 2. the longest word at each position: one-character prefixes by table,
-    #    longer ones by searchsorted among the edge keys
+    #    longer ones by a step of the double array
     node = tables.root_child[codes]
     word_id = tables.node_word[node]
     word_len = np.ones(codes.size, dtype=np.int64)
     pos = np.flatnonzero(node)
     node = node[pos]
-    edge_keys = tables.edge_keys
+    base, check = tables.base, tables.check
     for k in range(2, max_len + 1):
-        key = node * tables.base + codes[pos + (k - 1)]
-        at = np.searchsorted(edge_keys, key)
-        hit = edge_keys[at] == key
-        pos, node = pos[hit], tables.edge_child[at[hit]]
+        child = base[node] + codes[pos + (k - 1)]
+        hit = check[child] == node
+        pos, node = pos[hit], child[hit]
         if not pos.size:
             break
         wid = tables.node_word[node]

@@ -8,6 +8,7 @@ import pytest
 from matrices import csr, pairs
 from regimpute import classify
 from regimpute.classify import lr_gradient, lr_loss, predict, train_lr
+from regimpute.classify.model import softmax
 from regimpute.vectorizer import count_rows
 
 
@@ -238,10 +239,18 @@ def test_loss_and_gradient_equal_their_every_row_forms(copies):
     rng = np.random.default_rng(9)
     classes, rows, labels = repeated_rows_dataset(rng)
     X, y = csr(40, rows * copies), label_indices(classes, labels * copies)
-    for _ in range(5):
+    for trial in range(6):
         W = rng.normal(scale=0.8, size=(len(classes), 40))
         b = rng.normal(scale=0.5, size=len(classes))
+        if trial == 5:
+            # saturate a row labelled with class 0: its class-0 probability is
+            # exactly 1.0 and the others underflow to 0.0, so its label entry
+            # of probs - indicator is 1.0 - 1.0 and the bias column sums zeros
+            row = labels.index(classes[0])
+            W[0, rows[row][0][0]] = 1000.0
+            probs = softmax(X[row] @ W.T + b)[0]
+            assert probs[0] == 1.0 and not probs[1:].any()
         gw, gb = lr_gradient(W, b, X, y, 0.01)
         rw, rb = all_rows_gradient(W, b, X, y, 0.01)
-        assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
+        assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()  # signed zeros too
         assert lr_loss(W, b, X, y, 0.01) == all_rows_loss(W, b, X, y, 0.01)

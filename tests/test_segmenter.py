@@ -86,12 +86,12 @@ TEXT_ALPHABET = ALPHABET + "z1号😀"
 
 
 @st.composite
-def lexicons(draw):
-    words = set(draw(st.lists(st.text(alphabet=ALPHABET, min_size=1, max_size=4), min_size=1, max_size=10)))
+def lexicons(draw, alphabet=ALPHABET, max_words=10):
+    words = set(draw(st.lists(st.text(alphabet=alphabet, min_size=1, max_size=4), min_size=1, max_size=max_words)))
     for word in list(words):
         if draw(st.booleans()):  # every prefix of this word is a word too
             words.update(word[:i] for i in range(1, len(word)))
-    words.update(draw(st.lists(st.sampled_from(ALPHABET), max_size=3)))  # single characters
+    words.update(draw(st.lists(st.sampled_from(alphabet), max_size=3)))  # single characters
     return {word: draw(st.sampled_from(POS_TAGS)) for word in sorted(words)}
 
 
@@ -106,6 +106,40 @@ def test_kernel_and_its_callers_match_reference_fmm(entries, text):
     assert [t.span[0] for t in tokens] == [0, *(t.span[1] for t in tokens)][: len(tokens)]
     assert feature_words(text, lexicon) == [s for s, tag, _ in want if tag in ("n", "v", "vn")]
     assert address_nouns(text, lexicon) == list(dict.fromkeys(s for s, tag, _ in want if tag == "ns"))
+
+
+# Latin letters, CJK ideographs spread over their block and code points
+# past the BMP, so nodes have children on codes far apart
+WIDE_ALPHABET = "ab" + "".join(chr(0x4E00 + 97 * i) for i in range(12)) + "".join(chr(0x20000 + 5 * i) for i in range(6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexicons(WIDE_ALPHABET, max_words=30))
+@example({"a": "n"})
+# 兩 has three children; where its first two fit, the third's slot is taken
+@example({"a": "v", "兩兩": "ns", "兩\U00020000": "n", "兩\U0002000f": "n", "\U00020014": "n"})
+def test_double_array_holds_exactly_the_trie_edges(entries):
+    lexicon = Lexicon(entries)
+    tables = lexicon.tables()
+    alphabet = sorted({ch for word in entries for ch in word})
+    assert [int(tables.code[ord(ch)]) for ch in alphabet] == list(range(1, len(alphabet) + 1))
+    prefixes = {word[:i] for word in entries for i in range(len(word) + 1)}
+    # every trie node's state, reached by its edges from the root, state 0
+    state = {"": 0}
+    for prefix in sorted(prefixes, key=len)[1:]:
+        parent = state[prefix[:-1]]
+        child = int(tables.base[parent] + tables.code[ord(prefix[-1])])
+        assert tables.check[child] == parent
+        state[prefix] = child
+    assert len(set(state.values())) == len(state)
+    assert int((tables.check >= 0).sum()) == len(state) - 1  # no other slot names a parent
+    for prefix, s in state.items():
+        assert tables.base[s] >= 1 and tables.base[s] + len(alphabet) < tables.base.size
+        assert tables.node_word[s] == (lexicon.words.index(prefix) if prefix in entries else -1)
+        # code 0, codes between and past its children, and a childless node miss
+        hits = [c for c in range(len(alphabet) + 1) if tables.check[tables.base[s] + c] == s]
+        assert hits == [c for c, ch in enumerate(alphabet, 1) if prefix + ch in prefixes]
+    assert tables.root_child.tolist() == [0] + [state.get(ch, 0) for ch in alphabet]
 
 
 def tokens_by_text(texts, lexicon, tags=None):
