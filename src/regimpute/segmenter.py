@@ -195,14 +195,14 @@ def _place(parent: np.ndarray, label: np.ndarray, codes: int) -> np.ndarray:
     base = np.ones(parent.size, dtype=np.int64)
     used = bytearray(2 * (parent.size + codes + 1))
     used[0] = 1
-    # nodes with several children, the largest first, by next fit: a node's
-    # search starts at the slot the previous node's first child took, so no
-    # search rescans the full slots below it
+    # nodes with children, the largest first, by next fit: a node's search
+    # starts at the slot the previous node's first child took, so no search
+    # rescans the full slots below it
     start = 1
-    many = np.flatnonzero(count > 1)
-    many = many[np.argsort(-count[many], kind="stable")]
-    kid_codes, firsts, counts = kid_code.tolist(), first[many].tolist(), count[many].tolist()
-    for n, f, m in zip(many.tolist(), firsts, counts):
+    nodes = np.flatnonzero(count)
+    nodes = nodes[np.argsort(-count[nodes], kind="stable")]
+    kid_codes, firsts, counts = kid_code.tolist(), first[nodes].tolist(), count[nodes].tolist()
+    for n, f, m in zip(nodes.tolist(), firsts, counts):
         low, *rest = cs = kid_codes[f:f + m]
         at = max(start, low + 1)
         while True:
@@ -219,11 +219,6 @@ def _place(parent: np.ndarray, label: np.ndarray, codes: int) -> np.ndarray:
         for c in cs:
             used[b + c] = 1
         start = at
-    # nodes with one child take the free slots past every code, in order
-    one = np.flatnonzero(count == 1)
-    slots = np.flatnonzero(np.frombuffer(used, dtype=np.uint8)[codes + 1:] == 0) + (codes + 1)
-    slots = np.concatenate([slots, np.arange(len(used), len(used) + max(0, one.size - slots.size))])
-    base[one] = slots[:one.size] - kid_code[first[one]]
     return base
 
 
