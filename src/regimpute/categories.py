@@ -28,8 +28,6 @@ CATEGORIES: tuple[str, ...] = (
     "OI",
 )
 
-CATEGORY_INDEX: dict[str, int] = {c: i for i, c in enumerate(CATEGORIES)}
-
 _ENGLISH = {
     "AFAHF": "Agriculture, forestry, animal husbandry and fishery",
     "EI": "Extractive industries",

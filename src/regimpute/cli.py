@@ -17,12 +17,15 @@ configuration and seed.
 Every command that reads a corpus works on its ingest columns
 (IngestResult.columns) and records its fills as imputed flags
 (records.new_flags). Only synth, which generates records, builds
-EnterpriseRecords. Each stage subcommand
-(ingest, train, impute-category, impute-postcode, impute-ad,
-impute-location, geocode) calls the function its pipeline stage calls.
-main freezes the objects that exist when the command starts, the
-imports' among them (gc.freeze), so the cyclic collector does not rescan
-them and a forked child does not copy their pages.
+EnterpriseRecords. Each stage subcommand (ingest, train,
+impute-category, impute-postcode, impute-ad, impute-location, geocode)
+calls the function its pipeline stage calls; _read_tree builds every
+address tree and _geocode runs both geocode stages. The gazetteer,
+geocode and spatial functions are called through their modules
+(gazetteer.build), where perfbench's tracer wraps them. main freezes the
+objects that exist when the command starts, the imports' among them
+(gc.freeze), so the cyclic collector does not rescan them and a forked
+child does not copy their pages.
 """
 
 from __future__ import annotations
@@ -323,17 +326,23 @@ def cmd_impute_category(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
+def _read_tree(path: Path) -> tuple[gazetteer.AddressTree, int]:
+    """The address tree of a gazetteer file and the number of rows it rejected."""
+    entries, diagnostics = gazetteer.read_gazetteer(path)
+    return gazetteer.build(entries), len(diagnostics)
+
+
 def cmd_build_gazetteer(args, config: PipelineConfig) -> int:
-    entries, diagnostics = gazetteer.read_gazetteer(_require_file(config.gazetteer, "gazetteer"))
-    tree = gazetteer.build(entries)
+    tree, rejected = _read_tree(_require_file(config.gazetteer, "gazetteer"))
     print(f"entries\t{len(tree)}")
     print(f"postcodes\t{len(tree.postcodes())}")
-    print(f"rejected_rows\t{len(diagnostics)}")
+    print(f"rejected_rows\t{rejected}")
     return EXIT_OK
 
 
 def cmd_validate_gazetteer(args, config: PipelineConfig) -> int:
-    tree, lexicon = _location_setup(config)
+    tree, _ = _read_tree(_require_file(config.gazetteer, "gazetteer"))
+    lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
     columns = _ingest(config.corpus).columns
     report = gazetteer.validate(tree, columns["address"], columns["postcode"], lexicon)
     print(f"evaluated\t{report.evaluated}")
@@ -342,14 +351,10 @@ def cmd_validate_gazetteer(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _location_setup(config: PipelineConfig):
-    entries, _ = gazetteer.read_gazetteer(_require_file(config.gazetteer, "gazetteer"))
-    return gazetteer.build(entries), Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-
-
 def _impute_locations(config: PipelineConfig, steps: tuple[str, ...], out: str) -> locimpute.LocationReport:
     """The impute-location stage, or one of its steps, on the corpus, written to out."""
-    tree, lexicon = _location_setup(config)
+    tree, _ = _read_tree(_require_file(config.gazetteer, "gazetteer"))
+    lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
     columns = _ingest(config.corpus).columns
     flags = new_flags(len(columns["id"]))
     report = locimpute.impute_locations(columns, flags, tree, lexicon, steps=steps)
@@ -380,14 +385,22 @@ def cmd_impute_location(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
+def _geocode(columns: dict[str, list], flags: dict[str, bytearray], provider, keys: Path, rate: float,
+             out: str | Path) -> tuple[list[str], list[str], list[geocode.GeocodeResult]]:
+    """geocode_columns on the columns and flags in place, with the key file's
+    keys (rate 0 paces nothing), then coordinates.tsv written to out: its lon
+    and lat text, formatted once for it and a records file, and the results."""
+    statuses, results = geocode.geocode_columns(columns, flags, provider, geocode.read_keys(keys), rate=rate or None)
+    lon_text, lat_text = format_coordinates(columns["lon"]), format_coordinates(columns["lat"])
+    geocode.write_results(columns["id"], lon_text, lat_text, statuses, out)
+    return lon_text, lat_text, results
+
+
 def cmd_geocode(args, config: PipelineConfig) -> int:
     columns = _ingest(config.corpus).columns
     flags = new_flags(len(columns["id"]))
-    provider, keys = _make_provider(config), geocode.read_keys(_require_file(config.keys, "keys"))
-    statuses, results = geocode.geocode_columns(columns, flags, provider, keys, rate=config.rate or None)
-    # each coordinate is formatted once, for both files
-    lon_text, lat_text = format_coordinates(columns["lon"]), format_coordinates(columns["lat"])
-    geocode.write_results(columns["id"], lon_text, lat_text, statuses, args.out)
+    lon_text, lat_text, results = _geocode(columns, flags, _make_provider(config),
+                                           _require_file(config.keys, "keys"), config.rate, args.out)
     if args.merged_out:
         write_columns(columns, flags, args.merged_out, lon_text, lat_text)
     print(f"ok_rate\t{geocode.ok_rate(results):.4f}")
@@ -562,7 +575,7 @@ def _category_track(timer, config, skip, names, categories, lexicon, out):
                 model = classify.train(config.method, X, labels, _train_params(config), workers=config.workers)
                 classify.save_model(model, config.model or str(out / "model.json"))
             rows.append(timer.lap("train", len(labels)))
-        if model is None and config.model and Path(config.model).is_file():
+        elif "impute-category" not in skip:  # the saved model stands in for the skipped stage
             model = classify.load_model(config.model)
     with _stage("impute-category"):
         if "impute-category" not in skip:
@@ -579,8 +592,7 @@ def _location_track(timer, config, skip, columns, flags, lexicon, out, gazetteer
     records_final.tsv, or (None, None) when geocode is skipped."""
     with _stage("build-gazetteer"):
         if "build-gazetteer" not in skip:
-            entries, _ = gazetteer.read_gazetteer(gazetteer_path)
-            tree = gazetteer.build(entries)
+            tree, _ = _read_tree(gazetteer_path)
             timer.record("build-gazetteer", len(tree))
     with _stage("impute-location"):
         if "impute-location" not in skip:
@@ -589,13 +601,9 @@ def _location_track(timer, config, skip, columns, flags, lexicon, out, gazetteer
             timer.record("impute-location", location_report.postcode_filled)
     with _stage("geocode"):
         if "geocode" not in skip:
-            statuses, _ = geocode.geocode_columns(columns, flags, provider, geocode.read_keys(keys),
-                                                  rate=config.rate or None)
-            # each coordinate is formatted once, for both files; holding the
-            # text until the report leaves the 200k peak memory as it is
-            lon_text, lat_text = format_coordinates(columns["lon"]), format_coordinates(columns["lat"])
-            geocode.write_results(columns["id"], lon_text, lat_text, statuses, out / "coordinates.tsv")
-            timer.record("geocode", len(statuses))
+            # holding the text until the report leaves the 200k peak memory as it is
+            lon_text, lat_text, _ = _geocode(columns, flags, provider, keys, config.rate, out / "coordinates.tsv")
+            timer.record("geocode", len(columns["id"]))
             return lon_text, lat_text
     return None, None
 

@@ -72,19 +72,19 @@ class EvalReport:
             out[cls] = float(self.confusion[i, i] / row) if row else 0.0
         return out
 
-    def write(self, directory: str | Path, prefix: str = "eval") -> None:
+    def write(self, directory: str | Path) -> None:
         directory = Path(directory)
-        write_tsv(directory / f"{prefix}_summary.tsv", ("metric", "value"), (
+        write_tsv(directory / "eval_summary.tsv", ("metric", "value"), (
             ("overall_accuracy", repr(self.overall_accuracy)),
             ("test_total", str(self.total)),
             ("partitions", str(self.partitions)),
         ))
         per_class = self.per_class_accuracy()
-        write_tsv(directory / f"{prefix}_per_class.tsv", ("class", "test_count", "accuracy"), (
+        write_tsv(directory / "eval_per_class.tsv", ("class", "test_count", "accuracy"), (
             (cls, str(int(self.confusion[i].sum())), repr(per_class[cls]))
             for i, cls in enumerate(self.classes)
         ))
-        write_tsv(directory / f"{prefix}_confusion.tsv", ("true\\pred", *self.classes), (
+        write_tsv(directory / "eval_confusion.tsv", ("true\\pred", *self.classes), (
             (cls, *(str(int(v)) for v in self.confusion[i])) for i, cls in enumerate(self.classes)
         ))
 

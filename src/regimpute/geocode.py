@@ -47,6 +47,7 @@ STATUS_ORIGINAL = "original"  # the record already had coordinates; nothing was 
 DEFAULT_DAILY_QUOTA = 6000
 DEFAULT_RATE = 5.0  # requests per second per key
 BACKOFF_SECONDS = (1.0, 2.0, 4.0)
+MAX_ATTEMPTS = 3  # requests per address: the first and two retries of a transient failure
 
 # Mock coordinate bounding box (mainland China).
 LON_RANGE = (73.0, 135.0)
@@ -316,11 +317,11 @@ class HttpGeocoder:
         return None if lon is None or lat is None else (lon, lat)
 
 
-def _geocode_one(rec_id, address, provider, key_id, grants, limiter, max_attempts, sleep):
+def _geocode_one(rec_id, address, provider, key_id, grants, limiter, sleep):
     if grants.exhausted:
         return GeocodeResult(rec_id, None, None, STATUS_QUOTA, provider.name, 0)
     attempts = 0
-    while attempts < max_attempts:
+    while attempts < MAX_ATTEMPTS:
         if not grants.take():
             return GeocodeResult(rec_id, None, None, STATUS_QUOTA, provider.name, attempts)
         if limiter is not None:
@@ -329,7 +330,7 @@ def _geocode_one(rec_id, address, provider, key_id, grants, limiter, max_attempt
         try:
             coords = provider.geocode(address, api_key=key_id)
         except TransientProviderError:
-            if attempts < max_attempts:
+            if attempts < MAX_ATTEMPTS:
                 sleep(BACKOFF_SECONDS[min(attempts - 1, len(BACKOFF_SECONDS) - 1)])
             continue
         except ProviderError:
@@ -345,7 +346,6 @@ def geocode_batch(
     provider,
     keys: Sequence[ApiKey],
     rate: float | None = DEFAULT_RATE,
-    max_attempts: int = 3,
     sleep: Callable[[float], None] = time.sleep,
     clock: Callable[[], date] = date.today,
 ) -> list[GeocodeResult]:
@@ -360,7 +360,7 @@ def geocode_batch(
         grants = _Grants(counters[sh.key_id])
         try:
             return [
-                _geocode_one(rec_id, address, provider, sh.key_id, grants, limiter, max_attempts, sleep)
+                _geocode_one(rec_id, address, provider, sh.key_id, grants, limiter, sleep)
                 for rec_id, address in zip(sh.ids, sh.addresses)
             ]
         finally:

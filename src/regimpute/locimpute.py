@@ -19,9 +19,9 @@ query rows' nouns come from one tokenize call and the tie-break evidence
 from a second, over only the rows that carry a postcode some query ties
 on (its docstring gives the exactness argument). Every fill sets the
 row's imputed flag and is counted in a LocationReport. The single-step
-commands run the same batch code with one of the two steps.
-extract_query_nouns, impute_postcode and impute_ad are the one-record
-forms of the same steps.
+commands run the same batch code with one of the two steps, and
+impute_locations is the one AD implementation. extract_query_nouns and
+impute_postcode are the one-record forms of the postcode step.
 """
 
 from __future__ import annotations
@@ -43,20 +43,8 @@ from .segmenter import ADDRESS_TAGS, Lexicon, tokenize
 from .parallel import map_partitions  # noqa: F401
 from .segmenter import segment  # noqa: F401
 
-SOURCE_ORIGINAL = "original"
-SOURCE_POSTCODE_LOOKUP = "postcode-lookup"
 SOURCE_VSM = "vsm-match"
 SOURCE_TIEBREAK = "tiebreak"
-
-
-@dataclass(frozen=True, slots=True)
-class ImputedLocation:
-    province: str
-    city: str
-    county: str
-    street: str
-    full_address: str
-    source: str
 
 
 @dataclass(frozen=True)
@@ -207,28 +195,6 @@ def _full_address(entry: PostcodeEntry, address: str | None) -> str | None:
     if address and entry.province in address and entry.city in address and entry.county in address:
         return None
     return f"{entry.province}{entry.city}{entry.county} {address or entry.street}"
-
-
-def impute_ad(
-    postcode: str | None,
-    address: str | None,
-    tree: AddressTree,
-    nouns: Sequence[str] = (),
-) -> ImputedLocation | None:
-    """AD levels for a postcode and the full address of a row holding it
-    and `address`; None when the postcode is unknown to the tree (caller
-    flags the row). When the postcode has several AD paths, the row's
-    query nouns (extract_query_nouns) pick one; with none, the first path.
-    impute_locations makes the same choice through the same helpers."""
-    if not postcode:
-        raise ValueError("AD imputation needs a postcode")
-    chosen = _ad_entry(postcode, tree, nouns)
-    if chosen is None:
-        return None
-    full_address = _full_address(chosen, address)
-    source = SOURCE_ORIGINAL if full_address is None else SOURCE_POSTCODE_LOOKUP
-    return ImputedLocation(chosen.province, chosen.city, chosen.county, chosen.street,
-                           address if full_address is None else full_address, source)
 
 
 @dataclass

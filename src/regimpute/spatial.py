@@ -1,4 +1,4 @@
-"""Spatial concentration analysis: Ripley's K and GeoJSON point export.
+"""Spatial analysis: Ripley's K and GeoJSON point export from ingest columns.
 
 The K estimate is K(r) = (A / n^2) * #{ordered pairs (i, j), i != j, with
 d_ij <= r} over a rectangular study area of area A, without edge
@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import EnterpriseRecord, IngestResult, atomic_writer, write_tsv
+from .records import IngestResult, atomic_writer, write_tsv
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -154,21 +154,18 @@ class ExportReport:
 
 
 def export_geojson(
-    records: IngestResult | Sequence[EnterpriseRecord],
+    result: IngestResult,
     path: str | Path,
     category: str | None = None,
     year_range: tuple[int | None, int | None] | None = None,
 ) -> ExportReport:
-    """Write a GeoJSON FeatureCollection of record points, optionally
-    filtered by category and registration-year range (inclusive). An
-    IngestResult is read from its columns, without building records."""
+    """Write a GeoJSON FeatureCollection of the points in an ingested file's
+    columns, optionally filtered by category and registration-year range
+    (inclusive)."""
     lo, hi = year_range if year_range else (None, None)
     if lo is not None and hi is not None and lo > hi:
         raise ValueError(f"empty year range: {lo} > {hi}")
-    if isinstance(records, IngestResult):
-        rows = zip(*map(records.columns.__getitem__, ("id", "category", "reg_year", "lon", "lat")))
-    else:
-        rows = ((r.id, r.category, r.reg_year, *(r.coordinates or (None, None))) for r in records)
+    rows = zip(*map(result.columns.__getitem__, ("id", "category", "reg_year", "lon", "lat")))
     features = []
     skipped = 0
     for rec_id, rec_category, year, lon, lat in rows:

@@ -29,6 +29,11 @@ def columns_of(records) -> tuple[dict[str, list], dict[str, bytearray]]:
     return {name: cells[name] for name in _FIELDS}, new_flags(len(records))
 
 
+def ingest_result_of(records) -> IngestResult:
+    """The IngestResult of records' columns (columns_of), with no bad rows."""
+    return IngestResult(columns_of(records)[0], [])
+
+
 def records_of(columns, flags) -> list:
     """The records IngestResult builds from the columns, each field marked
     imputed where its flag is set."""

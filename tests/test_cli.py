@@ -661,6 +661,28 @@ def test_plans_with_stand_ins_for_skipped_stages_run(synth_dir, tmp_path):
     assert (no_location / "records_final.tsv").is_file()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_model_file_stands_in_only_for_a_skipped_train_stage(synth_dir, tmp_path, capsys, workers):
+    # train runs and finds no labeled record, so the model file an earlier
+    # run left must not fill the categories
+    model = tmp_path / "model.json"
+    assert main(["train", *corpus_args(synth_dir), "--method", "naive_bayes", "--dim", DIM, "--model", str(model)]) == 0
+    trained = model.read_bytes()
+    records = ingest(synth_dir / "corpus.tsv").records
+    for rec in records:
+        rec.category = None
+    write_records(records, tmp_path / "unlabeled.tsv")
+    out = tmp_path / "out"
+    args = pipeline_args(synth_dir, out, write_keys(tmp_path / "keys.tsv"))
+    args[args.index("--corpus") + 1] = str(tmp_path / "unlabeled.tsv")
+    assert main(args + ["--model", str(model), "--workers", workers]) == 1
+    assert "pipeline failed at stage impute-category: no model available for category imputation" in (
+        capsys.readouterr().err)
+    assert model.read_bytes() == trained
+    assert not (out / "records_final.tsv").exists()
+    assert_reaped_and_clean(tmp_path)
+
+
 def test_config_file_and_env_overrides(synth_dir, tmp_path, monkeypatch):
     keys = write_keys(tmp_path / "keys.tsv")
     out = tmp_path / "cfg_run"

@@ -23,7 +23,7 @@ from regimpute.records import EnterpriseRecord, GroundTruth, ingest, missingness
 from regimpute.segmenter import Lexicon
 from regimpute.spatial import KCurve, export_geojson
 from regimpute.vectorizer import hash_rows, write_vectors
-from record_forms import columns_of
+from record_forms import columns_of, ingest_result_of
 
 SRC = Path(regimpute.__file__).resolve().parent
 DEMO_LEXICON = SRC / "data" / "demo_lexicon.tsv"
@@ -75,7 +75,8 @@ WRITERS = {
     "stage_timings": _stage_timer,
     "missingness": lambda d, v: _write_missingness(missingness(*columns_of(_records(v))), d / "out.tsv"),
     "summary": lambda d, v: _write_summary(missingness(*columns_of(_records(v))), d / "out.tsv"),
-    "geojson": lambda d, v: export_geojson([EnterpriseRecord(id=v, coordinates=(100.0, 30.0))], d / "out.tsv"),
+    "geojson": lambda d, v: export_geojson(ingest_result_of([EnterpriseRecord(id=v, coordinates=(100.0, 30.0))]),
+                                           d / "out.tsv"),
     "segment_out": _segment,
 }
 

@@ -13,7 +13,6 @@ from regimpute.gazetteer import PostcodeEntry, best_postcodes, build
 from regimpute.locimpute import (
     PostcodeEvidence,
     extract_query_nouns,
-    impute_ad,
     impute_locations,
     impute_postcode,
     select_tied_postcode,
@@ -212,33 +211,52 @@ def test_present_postcode_is_a_precondition(demo_tree, demo_lexicon, no_evidence
         impute_postcode(rec, demo_tree, no_evidence, demo_lexicon)
 
 
-def test_impute_ad_table_fixture(demo_tree):
-    loc = impute_ad("430014", "南京路16号", demo_tree)
-    assert (loc.province, loc.city, loc.county) == ("湖北省", "武汉市", "江岸区")
-    assert loc.full_address == "湖北省武汉市江岸区 南京路16号"
-    assert loc.source == "postcode-lookup"
+def impute_ad_rows(records, tree, lexicon, addresses=None):
+    """impute_locations' AD step on the records' columns, their address
+    cells replaced by `addresses` when given: the address column, the
+    address and ad flags, and the report."""
+    columns, flags = columns_of(records)
+    if addresses is not None:
+        columns["address"] = list(addresses)
+    report = impute_locations(columns, flags, tree, lexicon, steps=("ad",))
+    return columns["address"], (list(flags["address"]), list(flags["ad"])), report
 
 
-def test_impute_ad_existing_full_address_is_original(demo_tree):
+def ad_counts(report):
+    return report.ad_assigned, report.ad_original, report.ad_failed, report.address_filled
+
+
+def test_impute_ad_table_fixture(demo_tree, demo_lexicon):
+    rec = EnterpriseRecord(id="1", address="南京路16号", postcode="430014")
+    addresses, flags, report = impute_ad_rows([rec], demo_tree, demo_lexicon)
+    assert addresses == ["湖北省武汉市江岸区 南京路16号"]
+    assert flags == ([0], [1])
+    assert ad_counts(report) == (1, 0, 0, 0)
+
+
+def test_impute_ad_existing_full_address_is_original(demo_tree, demo_lexicon):
     address = "湖北省武汉市江岸区南京路16号"
-    loc = impute_ad("430014", address, demo_tree)
-    assert loc.source == "original"
-    assert loc.full_address == address
+    rec = EnterpriseRecord(id="1", address=address, postcode="430014")
+    addresses, flags, report = impute_ad_rows([rec], demo_tree, demo_lexicon)
+    assert addresses == [address]
+    assert flags == ([0], [0])
+    assert ad_counts(report) == (0, 1, 0, 0)
 
 
-def test_impute_ad_missing_address_uses_street_name(demo_tree):
-    for absent in (None, ""):
-        loc = impute_ad("430014", absent, demo_tree)
-        assert loc.full_address == "湖北省武汉市江岸区 南京路"
+def test_impute_ad_missing_address_uses_street_name(demo_tree, demo_lexicon):
+    rows = [EnterpriseRecord(id=str(i), postcode="430014") for i in range(2)]
+    addresses, flags, report = impute_ad_rows(rows, demo_tree, demo_lexicon, addresses=(None, ""))
+    assert addresses == ["湖北省武汉市江岸区 南京路"] * 2
+    assert flags == ([1, 1], [0, 0])
+    assert ad_counts(report) == (2, 0, 0, 2)
 
 
-def test_impute_ad_unknown_postcode(demo_tree):
-    assert impute_ad("999999", "x", demo_tree) is None
-
-
-def test_impute_ad_requires_postcode(demo_tree):
-    with pytest.raises(ValueError):
-        impute_ad(None, "", demo_tree)
+def test_impute_ad_unknown_postcode(demo_tree, demo_lexicon):
+    rec = EnterpriseRecord(id="1", address="x", postcode="999999")
+    addresses, flags, report = impute_ad_rows([rec], demo_tree, demo_lexicon)
+    assert addresses == ["x"]
+    assert flags == ([0], [0])
+    assert ad_counts(report) == (0, 0, 1, 0)
 
 
 def test_impute_ad_multi_path_prefers_own_nouns(demo_lexicon):
@@ -246,12 +264,14 @@ def test_impute_ad_multi_path_prefers_own_nouns(demo_lexicon):
     a = PostcodeEntry("湖北省", "武汉市", "江岸区", "南京路", "430014")
     b = PostcodeEntry("广东省", "广州市", "越秀区", "南京路", "430014")
     tree = build([a, b])
-    rec = EnterpriseRecord(id="1", address="南京路1号", data_source="注册_武汉市", postcode="430014")
-    loc = impute_ad(rec.postcode, rec.address, tree, extract_query_nouns(rec, demo_lexicon))
-    assert loc.province == "湖北省"  # own nouns beat the path-order default
-    # without nouns to lean on, the lexicographically first path wins
+    own = EnterpriseRecord(id="1", address="南京路1号", data_source="注册_武汉市", postcode="430014")
     bare = EnterpriseRecord(id="2", address="南京路1号", postcode="430014")
-    assert impute_ad(bare.postcode, bare.address, tree, extract_query_nouns(bare, demo_lexicon)).province == "广东省"
+    addresses, flags, report = impute_ad_rows([own, bare], tree, demo_lexicon)
+    # own nouns beat the path-order default; without nouns to lean on,
+    # the lexicographically first path wins
+    assert addresses == ["湖北省武汉市江岸区 南京路1号", "广东省广州市越秀区 南京路1号"]
+    assert flags == ([0, 0], [1, 1])
+    assert ad_counts(report) == (2, 0, 0, 0)
 
 
 def test_impute_locations_complete_corpus_is_noop(small_world, small_tree):

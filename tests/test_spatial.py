@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regimpute.records import EnterpriseRecord, ingest, write_records
+from regimpute.records import EnterpriseRecord
 from regimpute.spatial import (
     KCurve,
     PointSet,
@@ -21,6 +21,7 @@ from regimpute.spatial import (
     project_equirectangular,
     ripley_k,
 )
+from record_forms import ingest_result_of
 
 
 def brute_force_k(points, area, radii):
@@ -214,18 +215,18 @@ def test_kcurve_tsv(tmp_path):
     assert float(pi_r2) == pytest.approx(math.pi * 0.25)
 
 
-def sample_records():
-    return [
+def sample_result():
+    return ingest_result_of([
         EnterpriseRecord(id="a", category="SRTS", reg_year=1995, coordinates=(114.0, 30.0)),
         EnterpriseRecord(id="b", category="RE", reg_year=2005, coordinates=(115.0, 31.0)),
         EnterpriseRecord(id="c", category="SRTS", reg_year=2015, coordinates=None),
         EnterpriseRecord(id="d", category="SRTS", reg_year=2016, coordinates=(116.0, 32.0)),
-    ]
+    ])
 
 
 def test_export_filter_by_category(tmp_path):
     path = tmp_path / "x.geojson"
-    report = export_geojson(sample_records(), path, category="SRTS")
+    report = export_geojson(sample_result(), path, category="SRTS")
     assert report.written == 2  # a and d; c has no coordinates
     assert report.skipped_no_coordinates == 1
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -237,7 +238,7 @@ def test_export_filter_by_category(tmp_path):
 
 def test_export_year_window(tmp_path):
     path = tmp_path / "x.geojson"
-    report = export_geojson(sample_records(), path, year_range=(1995, 2015))
+    report = export_geojson(sample_result(), path, year_range=(1995, 2015))
     assert report.written == 2  # a, b; c filtered only by coordinates
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert {f["properties"]["year"] for f in doc["features"]} == {1995, 2005}
@@ -245,41 +246,23 @@ def test_export_year_window(tmp_path):
 
 def test_export_no_filter_takes_all_coordinate_bearing(tmp_path):
     path = tmp_path / "x.geojson"
-    report = export_geojson(sample_records(), path)
+    report = export_geojson(sample_result(), path)
     assert report.written == 3
     assert report.skipped_no_coordinates == 1
 
 
 def test_export_deterministic_bytes(tmp_path):
     p1, p2 = tmp_path / "1.geojson", tmp_path / "2.geojson"
-    export_geojson(sample_records(), p1)
-    export_geojson(sample_records(), p2)
+    export_geojson(sample_result(), p1)
+    export_geojson(sample_result(), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_export_rejects_an_inverted_year_range(tmp_path):
     path = tmp_path / "x.geojson"
     with pytest.raises(ValueError, match="year range"):
-        export_geojson(sample_records(), path, year_range=(2015, 1995))
+        export_geojson(sample_result(), path, year_range=(2015, 1995))
     assert not path.exists()
-
-
-@pytest.mark.parametrize("year_range", [None, (1995, 2015), (2000, None)])
-def test_export_of_ingested_columns_equals_export_of_records(tmp_path, year_range):
-    records = [
-        EnterpriseRecord(id="武汉-01", category="RE", data_source="2004_x", reg_year=2004, coordinates=(114.25, 30.5)),
-        EnterpriseRecord(id="b", data_source="1995", reg_year=1995, coordinates=(-0.0, 1e-7)),
-        EnterpriseRecord(id="c", category="SRTS", coordinates=(1 / 3, 2e22)),
-        EnterpriseRecord(id="d", category="SRTS", data_source="2015", reg_year=2015),
-    ]
-    write_records(records, tmp_path / "c.tsv")
-    result = ingest(tmp_path / "c.tsv")
-    assert result.records == records
-    for category in (None, "SRTS"):
-        columns, listed = tmp_path / "columns.geojson", tmp_path / "records.geojson"
-        from_columns = export_geojson(result, columns, category=category, year_range=year_range)
-        assert export_geojson(records, listed, category=category, year_range=year_range) == from_columns
-        assert columns.read_bytes() == listed.read_bytes()
 
 
 def test_export_bytes_equal_a_json_dump_reference(tmp_path):
@@ -302,7 +285,7 @@ def test_export_bytes_equal_a_json_dump_reference(tmp_path):
     ]
     for i, records in enumerate(inputs):
         path = tmp_path / f"x{i}.geojson"
-        export_geojson(records, path)
+        export_geojson(ingest_result_of(records), path)
         features = [
             {
                 "type": "Feature",
