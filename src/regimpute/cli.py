@@ -184,6 +184,10 @@ def _make_provider(config: PipelineConfig):
     if config.provider == "http":
         if not config.url_template:
             raise ConfigError("http provider needs url_template")
+        try:  # another field or a stray brace would fail only at the first request
+            config.url_template.format(address="", key="")
+        except (KeyError, IndexError, AttributeError, ValueError) as exc:
+            raise ConfigError(f"url_template takes only {{address}} and {{key}}: {exc}") from exc
         return geocode.HttpGeocoder(config.url_template)
     raise ConfigError(f"unknown provider {config.provider!r}")
 
@@ -386,24 +390,26 @@ def cmd_impute_location(args, config: PipelineConfig) -> int:
 
 
 def _geocode(columns: dict[str, list], flags: dict[str, bytearray], provider, keys: Path, rate: float,
-             out: str | Path) -> tuple[list[str], list[str], list[geocode.GeocodeResult]]:
+             out: str | Path) -> tuple[list[str], list[str], list[str]]:
     """geocode_columns on the columns and flags in place, with the key file's
     keys (rate 0 paces nothing), then coordinates.tsv written to out: its lon
-    and lat text, formatted once for it and a records file, and the results."""
-    statuses, results = geocode.geocode_columns(columns, flags, provider, geocode.read_keys(keys), rate=rate or None)
+    and lat text, formatted once for it and a records file, and the status
+    column."""
+    statuses = geocode.geocode_columns(columns, flags, provider, geocode.read_keys(keys), rate=rate or None)
     lon_text, lat_text = format_coordinates(columns["lon"]), format_coordinates(columns["lat"])
     geocode.write_results(columns["id"], lon_text, lat_text, statuses, out)
-    return lon_text, lat_text, results
+    return lon_text, lat_text, statuses
 
 
 def cmd_geocode(args, config: PipelineConfig) -> int:
+    provider = _make_provider(config)
     columns = _ingest(config.corpus).columns
     flags = new_flags(len(columns["id"]))
-    lon_text, lat_text, results = _geocode(columns, flags, _make_provider(config),
-                                           _require_file(config.keys, "keys"), config.rate, args.out)
+    lon_text, lat_text, statuses = _geocode(columns, flags, provider, _require_file(config.keys, "keys"),
+                                            config.rate, args.out)
     if args.merged_out:
         write_columns(columns, flags, args.merged_out, lon_text, lat_text)
-    print(f"ok_rate\t{geocode.ok_rate(results):.4f}")
+    print(f"ok_rate\t{geocode.ok_rate(statuses):.4f}")
     return EXIT_OK
 
 

@@ -145,12 +145,6 @@ class SpeedupPoint:
 class SpeedupCurve:
     points: tuple[SpeedupPoint, ...]
 
-    def ratio_at(self, workers: int) -> float:
-        for p in self.points:
-            if p.workers == workers:
-                return p.ratio
-        raise KeyError(workers)
-
     def write(self, path: str | Path) -> None:
         write_tsv(path, ("workers", "seconds", "speedup"), (
             (str(p.workers), repr(p.seconds), repr(p.ratio)) for p in self.points

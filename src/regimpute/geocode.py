@@ -12,11 +12,15 @@ charged to the day its block was granted on. Every request gets exactly
 one result; once a shard's key is exhausted its remaining requests are
 all reported as quota-exhausted. Only rows that lack coordinates are
 requested: the others keep theirs and cost no quota. geocode_columns
-requests them for ingest columns, whose lon and lat columns it fills in
-place, and write_results writes one row of coordinates.tsv per row.
+requests them for ingest columns, fills their lon and lat columns in
+place and returns the status column, one status per row; write_results
+writes one row of coordinates.tsv per row.
 
-The default provider is an offline deterministic mock; an HTTP JSON
-provider with a templated URL is available for real services.
+A provider is any object with one method, geocode(address, api_key): it
+returns (lon, lat), or None when the address does not resolve, and raises
+TransientProviderError for a failure worth retrying and ProviderError for
+one that is not. The default provider is an offline deterministic mock;
+an HTTP JSON provider with a templated URL is available for real services.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .parallel import map_partitions, split
 from .records import EnterpriseRecord, read_tsv, write_tsv
@@ -102,14 +106,6 @@ class QuotaCounter:
             if self.key.day_stamp == day:
                 self.key.used_today -= n
 
-    def try_acquire(self) -> bool:
-        """Reserve one request; False when the day's quota is spent."""
-        return self.acquire(1)[0] == 1
-
-    @property
-    def used(self) -> int:
-        return self.key.used_today
-
 
 class _Grants:
     """One shard's reserved requests, taken from its key's counter a block
@@ -159,7 +155,6 @@ class TokenBucket:
 
 @dataclass(frozen=True)
 class Shard:
-    index: int
     ids: Sequence[str]
     addresses: Sequence[str]  # "" where a record has no address
     key_id: str
@@ -178,7 +173,6 @@ class GeocodeResult(NamedTuple):
     lon: float | None
     lat: float | None
     status: str
-    provider: str
     attempts: int
 
 
@@ -190,8 +184,8 @@ def shard(ids: Sequence[str], addresses: Sequence[str], keys: Sequence[ApiKey]) 
     if not ids:
         return []
     parts = min(len(keys), len(ids))
-    return [Shard(i, rec_ids, part, keys[i].key_id)
-            for i, (rec_ids, part) in enumerate(zip(split(ids, parts), split(addresses, parts)))]
+    return [Shard(rec_ids, part, key.key_id)
+            for rec_ids, part, key in zip(split(ids, parts), split(addresses, parts), keys)]
 
 
 def _unit_interval(h32: int) -> float:
@@ -213,20 +207,10 @@ class MockGeocoder:
     base point inside the China bounding box; the street part perturbs the
     base by at most STREET_JITTER degrees per axis, so addresses sharing
     an AD prefix land near each other but not on top of each other.
-
-    ambiguity_filter, when given, marks addresses as unresolvable: it
-    receives the address and returns True to reject it (no-result).
     """
-
-    name = "mock"
-
-    def __init__(self, ambiguity_filter: Callable[[str], bool] | None = None):
-        self.ambiguity_filter = ambiguity_filter
 
     def geocode(self, address: str, api_key: str | None = None) -> tuple[float, float] | None:
         if not address:
-            return None
-        if self.ambiguity_filter is not None and self.ambiguity_filter(address):
             return None
         prefix, _, street = address.rpartition(" ")
         if prefix:
@@ -244,36 +228,18 @@ class MockGeocoder:
         return lon, lat
 
 
-def ad_prefix_filter(known_prefixes: Iterable[str]) -> Callable[[str], bool]:
-    """Ambiguity filter that rejects addresses whose AD prefix (the part
-    before the last space) is not one of the known prefixes."""
-    known = frozenset(known_prefixes)
-
-    def is_ambiguous(address: str) -> bool:
-        prefix, _, _ = address.rpartition(" ")
-        return prefix not in known
-
-    return is_ambiguous
+LON_PATH = ("result", "location", "lng")
+LAT_PATH = ("result", "location", "lat")
 
 
 class HttpGeocoder:
     """Generic HTTP JSON geocoder.
 
-    url_template receives {address} (percent-encoded) and {key}. lon_path
-    and lat_path are dot-separated paths into the response JSON."""
+    url_template receives {address} (percent-encoded) and {key}; the
+    response holds the coordinates at LON_PATH and LAT_PATH."""
 
-    name = "http"
-
-    def __init__(
-        self,
-        url_template: str,
-        lon_path: str = "result.location.lng",
-        lat_path: str = "result.location.lat",
-        timeout: float = 10.0,
-    ):
+    def __init__(self, url_template: str, timeout: float = 10.0):
         self.url_template = url_template
-        self.lon_path = lon_path.split(".")
-        self.lat_path = lat_path.split(".")
         self.timeout = timeout
 
     @staticmethod
@@ -312,18 +278,18 @@ class HttpGeocoder:
             raise ProviderError(f"HTTP {exc.code}") from exc
         except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
             raise TransientProviderError(str(exc)) from exc
-        lon = self._coordinate(self._dig(doc, self.lon_path))
-        lat = self._coordinate(self._dig(doc, self.lat_path))
+        lon = self._coordinate(self._dig(doc, LON_PATH))
+        lat = self._coordinate(self._dig(doc, LAT_PATH))
         return None if lon is None or lat is None else (lon, lat)
 
 
 def _geocode_one(rec_id, address, provider, key_id, grants, limiter, sleep):
     if grants.exhausted:
-        return GeocodeResult(rec_id, None, None, STATUS_QUOTA, provider.name, 0)
+        return GeocodeResult(rec_id, None, None, STATUS_QUOTA, 0)
     attempts = 0
     while attempts < MAX_ATTEMPTS:
         if not grants.take():
-            return GeocodeResult(rec_id, None, None, STATUS_QUOTA, provider.name, attempts)
+            return GeocodeResult(rec_id, None, None, STATUS_QUOTA, attempts)
         if limiter is not None:
             limiter.acquire()
         attempts += 1
@@ -334,11 +300,11 @@ def _geocode_one(rec_id, address, provider, key_id, grants, limiter, sleep):
                 sleep(BACKOFF_SECONDS[min(attempts - 1, len(BACKOFF_SECONDS) - 1)])
             continue
         except ProviderError:
-            return GeocodeResult(rec_id, None, None, STATUS_PROVIDER_ERROR, provider.name, attempts)
+            return GeocodeResult(rec_id, None, None, STATUS_PROVIDER_ERROR, attempts)
         if coords is None:
-            return GeocodeResult(rec_id, None, None, STATUS_NO_RESULT, provider.name, attempts)
-        return GeocodeResult(rec_id, coords[0], coords[1], STATUS_OK, provider.name, attempts)
-    return GeocodeResult(rec_id, None, None, STATUS_PROVIDER_ERROR, provider.name, attempts)
+            return GeocodeResult(rec_id, None, None, STATUS_NO_RESULT, attempts)
+        return GeocodeResult(rec_id, coords[0], coords[1], STATUS_OK, attempts)
+    return GeocodeResult(rec_id, None, None, STATUS_PROVIDER_ERROR, attempts)
 
 
 def geocode_batch(
@@ -376,13 +342,12 @@ def geocode_columns(
     provider,
     keys: Sequence[ApiKey],
     rate: float | None = DEFAULT_RATE,
-) -> tuple[list[str], list[GeocodeResult]]:
+) -> list[str]:
     """Geocode ingest columns (IngestResult.columns): only the rows whose
     lon is None are sharded across the keys and requested, and each ok
     result goes into the lon and lat columns in place, with the row's
-    coordinates flag set. Returns the status column, one status per row
-    and STATUS_ORIGINAL on the rows that were not requested, and the
-    requested rows' results."""
+    coordinates flag set. Returns the status column: one status per row,
+    STATUS_ORIGINAL on the rows that were not requested."""
     lons, lats, ids, addresses = map(columns.__getitem__, ("lon", "lat", "id", "address"))
     pending = [i for i, lon in enumerate(lons) if lon is None]
     requests = shard([ids[i] for i in pending], [addresses[i] for i in pending], keys)
@@ -394,7 +359,7 @@ def geocode_columns(
         if res.status == STATUS_OK:
             lons[i], lats[i] = res.lon, res.lat
             geocoded[i] = 1
-    return statuses, results
+    return statuses
 
 
 def apply_results(records: Sequence[EnterpriseRecord], results: Sequence[GeocodeResult]) -> int:
@@ -445,9 +410,10 @@ def write_results(
     write_tsv(path, RESULT_COLUMNS, zip(ids, lon_text, lat_text, statuses))
 
 
-def ok_rate(results: Sequence[GeocodeResult]) -> float:
-    """Share of requested records that got coordinates."""
-    requested = [r for r in results if r.status != STATUS_ORIGINAL]
+def ok_rate(statuses: Sequence[str]) -> float:
+    """Share of the requested rows (status not STATUS_ORIGINAL) that got
+    coordinates (STATUS_OK); 0.0 when no row was requested."""
+    requested = [status for status in statuses if status != STATUS_ORIGINAL]
     if not requested:
         return 0.0
-    return sum(1 for r in requested if r.status == STATUS_OK) / len(requested)
+    return requested.count(STATUS_OK) / len(requested)

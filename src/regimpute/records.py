@@ -184,9 +184,6 @@ class GroundTruth:
     def get(self, rec_id: str, field_name: str) -> str | None:
         return self.values.get((rec_id, field_name))
 
-    def ids_for(self, field_name: str) -> list[str]:
-        return [rid for (rid, f) in self.values if f == field_name]
-
     def __len__(self) -> int:
         return len(self.values)
 

@@ -72,7 +72,7 @@ def reference_geocode_missing(records, provider, keys, rate=None) -> list[Geocod
                                  provider, keys, rate=rate))
     return [
         next(fetched) if rec.coordinates is None
-        else GeocodeResult(rec.id, *rec.coordinates, STATUS_ORIGINAL, provider.name, 0)
+        else GeocodeResult(rec.id, *rec.coordinates, STATUS_ORIGINAL, 0)
         for rec in records
     ]
 

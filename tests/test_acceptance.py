@@ -28,7 +28,6 @@ from regimpute.geocode import (
     ApiKey,
     MockGeocoder,
     QuotaCounter,
-    ad_prefix_filter,
     geocode_batch,
     ok_rate,
     shard,
@@ -40,6 +39,7 @@ from regimpute.records import imputed_rows
 
 from matrices import csr
 from record_forms import columns_of, labeled_of, records_of
+from test_geocode import KnownPrefixGeocoder
 from test_naive_bayes import bayes_oracle, fit, make_dataset, probe_vectors
 from test_spatial import brute_force_k
 
@@ -196,7 +196,7 @@ def test_criterion_05_location_imputation(world_50k, tree_50k):
         report = impute_locations(columns, flags, tree_50k, world_50k.lexicon)
         records = records_of(columns, flags)
 
-        masked = truth.ids_for("postcode")
+        masked = [rid for rid, field in truth.values if field == "postcode"]
         by_id = {r.id: r for r in records}
         recovered = sum(
             1 for rid in masked if by_id[rid].postcode == truth.get(rid, "postcode")
@@ -226,12 +226,12 @@ def test_criterion_06_geocoding_rate():
         world = synth_world(config)
         records, _ = synth(config)
         tree = build(world.gazetteer)
-        provider = MockGeocoder(ambiguity_filter=ad_prefix_filter(world.ad_prefixes))
+        provider = KnownPrefixGeocoder(world.ad_prefixes)
 
         def run():
             keys = [ApiKey(f"k{i}", 6000) for i in range(4)]
             requests = shard([r.id for r in records], [r.address or "" for r in records], keys)
-            return geocode_batch(requests, provider, keys, rate=None)
+            return [r.status for r in geocode_batch(requests, provider, keys, rate=None)]
 
         pre = ok_rate(run())
         columns, flags = columns_of(records)
@@ -264,7 +264,7 @@ def test_criterion_07_quota_safety():
         grants = []
 
         def hammer():
-            got = sum(1 for _ in range(2000) if counter.try_acquire())
+            got = sum(counter.acquire(1)[0] for _ in range(2000))
             grants.append(got)
 
         threads = [threading.Thread(target=hammer) for _ in range(16)]
@@ -287,7 +287,7 @@ def million_points():
 def test_criterion_08_scalability_exactness(million_points):
     with criterion(8, "speed-up baseline ratio is exactly 1 and partitioned NB stats merge bit-exactly"):
         curve = speedup("naive_bayes", *million_points, [1, 2, 4])
-        assert curve.ratio_at(1) == 1.0
+        assert [p.ratio for p in curve.points if p.workers == 1] == [1.0]
         for p in curve.points:
             print(f"  workers={p.workers} seconds={p.seconds:.2f} ratio={p.ratio:.2f}")
 
@@ -309,7 +309,7 @@ def test_criterion_08_speedup_ratio_on_multicore(million_points):
     with criterion(8, "NB speed-up ratio >= 2.0 at 4 workers (needs a 4-core machine)"):
         cores = os.cpu_count() or 1
         curve = globals().get("_SPEEDUP_CURVE") or speedup("naive_bayes", *million_points, [1, 4])
-        ratio = curve.ratio_at(4)
+        ratio = next(p.ratio for p in curve.points if p.workers == 4)
         print(f"  cores={cores} measured_ratio_at_4_workers={ratio:.2f}")
         if cores < 4:
             pytest.skip(

@@ -15,7 +15,7 @@ from regimpute import cli as cli_module
 from regimpute import records as records_module
 from regimpute import segmenter
 from regimpute.cli import PIPELINE_STAGES, PipelineConfig, build_parser, main
-from regimpute.geocode import MockGeocoder
+from regimpute.geocode import HttpGeocoder, MockGeocoder
 from regimpute.records import ingest, write_records
 from record_forms import reference_geocode_missing, reference_write_results
 
@@ -394,7 +394,7 @@ def geocode_reference(corpus, keys, out):
     reference_write_results(results, out / "coordinates.tsv")
     apply_results(records, results)
     write_records(records, out / "merged.tsv")
-    return f"ok_rate\t{ok_rate(results):.4f}\n"
+    return f"ok_rate\t{ok_rate([r.status for r in results]):.4f}\n"
 
 
 @pytest.mark.parametrize("quotas", [(1000,), (3, 100), (0, 2)], ids=["ample", "runs-out-mid-shard", "none-left"])
@@ -634,6 +634,31 @@ def test_config_error_exits_2_before_any_stage(synth_dir, tmp_path, capsys, flag
     assert main(args) == 2
     assert "configuration error:" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+BAD_URL_TEMPLATES = {
+    "unknown-field": "http://127.0.0.1:1/?q={address}&k={key}&x={other}",
+    "positional-field": "http://127.0.0.1:1/?q={}&k={key}",
+    "unbalanced-brace": "http://127.0.0.1:1/?q={address",
+}
+
+
+@pytest.mark.parametrize("command", ["geocode", "pipeline"])
+@pytest.mark.parametrize("template", BAD_URL_TEMPLATES.values(), ids=BAD_URL_TEMPLATES.keys())
+def test_bad_url_template_exits_2_before_reading(synth_dir, tmp_path, monkeypatch, capsys, command, template):
+    # the template is filled only at the first request, after every other stage
+    keys = write_keys(tmp_path / "keys.tsv")
+    out = tmp_path / "out"
+    out.mkdir()
+    read, requested = [], []
+    monkeypatch.setattr(cli_module, "ingest", lambda path: read.append(path))
+    monkeypatch.setattr(HttpGeocoder, "geocode", lambda self, address, api_key=None: requested.append(address))
+    argv = (["geocode", "--corpus", str(synth_dir / "corpus.tsv"), "--keys", str(keys),
+             "--out", str(out / "coordinates.tsv")] if command == "geocode" else pipeline_args(synth_dir, out, keys))
+    assert main(argv + ["--provider", "http", "--url-template", template]) == 2
+    assert "configuration error: url_template" in capsys.readouterr().err
+    assert read == [] and requested == []
+    assert list(out.iterdir()) == []
 
 
 def test_train_model_in_a_missing_directory_exits_2_before_reading(synth_dir, tmp_path, monkeypatch, capsys):

@@ -302,7 +302,7 @@ def test_impute_locations_fills_and_is_idempotent(small_world, small_tree, small
     assert second.ad_assigned == 0
 
     # provenance and accuracy against ground truth
-    masked = truth.ids_for("postcode")
+    masked = [rid for rid, field in truth.values if field == "postcode"]
     filled = [r for r in records if r.id in set(masked)]
     assert all(r.provenance_of("postcode") == "imputed" for r in filled if r.postcode)
     correct = sum(1 for r in filled if r.postcode == truth.get(r.id, "postcode"))

@@ -464,7 +464,7 @@ def test_ground_truth_roundtrip(tmp_path):
     assert back.get("E1", "category") == "RE"
     assert back.get("E2", "postcode") == "430014"
     assert back.get("E1", "postcode") is None
-    assert sorted(back.ids_for("category")) == ["E1"]
+    assert sorted(rid for rid, field in back.values if field == "category") == ["E1"]
 
 
 def test_ground_truth_read_rejects_malformed_row(tmp_path):
