@@ -7,16 +7,8 @@ concentration analysis.
 """
 
 from .categories import CATEGORIES, normalize_category
-from .records import (
-    EnterpriseRecord,
-    GroundTruth,
-    IngestResult,
-    MissingnessReport,
-    ingest,
-    missingness,
-    write_records,
-)
-from .segmenter import Lexicon, Token, address_nouns, feature_words, segment
+from .records import GroundTruth, IngestResult, MissingnessReport, ingest, missingness
+from .segmenter import Lexicon, Token, segment
 from .synth import SynthConfig, synth, synth_labeled_points, synth_world
 from .vectorizer import DEFAULT_DIM, build_labeled, hash_rows
 
@@ -25,16 +17,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CATEGORIES",
     "DEFAULT_DIM",
-    "EnterpriseRecord",
     "GroundTruth",
     "IngestResult",
     "Lexicon",
     "MissingnessReport",
     "SynthConfig",
     "Token",
-    "address_nouns",
     "build_labeled",
-    "feature_words",
     "hash_rows",
     "ingest",
     "missingness",
@@ -43,5 +32,4 @@ __all__ = [
     "synth",
     "synth_labeled_points",
     "synth_world",
-    "write_records",
 ]

@@ -9,7 +9,10 @@ variables override the file and command-line flags override both. Every
 command that takes a configuration key declares it with _add_config_flags,
 and main resolves the configuration once, before the handler runs, so the
 precedence and the value checks hold for every command; it also checks
-the directory of each file the command writes. Exit codes: 0 ok,
+the directory of each file the command writes. The handler then checks
+each input file it will read (_require_files) and each option value
+before it reads any file, so a configuration error reads and writes
+nothing. Exit codes: 0 ok,
 1 stage failure, 2 configuration error. Stage timings go to the log and
 timings.tsv only, so every other artifact is byte-stable for a fixed
 configuration and seed.
@@ -163,10 +166,16 @@ def _require_directory_of(path: str, what: str) -> None:
         raise ConfigError(f"{what} directory not found: {directory}")
 
 
-def _ingest(path: str, what: str = "corpus"):
-    result = ingest(_require_file(path, what))
+def _require_files(config: PipelineConfig, *whats: str) -> list[Path]:
+    """The input file of each named configuration key, each checked
+    before the caller reads any of them."""
+    return [_require_file(getattr(config, what), what) for what in whats]
+
+
+def _ingest(corpus: Path):
+    result = ingest(corpus)
     if result.diagnostics:
-        log.info("stage=%s skipped_rows=%d", what, result.error_count)
+        log.info("stage=corpus skipped_rows=%d", result.error_count)
     return result
 
 
@@ -232,11 +241,12 @@ def cmd_ingest(args, config: PipelineConfig) -> int:
 
 
 def cmd_segment(args, config: PipelineConfig) -> int:
+    corpus = _require_file(config.corpus, "corpus") if args.text is None else None
     lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-    if args.text is not None:
+    if corpus is None:
         texts = [("-", args.text)]
     else:
-        columns = _ingest(config.corpus).columns
+        columns = _ingest(corpus).columns
         texts = list(zip(columns["id"], columns["name"]))
     rows = [
         (rec_id, token.surface, token.pos, str(token.span[0]), str(token.span[1]))
@@ -251,8 +261,9 @@ def cmd_segment(args, config: PipelineConfig) -> int:
 
 
 def cmd_vectorize(args, config: PipelineConfig) -> int:
-    lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-    ids, names, categories = map(_ingest(config.corpus).columns.__getitem__, ("id", "name", "category"))
+    lexicon_path, corpus = _require_files(config, "lexicon", "corpus")
+    lexicon = Lexicon.from_tsv(lexicon_path)
+    ids, names, categories = map(_ingest(corpus).columns.__getitem__, ("id", "name", "category"))
     named = [i for i, name in enumerate(names) if name]
     X = vectorize_names([names[i] for i in named], lexicon, config.dim)
     write_vectors([ids[i] for i in named], [categories[i] or "" for i in named], X, args.out)
@@ -264,8 +275,9 @@ def cmd_train(args, config: PipelineConfig) -> int:
     if not config.model:
         raise ConfigError("model path not configured")
     _require_directory_of(config.model, "model")
-    lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-    columns = _ingest(config.corpus).columns
+    lexicon_path, corpus = _require_files(config, "lexicon", "corpus")
+    lexicon = Lexicon.from_tsv(lexicon_path)
+    columns = _ingest(corpus).columns
     X, labels, skipped = build_labeled(columns["name"], columns["category"], lexicon, config.dim)
     if not labels:
         raise StageError("no labeled records to train on")
@@ -278,8 +290,9 @@ def cmd_train(args, config: PipelineConfig) -> int:
 
 
 def cmd_evaluate(args, config: PipelineConfig) -> int:
-    lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-    columns = _ingest(config.corpus).columns
+    lexicon_path, corpus = _require_files(config, "lexicon", "corpus")
+    lexicon = Lexicon.from_tsv(lexicon_path)
+    columns = _ingest(corpus).columns
     X, labels, _ = build_labeled(columns["name"], columns["category"], lexicon, config.dim)
     plan = evaluate.kfold(len(labels), args.k, config.seed)
     report = evaluate.cross_validate(
@@ -302,8 +315,9 @@ def cmd_speedup(args, config: PipelineConfig) -> int:
     if args.synthetic:
         X, labels = synth_labeled_points(args.synthetic, dim=config.dim, seed=config.seed)
     else:
-        lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-        columns = _ingest(config.corpus).columns
+        lexicon_path, corpus = _require_files(config, "lexicon", "corpus")
+        lexicon = Lexicon.from_tsv(lexicon_path)
+        columns = _ingest(corpus).columns
         X, labels, _ = build_labeled(columns["name"], columns["category"], lexicon, config.dim)
     curve = evaluate.speedup(config.method, X, labels, worker_counts, _train_params(config))
     curve.write(args.out)
@@ -313,17 +327,19 @@ def cmd_speedup(args, config: PipelineConfig) -> int:
 
 
 def cmd_impute_category(args, config: PipelineConfig) -> int:
-    lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-    columns = _ingest(config.corpus).columns
+    model_path, lexicon_path, corpus = _require_files(config, "model", "lexicon", "corpus")
+    # read first, so that a bad truth file fails before --out is written
+    truth = GroundTruth.read(_require_file(args.truth, "truth")) if args.truth and args.report else None
+    lexicon = Lexicon.from_tsv(lexicon_path)
+    columns = _ingest(corpus).columns
     flags = new_flags(len(columns["id"]))
-    model = classify.load_model(_require_file(config.model, "model"))
+    model = classify.load_model(model_path)
     report = classify.impute_categories(columns, flags, model, lexicon)
     write_columns(columns, flags, args.out)
     print(f"missing\t{report.missing}")
     print(f"filled\t{report.filled}")
     print(f"skipped_no_name\t{report.skipped_no_name}")
-    if args.truth and args.report:
-        truth = GroundTruth.read(_require_file(args.truth, "truth"))
+    if truth is not None:
         rows = evaluate.category_accuracy(columns["id"], columns["category"],
                                           imputed_rows(columns, flags, "category"), truth, model.classes)
         evaluate.write_category_accuracy(rows, args.report)
@@ -345,9 +361,10 @@ def cmd_build_gazetteer(args, config: PipelineConfig) -> int:
 
 
 def cmd_validate_gazetteer(args, config: PipelineConfig) -> int:
-    tree, _ = _read_tree(_require_file(config.gazetteer, "gazetteer"))
-    lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-    columns = _ingest(config.corpus).columns
+    gazetteer_path, lexicon_path, corpus = _require_files(config, "gazetteer", "lexicon", "corpus")
+    tree, _ = _read_tree(gazetteer_path)
+    lexicon = Lexicon.from_tsv(lexicon_path)
+    columns = _ingest(corpus).columns
     report = gazetteer.validate(tree, columns["address"], columns["postcode"], lexicon)
     print(f"evaluated\t{report.evaluated}")
     print(f"match_rate\t{report.match_rate:.4f}")
@@ -357,9 +374,10 @@ def cmd_validate_gazetteer(args, config: PipelineConfig) -> int:
 
 def _impute_locations(config: PipelineConfig, steps: tuple[str, ...], out: str) -> locimpute.LocationReport:
     """The impute-location stage, or one of its steps, on the corpus, written to out."""
-    tree, _ = _read_tree(_require_file(config.gazetteer, "gazetteer"))
-    lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-    columns = _ingest(config.corpus).columns
+    gazetteer_path, lexicon_path, corpus = _require_files(config, "gazetteer", "lexicon", "corpus")
+    tree, _ = _read_tree(gazetteer_path)
+    lexicon = Lexicon.from_tsv(lexicon_path)
+    columns = _ingest(corpus).columns
     flags = new_flags(len(columns["id"]))
     report = locimpute.impute_locations(columns, flags, tree, lexicon, steps=steps)
     write_columns(columns, flags, out)
@@ -403,10 +421,10 @@ def _geocode(columns: dict[str, list], flags: dict[str, bytearray], provider, ke
 
 def cmd_geocode(args, config: PipelineConfig) -> int:
     provider = _make_provider(config)
-    columns = _ingest(config.corpus).columns
+    keys, corpus = _require_files(config, "keys", "corpus")
+    columns = _ingest(corpus).columns
     flags = new_flags(len(columns["id"]))
-    lon_text, lat_text, statuses = _geocode(columns, flags, provider, _require_file(config.keys, "keys"),
-                                            config.rate, args.out)
+    lon_text, lat_text, statuses = _geocode(columns, flags, provider, keys, config.rate, args.out)
     if args.merged_out:
         write_columns(columns, flags, args.merged_out, lon_text, lat_text)
     print(f"ok_rate\t{geocode.ok_rate(statuses):.4f}")
@@ -415,7 +433,7 @@ def cmd_geocode(args, config: PipelineConfig) -> int:
 
 def cmd_kfunction(args, config: PipelineConfig) -> int:
     radii = spatial.check_radii([float(r) for r in args.radii.split(",")])
-    columns = _ingest(config.corpus).columns
+    columns = _ingest(_require_file(config.corpus, "corpus")).columns
     lons = [lon for lon in columns["lon"] if lon is not None]
     if len(lons) < 2:
         raise StageError("need at least two records with coordinates")
@@ -439,7 +457,7 @@ def cmd_export(args, config: PipelineConfig) -> int:
         year_range = (args.from_year, args.to_year)
         if None not in year_range and args.from_year > args.to_year:
             raise ConfigError(f"--from-year {args.from_year} is after --to-year {args.to_year}")
-    result = _ingest(config.corpus)
+    result = _ingest(_require_file(config.corpus, "corpus"))
     report = spatial.export_geojson(result, args.out, category=category, year_range=year_range)
     print(f"written\t{report.written}")
     print(f"skipped_no_coordinates\t{report.skipped_no_coordinates}")
@@ -511,8 +529,7 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
         raise ConfigError(f"unknown pipeline stages in --skip: {sorted(unknown)}")
     # every configuration error is raised here, before any stage writes;
     # a stage that needs a skipped one's result is one too
-    _require_file(config.corpus, "corpus")
-    lexicon_path = _require_file(config.lexicon, "lexicon")
+    corpus, lexicon_path = _require_files(config, "corpus", "lexicon")
     if "train" not in skip and config.model:
         _require_directory_of(config.model, "model")
     elif "train" in skip and "impute-category" not in skip:
@@ -530,7 +547,7 @@ def run_pipeline(config: PipelineConfig, skip: set[str] = frozenset()) -> int:
     timer = _StageTimer()
     try:
         with _stage("ingest"):
-            columns = _ingest(config.corpus).columns
+            columns = _ingest(corpus).columns
             flags = new_flags(len(columns["id"]))
             _write_missingness(missingness(columns, flags), out / "missingness_before.tsv")
             lexicon = Lexicon.from_tsv(lexicon_path)

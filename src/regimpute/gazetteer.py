@@ -84,10 +84,6 @@ class MatchResult:
     present_weight: int
 
     @property
-    def degree(self) -> float:
-        return self.matched_weight / self.present_weight
-
-    @property
     def degree_exact(self) -> Fraction:
         return Fraction(self.matched_weight, self.present_weight)
 

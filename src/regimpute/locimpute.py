@@ -20,8 +20,7 @@ from a second, over only the rows that carry a postcode some query ties
 on (its docstring gives the exactness argument). Every fill sets the
 row's imputed flag and is counted in a LocationReport. The single-step
 commands run the same batch code with one of the two steps, and
-impute_locations is the one AD implementation. extract_query_nouns and
-impute_postcode are the one-record forms of the postcode step.
+impute_locations is the one postcode and the one AD implementation.
 """
 
 from __future__ import annotations
@@ -45,19 +44,6 @@ from .segmenter import segment  # noqa: F401
 
 SOURCE_VSM = "vsm-match"
 SOURCE_TIEBREAK = "tiebreak"
-
-
-@dataclass(frozen=True)
-class PostcodeImputation:
-    postcode: str
-    source: str
-    low_confidence: bool = False
-
-
-def extract_query_nouns(record: EnterpriseRecord, lexicon: Lexicon) -> list[str]:
-    """Address nouns from data_source, address and name, de-duplicated."""
-    fields = {name: [getattr(record, name)] for name in ("data_source", "address", "name")}
-    return list(dict.fromkeys(lexicon.words[w] for w in _noun_tokens(fields, [0], lexicon)[1].tolist()))
 
 
 def _noun_tokens(columns: Mapping[str, Sequence[str | None]], rows: Sequence[int],
@@ -105,9 +91,9 @@ class PostcodeEvidence:
 
     @classmethod
     def from_records(cls, records: Sequence[EnterpriseRecord], lexicon: Lexicon) -> "PostcodeEvidence":
-        """The evidence of every postcode-bearing record. The single-record
-        API and the tests use it; no stage does, and perfbench's tracer
-        wraps this name."""
+        """The evidence of every postcode-bearing record. No stage uses it:
+        the tests check count_with with it, and perfbench's tracer wraps
+        this name."""
         with_postcode = [rec for rec in records if rec.postcode]
         fields = {name: [getattr(rec, name) for rec in with_postcode] for name in ("data_source", "address", "name")}
         return cls([rec.postcode for rec in with_postcode],
@@ -146,31 +132,19 @@ def select_tied_postcode(counts: Mapping[str, int]) -> str:
     return min(counts, key=lambda p: (-counts[p], p))
 
 
-def impute_postcode(
-    record: EnterpriseRecord,
-    tree: AddressTree,
-    evidence: PostcodeEvidence,
-    lexicon: Lexicon,
-) -> PostcodeImputation | None:
-    """Infer one record's missing postcode; None when nothing matches. A
-    tie is broken by the corpus evidence (PostcodeEvidence.from_records)."""
-    if record.postcode:
-        raise ValueError(f"record {record.id} already has a postcode")
-    nouns = extract_query_nouns(record, lexicon)
-    return _postcode_for(best_postcodes(nouns, tree) if nouns else (), nouns, evidence)
-
-
-def _postcode_for(tied: Sequence[str], nouns: Sequence[str], evidence: PostcodeEvidence) -> PostcodeImputation | None:
-    """The postcode of a query whose best-matching postcodes are `tied`."""
+def _postcode_for(tied: Sequence[str], nouns: Sequence[str],
+                  evidence: PostcodeEvidence) -> tuple[str, str, bool] | None:
+    """(postcode, source, low confidence) of a query whose best-matching
+    postcodes are `tied`; None when there are none."""
     if not tied:
         return None
     if len(tied) == 1:
-        return PostcodeImputation(tied[0], SOURCE_VSM)
+        return tied[0], SOURCE_VSM, False
     query = frozenset(nouns)
     counts = {p: evidence.count_with(p, query) for p in tied}
     if sum(counts.values()) == 0:
-        return PostcodeImputation(tied[0], SOURCE_TIEBREAK, low_confidence=True)
-    return PostcodeImputation(select_tied_postcode(counts), SOURCE_TIEBREAK)
+        return tied[0], SOURCE_TIEBREAK, True
+    return select_tied_postcode(counts), SOURCE_TIEBREAK, False
 
 
 def _ad_entry(postcode: str, tree: AddressTree, nouns: Sequence[str]) -> PostcodeEntry | None:
@@ -281,11 +255,11 @@ def impute_locations(
         if imputation is None:
             report.postcode_failed += 1
             continue
-        postcodes[i] = imputation.postcode
+        postcodes[i], source, low_confidence = imputation
         imputed[i] = 1
         report.postcode_filled += 1
-        report.postcode_sources[imputation.source] = report.postcode_sources.get(imputation.source, 0) + 1
-        report.low_confidence += imputation.low_confidence
+        report.postcode_sources[source] = report.postcode_sources.get(source, 0) + 1
+        report.low_confidence += low_confidence
     if not fill_ads:
         return report
     address_flags, ad_flags = flags["address"], flags["ad"]

@@ -49,10 +49,10 @@ This is FMM text by text, exactly:
   text's first position, both move from a position by the same length,
   and both stop at the text's end.
 
-segment, feature_words and address_nouns are one-text calls into the
-kernel. A caller that segments a whole corpus makes one batch call, to
-tokenize, segment_texts or word_lists, since a call costs ~0.1 ms of
-numpy set-up however short its texts.
+segment is a one-text call into the kernel that no stage makes; it stays
+because perfbench's tracer wraps it. A caller that segments a whole corpus
+makes one batch call, to tokenize, segment_texts or word_lists, since a
+call costs ~0.1 ms of numpy set-up however short its texts.
 """
 
 from __future__ import annotations
@@ -320,13 +320,3 @@ def word_lists(texts: Sequence[str], lexicon: Lexicon, tags: Collection[str]) ->
 def segment(text: str, lexicon: Lexicon) -> list[Token]:
     """Tokenize by forward maximum matching; token spans tile the input."""
     return segment_texts([text], lexicon)[0]
-
-
-def feature_words(text: str, lexicon: Lexicon) -> list[str]:
-    """Surfaces of text's n/v/vn tokens, input order, duplicates kept."""
-    return word_lists([text], lexicon, FEATURE_TAGS)[0]
-
-
-def address_nouns(text: str, lexicon: Lexicon) -> list[str]:
-    """Surfaces of text's ns tokens, input order, de-duplicated."""
-    return list(dict.fromkeys(word_lists([text], lexicon, ADDRESS_TAGS)[0]))

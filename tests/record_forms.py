@@ -8,6 +8,7 @@ from regimpute.geocode import STATUS_ORIGINAL, GeocodeResult, geocode_batch, sha
 from regimpute.records import (
     IMPUTED, TRACKED_FIELDS, IngestResult, MissingnessReport, _FIELDS, _format_provenance, new_flags, write_tsv,
 )
+from regimpute.segmenter import ADDRESS_TAGS, word_lists
 from regimpute.vectorizer import build_labeled
 
 
@@ -88,3 +89,11 @@ def reference_write_results(results, path) -> None:
 def labeled_of(records, lexicon, dim):
     """build_labeled on the name and category columns of records."""
     return build_labeled([r.name for r in records], [r.category for r in records], lexicon, dim)
+
+
+def reference_query_nouns(record, lexicon) -> list[str]:
+    """A record's postcode query nouns, each field segmented on its own:
+    the address nouns of data_source, address and name, in that order,
+    de-duplicated."""
+    texts = [getattr(record, name) or "" for name in ("data_source", "address", "name")]
+    return list(dict.fromkeys(noun for nouns in word_lists(texts, lexicon, ADDRESS_TAGS) for noun in nouns))

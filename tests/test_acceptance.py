@@ -32,7 +32,7 @@ from regimpute.geocode import (
     ok_rate,
     shard,
 )
-from regimpute.locimpute import PostcodeEvidence, impute_locations, impute_postcode, tie_break_probabilities
+from regimpute.locimpute import impute_locations, tie_break_probabilities
 from regimpute.spatial import PointSet, Rect, ripley_k
 from regimpute.synth import SynthConfig, synth, synth_labeled_points, synth_world
 from regimpute.records import imputed_rows
@@ -160,8 +160,10 @@ def test_criterion_04_tie_break_probabilities(world_50k, tree_50k):
             assert abs(float(sum(Fraction(p) for p in probs)) - 1.0) < 1e-12
 
         # end-to-end: street-only queries that tie across localities, with the
-        # gazetteer and the evidence corpus permuted between runs
+        # gazetteer and the evidence corpus permuted between runs; the
+        # postcode step fills the query row after the postcode-bearing corpus
         records, _ = synth(SynthConfig(n=4000, seed=31))
+        records = [rec for rec in records if rec.postcode]
         streets = {}
         for e in world_50k.gazetteer:
             streets.setdefault(e.street, set()).add(e.postcode)
@@ -179,9 +181,10 @@ def test_criterion_04_tie_break_probabilities(world_50k, tree_50k):
                 corpus = list(records)
                 random.Random(seed).shuffle(entries)
                 random.Random(seed + 10).shuffle(corpus)
-                evidence = PostcodeEvidence.from_records(corpus, world_50k.lexicon)
-                result = impute_postcode(query, build(entries), evidence, world_50k.lexicon)
-                picks.add((result.postcode, result.source))
+                columns, flags = columns_of([*corpus, query])
+                report = impute_locations(columns, flags, build(entries), world_50k.lexicon, steps=("postcode",))
+                (source,) = report.postcode_sources
+                picks.add((columns["postcode"][-1], source))
             assert len(picks) == 1, f"street {street}: permutation changed the pick {picks}"
             if picks.pop()[1] == "tiebreak":
                 ties_seen += 1

@@ -809,6 +809,79 @@ def test_output_in_a_missing_directory_exits_2_before_reading(synth_dir, tmp_pat
     assert sorted(tmp_path.rglob("*")) == before
 
 
+# --- input files are checked before a command reads any --------------------
+
+# command -> the flags naming the files it reads (impute-category reads
+# --truth only with --report)
+INPUT_FILES = {
+    "ingest": ("corpus",),
+    "segment": ("lexicon", "corpus"),
+    "vectorize": ("lexicon", "corpus"),
+    "train": ("lexicon", "corpus"),
+    "evaluate": ("lexicon", "corpus"),
+    "speedup": ("lexicon", "corpus"),
+    "impute-category": ("model", "lexicon", "corpus", "truth"),
+    "build-gazetteer": ("gazetteer",),
+    "validate-gazetteer": ("gazetteer", "lexicon", "corpus"),
+    "impute-postcode": ("gazetteer", "lexicon", "corpus"),
+    "impute-ad": ("gazetteer", "lexicon", "corpus"),
+    "impute-location": ("gazetteer", "lexicon", "corpus"),
+    "geocode": ("keys", "corpus"),
+    "kfunction": ("corpus",),
+    "export": ("corpus",),
+}
+
+
+def output_args(command, out):
+    """The command's other arguments, every file it writes under out."""
+    args = [] if command in ("train", "build-gazetteer", "validate-gazetteer") else ["--out", str(out / "o")]
+    return args + {
+        "train": ["--model", str(out / "model.json")],
+        "speedup": ["--workers", "1,2"],
+        "impute-category": ["--report", str(out / "r.tsv")],
+        "impute-location": ["--report", str(out / "r.tsv")],
+        "geocode": ["--merged-out", str(out / "m.tsv")],
+        "kfunction": ["--radii", "10,50"],
+    }.get(command, [])
+
+
+@pytest.mark.parametrize("command,missing", [(c, m) for c, files in INPUT_FILES.items() for m in files])
+def test_a_missing_input_exits_2_before_any_file_is_read(tmp_path, capsys, command, missing):
+    # every other input is malformed, so reading one first would exit 1
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = {name: tmp_path / f"{name}.tsv" for name in INPUT_FILES[command]}
+    for name, path in paths.items():
+        if name != missing:
+            path.write_text("wrong\theader\n", encoding="utf-8")
+    argv = [command, *output_args(command, out)]
+    for name, path in paths.items():
+        argv += [f"--{name}", str(path)]
+    assert main(argv) == 2
+    assert f"configuration error: {missing} file not found: {paths[missing]}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("truth", ["missing", "malformed"])
+def test_impute_category_reads_the_truth_before_writing_out(synth_dir, tmp_path, capsys, truth):
+    model = tmp_path / "model.json"
+    assert main(["train", *corpus_args(synth_dir), "--method", "naive_bayes", "--dim", DIM,
+                 "--model", str(model)]) == 0
+    path = tmp_path / "truth.tsv"
+    if truth == "malformed":
+        path.write_text("wrong\theader\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["impute-category", *corpus_args(synth_dir), "--model", str(model), "--out", str(out / "o.tsv"),
+                 "--truth", str(path), "--report", str(out / "r.tsv")])
+    err = capsys.readouterr().err
+    if truth == "missing":
+        assert code == 2 and f"configuration error: truth file not found: {path}" in err
+    else:
+        assert code == 1 and "not a ground-truth sidecar" in err
+    assert list(out.iterdir()) == []
+
+
 # --- the category track beside the location track (workers >= 2) -----------
 
 

@@ -72,7 +72,7 @@ def test_empty_tree_matches_nothing():
 def test_full_noun_set_scores_one(demo_tree):
     results = match(["湖北省", "武汉市", "江岸区", "南京路"], demo_tree)
     assert results[0].entry == WUHAN
-    assert results[0].degree == 1.0
+    assert results[0].degree_exact == 1
     assert set(results[0].matched_levels) == {"province", "city", "county", "street"}
 
 
@@ -124,14 +124,14 @@ def test_degree_bounds(small_world, small_tree):
     for _ in range(50):
         nouns = rng.sample(names, rng.randint(1, 3))
         for r in match(nouns, small_tree):
-            assert 0 < r.degree <= 1.0
+            assert 0 < r.degree_exact <= 1
 
 
 def test_exact_entry_is_unique_maximum(small_world, small_tree):
     entry = small_world.gazetteer[17]
     results = match(list(entry.path()), small_tree)
     assert results[0].entry == entry
-    assert results[0].degree == 1.0
+    assert results[0].degree_exact == 1
     runner_up = [r for r in results if r.entry != entry]
     assert all(r.degree_exact < 1 for r in runner_up)
 
@@ -142,7 +142,7 @@ def test_partial_entry_weights():
     results = match(["武汉市"], tree)
     assert results[0].degree_exact == Fraction(4, 12)  # city / (province+city)
     results = match(["湖北省", "武汉市"], tree)
-    assert results[0].degree == 1.0
+    assert results[0].degree_exact == 1
 
 
 def validate_records(tree, records, lexicon):

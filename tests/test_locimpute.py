@@ -10,17 +10,10 @@ import pytest
 
 from regimpute import locimpute
 from regimpute.gazetteer import PostcodeEntry, best_postcodes, build
-from regimpute.locimpute import (
-    PostcodeEvidence,
-    extract_query_nouns,
-    impute_locations,
-    impute_postcode,
-    select_tied_postcode,
-    tie_break_probabilities,
-)
+from regimpute.locimpute import PostcodeEvidence, impute_locations, select_tied_postcode, tie_break_probabilities
 from regimpute.records import EnterpriseRecord
 from regimpute.segmenter import Lexicon
-from record_forms import columns_of, records_of
+from record_forms import columns_of, records_of, reference_query_nouns
 
 WUHAN = PostcodeEntry("湖北省", "武汉市", "江岸区", "南京路", "430014")
 WUCHANG = PostcodeEntry("湖北省", "武汉市", "武昌区", "中山路", "430060")
@@ -31,11 +24,6 @@ DONGGUAN = PostcodeEntry("广东省", "东莞市", "莞城区", "中山路", "52
 @pytest.fixture()
 def demo_tree():
     return build([WUHAN, WUCHANG, GUANGZHOU, DONGGUAN])
-
-
-@pytest.fixture()
-def no_evidence(demo_lexicon):
-    return PostcodeEvidence.from_records([], demo_lexicon)
 
 
 def test_tie_break_probabilities_direct():
@@ -66,24 +54,36 @@ def test_single_candidate_probability_one():
     assert tie_break_probabilities([5]) == [Fraction(1)]
 
 
-def test_extract_query_nouns_spans_three_fields(demo_lexicon):
+def test_query_nouns_span_three_fields(demo_lexicon):
     rec = EnterpriseRecord(
         id="1",
         name="武汉物业管理有限公司",
         address="南京路16号",
         data_source="2004年注册_湖北",
     )
-    assert extract_query_nouns(rec, demo_lexicon) == ["湖北", "南京路", "武汉"]
     repeats = EnterpriseRecord(id="2", name="武汉物业", address="武汉南京路武汉", data_source="湖北_武汉")
-    assert extract_query_nouns(repeats, demo_lexicon) == ["湖北", "武汉", "南京路"]
+    want = [["湖北", "南京路", "武汉"], ["湖北", "武汉", "南京路"]]
+    assert [reference_query_nouns(r, demo_lexicon) for r in (rec, repeats)] == want
+    # the batch's nouns, row by row in text order, de-duplicated
+    rows, word_ids = locimpute._noun_tokens(columns_of([rec, repeats])[0], [0, 1], demo_lexicon)
+    nouns = [demo_lexicon.words[w] for w in word_ids.tolist()]
+    assert [list(dict.fromkeys(n for r, n in zip(rows.tolist(), nouns) if r == i)) for i in (0, 1)] == want
 
 
-def test_unique_match_source_vsm(demo_tree, demo_lexicon, no_evidence):
+def impute_query(corpus, query, tree, lexicon):
+    """impute_locations' postcode step on the corpus rows and one query row
+    after them: the query row's postcode cell and the report."""
+    columns, flags = columns_of([*corpus, query])
+    report = impute_locations(columns, flags, tree, lexicon, steps=("postcode",))
+    return columns["postcode"][-1], report
+
+
+def test_unique_match_source_vsm(demo_tree, demo_lexicon):
     rec = EnterpriseRecord(id="1", name="武汉物业管理有限公司", address="江岸区南京路16号")
-    result = impute_postcode(rec, demo_tree, no_evidence, demo_lexicon)
-    assert result.postcode == "430014"
-    assert result.source == "vsm-match"
-    assert not result.low_confidence
+    postcode, report = impute_query([], rec, demo_tree, demo_lexicon)
+    assert postcode == "430014"
+    assert report.postcode_sources == {"vsm-match": 1}
+    assert report.low_confidence == 0
 
 
 def test_street_only_tie_uses_corpus_evidence(demo_tree, demo_lexicon):
@@ -94,10 +94,9 @@ def test_street_only_tie_uses_corpus_evidence(demo_tree, demo_lexicon):
         EnterpriseRecord(id="c3", address="南京路3号", postcode="430014"),
     ]
     rec = EnterpriseRecord(id="q", address="南京路99号")
-    evidence = PostcodeEvidence.from_records(corpus, demo_lexicon)
-    result = impute_postcode(rec, demo_tree, evidence, demo_lexicon)
-    assert result.source == "tiebreak"
-    assert result.postcode == "510030"
+    postcode, report = impute_query(corpus, rec, demo_tree, demo_lexicon)
+    assert report.postcode_sources == {"tiebreak": 1}
+    assert postcode == "510030"
 
 
 def test_tie_with_counts_three_one(demo_tree, demo_lexicon):
@@ -111,8 +110,8 @@ def test_tie_with_counts_three_one(demo_tree, demo_lexicon):
     assert evidence.count_with("430014", frozenset({"南京路"})) == 3
     assert evidence.count_with("510030", frozenset({"南京路"})) == 1
     rec = EnterpriseRecord(id="q", address="南京路9号")
-    result = impute_postcode(rec, demo_tree, evidence, demo_lexicon)
-    assert result.postcode == "430014"  # P = 3/4 wins
+    postcode, _ = impute_query(corpus, rec, demo_tree, demo_lexicon)
+    assert postcode == "430014"  # P = 3/4 wins
 
 
 def test_lazy_evidence_matches_eager_counts(small_corpus, small_world):
@@ -121,8 +120,8 @@ def test_lazy_evidence_matches_eager_counts(small_corpus, small_world):
     eager: dict[str, list[frozenset[str]]] = {}
     for rec in records:
         if rec.postcode:
-            eager.setdefault(rec.postcode, []).append(frozenset(extract_query_nouns(rec, lexicon)))
-    queries = {frozenset(extract_query_nouns(rec, lexicon)) for rec in records}
+            eager.setdefault(rec.postcode, []).append(frozenset(reference_query_nouns(rec, lexicon)))
+    queries = {frozenset(reference_query_nouns(rec, lexicon)) for rec in records}
     queries |= {frozenset({noun}) for q in queries for noun in q}
     # unions of two records' nouns: more nouns than most records hold
     ordered = sorted(queries, key=sorted)
@@ -172,7 +171,7 @@ def test_impute_locations_makes_one_kernel_call_per_batch(small_world, small_cor
     real = locimpute.tokenize
     monkeypatch.setattr(locimpute, "tokenize", lambda texts, *a: batches.append(len(texts)) or real(texts, *a))
     missing = [r for r in records if not r.postcode]
-    contested = {p for r in missing for tied in [best_postcodes(extract_query_nouns(r, lexicon), tree)]
+    contested = {p for r in missing for tied in [best_postcodes(reference_query_nouns(r, lexicon), tree)]
                  if len(tied) > 1 for p in tied}
     carriers = sum(1 for r in records if r.postcode in contested)
     assert carriers
@@ -192,23 +191,27 @@ def test_impute_locations_makes_one_kernel_call_per_batch(small_world, small_cor
     assert batches == [3 * (50 + sum(1 for r in records[50:] if r.postcode in tree.postcodes()))]
 
 
-def test_tie_without_evidence_low_confidence(demo_tree, demo_lexicon, no_evidence):
+def test_tie_without_evidence_low_confidence(demo_tree, demo_lexicon):
     rec = EnterpriseRecord(id="q", address="南京路9号")
-    result = impute_postcode(rec, demo_tree, no_evidence, demo_lexicon)
-    assert result.postcode == "430014"  # smallest tied postcode
-    assert result.source == "tiebreak"
-    assert result.low_confidence
+    postcode, report = impute_query([], rec, demo_tree, demo_lexicon)
+    assert postcode == "430014"  # smallest tied postcode
+    assert report.postcode_sources == {"tiebreak": 1}
+    assert report.low_confidence == 1
 
 
-def test_no_nouns_no_match(demo_tree, demo_lexicon, no_evidence):
+def test_no_nouns_no_match(demo_tree, demo_lexicon):
     rec = EnterpriseRecord(id="q", address="12345")
-    assert impute_postcode(rec, demo_tree, no_evidence, demo_lexicon) is None
+    postcode, report = impute_query([], rec, demo_tree, demo_lexicon)
+    assert postcode is None
+    assert (report.postcode_missing, report.postcode_failed, report.postcode_filled) == (1, 1, 0)
 
 
-def test_present_postcode_is_a_precondition(demo_tree, demo_lexicon, no_evidence):
-    rec = EnterpriseRecord(id="q", postcode="430014")
-    with pytest.raises(ValueError):
-        impute_postcode(rec, demo_tree, no_evidence, demo_lexicon)
+def test_present_postcode_is_never_replaced(demo_tree, demo_lexicon):
+    # the postcode names none of the address's levels; it is kept all the same
+    rec = EnterpriseRecord(id="q", address="南京路9号", postcode="523000")
+    postcode, report = impute_query([], rec, demo_tree, demo_lexicon)
+    assert postcode == "523000"
+    assert (report.postcode_missing, report.postcode_filled) == (0, 0)
 
 
 def impute_ad_rows(records, tree, lexicon, addresses=None):
@@ -347,11 +350,11 @@ def reference_impute_locations(records, tree, lexicon):
     evidence = {}
     for rec in records:
         if rec.postcode:
-            evidence.setdefault(rec.postcode, []).append(frozenset(extract_query_nouns(rec, lexicon)))
+            evidence.setdefault(rec.postcode, []).append(frozenset(reference_query_nouns(rec, lexicon)))
     filled = 0
     for rec in records:
         if not rec.postcode:
-            nouns = extract_query_nouns(rec, lexicon)
+            nouns = reference_query_nouns(rec, lexicon)
             tied = best_postcodes(nouns, tree) if nouns else ()
             if tied:
                 counts = {p: sum(1 for s in evidence.get(p, ()) if set(nouns) <= s) for p in tied}
@@ -362,7 +365,7 @@ def reference_impute_locations(records, tree, lexicon):
         if entries:
             # the best own-noun match among the postcode's paths, ties and
             # no match to the first path
-            nouns = set(extract_query_nouns(rec, lexicon))
+            nouns = set(reference_query_nouns(rec, lexicon))
             chosen = min(entries, key=lambda e: (-_own_degree(e, nouns), e.path()))
             prefix = [chosen.province, chosen.city, chosen.county]
             if not (rec.address and all(name in rec.address for name in prefix)):

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from regimpute import segmenter
 from regimpute.segmenter import (
+    ADDRESS_TAGS,
+    FEATURE_TAGS,
     POS_TAGS,
     Lexicon,
-    address_nouns,
-    feature_words,
     segment,
     segment_texts,
     tokenize,
@@ -27,8 +27,8 @@ def test_company_name_tagging(demo_lexicon):
     tokens = segment("武汉***物业管理有限公司", demo_lexicon)
     tagged = [(t.surface, t.pos) for t in tokens if t.pos != "x"]
     assert tagged == [("武汉", "ns"), ("物业", "n"), ("管理", "vn")]
-    assert feature_words("武汉***物业管理有限公司", demo_lexicon) == ["物业", "管理"]
-    assert address_nouns("武汉***物业管理有限公司", demo_lexicon) == ["武汉"]
+    assert word_lists(["武汉***物业管理有限公司"], demo_lexicon, FEATURE_TAGS) == [["物业", "管理"]]
+    assert word_lists(["武汉***物业管理有限公司"], demo_lexicon, ADDRESS_TAGS) == [["武汉"]]
 
 
 def test_empty_input(demo_lexicon):
@@ -54,7 +54,7 @@ def test_spans_tile_input(demo_lexicon):
         assert t.span == (pos, pos + len(t.surface))
         pos = t.span[1]
     assert pos == len(text)
-    assert address_nouns(text, demo_lexicon) == ["湖北省", "武汉市", "江岸区", "南京路"]
+    assert word_lists([text], demo_lexicon, ADDRESS_TAGS) == [["湖北省", "武汉市", "江岸区", "南京路"]]
 
 
 @given(st.text(alphabet="abcxyz武汉市物业1", max_size=40))
@@ -104,8 +104,8 @@ def test_kernel_and_its_callers_match_reference_fmm(entries, text):
     assert [(t.surface, t.pos, t.span) for t in tokens] == want
     assert "".join(t.surface for t in tokens) == text
     assert [t.span[0] for t in tokens] == [0, *(t.span[1] for t in tokens)][: len(tokens)]
-    assert feature_words(text, lexicon) == [s for s, tag, _ in want if tag in ("n", "v", "vn")]
-    assert address_nouns(text, lexicon) == list(dict.fromkeys(s for s, tag, _ in want if tag == "ns"))
+    assert word_lists([text], lexicon, FEATURE_TAGS) == [[s for s, tag, _ in want if tag in ("n", "v", "vn")]]
+    assert word_lists([text], lexicon, ADDRESS_TAGS) == [[s for s, tag, _ in want if tag == "ns"]]
 
 
 # Latin letters, CJK ideographs spread over their block and code points
@@ -207,25 +207,27 @@ def test_determinism(demo_lexicon):
 
 def test_feature_words_keeps_duplicates():
     lexicon = Lexicon({"aa": "n", "bb": "v"})
-    assert feature_words("aabbaa", lexicon) == ["aa", "bb", "aa"]
+    assert word_lists(["aabbaa"], lexicon, FEATURE_TAGS) == [["aa", "bb", "aa"]]
 
 
 def test_feature_words_empty_when_all_x():
     lexicon = Lexicon({"aa": "ns"})
-    assert feature_words("zzz", lexicon) == []
+    assert word_lists(["zzz"], lexicon, FEATURE_TAGS) == [[]]
 
 
 def test_address_nouns_deduplicated():
     lexicon = Lexicon({"wu": "ns", "xx": "n"})
-    assert address_nouns("wuxxwu", lexicon) == ["wu"]
+    nouns = word_lists(["wuxxwu"], lexicon, ADDRESS_TAGS)[0]
+    assert nouns == ["wu", "wu"]
+    assert list(dict.fromkeys(nouns)) == ["wu"]
 
 
 def test_extractors_are_subsets_of_surfaces(demo_lexicon):
     text = "湖北省武汉市物业管理"
     tokens = segment(text, demo_lexicon)
     surfaces = {t.surface for t in tokens}
-    assert set(feature_words(text, demo_lexicon)) <= surfaces
-    assert set(address_nouns(text, demo_lexicon)) <= surfaces
+    for tags in (FEATURE_TAGS, ADDRESS_TAGS):
+        assert set(word_lists([text], demo_lexicon, tags)[0]) <= surfaces
 
 
 def test_lexicon_rejects_empty_word():

@@ -4,7 +4,7 @@ import pytest
 
 from regimpute.records import missingness, write_records
 from record_forms import columns_of
-from regimpute.segmenter import address_nouns, feature_words, segment
+from regimpute.segmenter import ADDRESS_TAGS, FEATURE_TAGS, segment_texts, word_lists
 from regimpute.synth import SynthConfig, synth, synth_labeled_points, synth_world
 
 
@@ -67,28 +67,25 @@ def test_names_recoverable_by_segmentation():
     world = synth_world(config)
     records, truth = synth(config)
     reverse = {w: sym for sym, words in world.category_words.items() for w in words}
-    checked = 0
-    for rec in records:
-        if not rec.name:
-            continue
-        tokens = segment(rec.name, world.lexicon)
+    named = [rec for rec in records if rec.name]
+    names = [rec.name for rec in named]
+    for rec, tokens, words in zip(named, segment_texts(names, world.lexicon),
+                                  word_lists(names, world.lexicon, FEATURE_TAGS)):
         assert "".join(t.surface for t in tokens) == rec.name
-        cats = {reverse[w] for w in feature_words(rec.name, world.lexicon) if w in reverse}
+        cats = {reverse[w] for w in words if w in reverse}
         expected = rec.category or truth.get(rec.id, "category")
         assert cats == {expected}
-        checked += 1
-    assert checked > 400
+    assert len(named) > 400
 
 
 def test_name_city_noun_matches_true_city():
     config = SynthConfig(n=300, seed=2)
     world = synth_world(config)
     records, truth = synth(config)
-    for rec in records[:100]:
-        if not rec.name:
-            continue
+    named = [rec for rec in records[:100] if rec.name]
+    for rec, nouns in zip(named, word_lists([rec.name for rec in named], world.lexicon, ADDRESS_TAGS)):
         city = truth.get(rec.id, "ad").split("/")[1]
-        assert address_nouns(rec.name, world.lexicon) == [city]
+        assert list(dict.fromkeys(nouns)) == [city]
 
 
 def test_gazetteer_consistent_with_records():
