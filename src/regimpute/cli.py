@@ -10,12 +10,15 @@ command that takes a configuration key declares it with _add_config_flags,
 and main resolves the configuration once, before the handler runs, so the
 precedence and the value checks hold for every command; it also checks
 the directory of each file the command writes. The handler then checks
-each input file it will read (_require_files) and each option value
-before it reads any file, so a configuration error reads and writes
-nothing. Exit codes: 0 ok,
+each option value and each input file it will read (_require_files)
+before it reads or writes any file, so a configuration error reads and
+writes nothing; a value the library checks (synth --n, evaluate --k,
+speedup --workers, kfunction --radii) is checked by the same function,
+and its ValueError names the option (_option). Exit codes: 0 ok,
 1 stage failure, 2 configuration error. Stage timings go to the log and
 timings.tsv only, so every other artifact is byte-stable for a fixed
-configuration and seed.
+configuration and seed. synth takes only the record count and seed; the
+masking rates are SynthConfig's defaults.
 
 Every command that reads a corpus works on its ingest columns
 (IngestResult.columns) and records its fills as imputed flags
@@ -172,10 +175,20 @@ def _require_files(config: PipelineConfig, *whats: str) -> list[Path]:
     return [_require_file(getattr(config, what), what) for what in whats]
 
 
+@contextmanager
+def _option(flag: str):
+    """A library check's ValueError as a configuration error that names
+    the option whose value failed it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def _ingest(corpus: Path):
     result = ingest(corpus)
     if result.diagnostics:
-        log.info("stage=corpus skipped_rows=%d", result.error_count)
+        log.info("stage=corpus skipped_rows=%d", len(result.diagnostics))
     return result
 
 
@@ -205,17 +218,11 @@ def _make_provider(config: PipelineConfig):
 
 
 def cmd_synth(args, _config: None) -> int:
+    config = SynthConfig(n=args.n, seed=args.synth_seed)
+    with _option("--n"):
+        config.check()
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = SynthConfig(
-        n=args.n,
-        seed=args.synth_seed,
-        lexicon_seed=args.lexicon_seed,
-        missing_category=args.missing_category,
-        missing_postcode=args.missing_postcode,
-        missing_data_source=args.missing_data_source,
-        ambiguity=args.ambiguity,
-    )
     world = synth_world(config)
     records, truth = synth(config)
     write_records(records, out / "corpus.tsv")
@@ -232,7 +239,7 @@ def cmd_ingest(args, config: PipelineConfig) -> int:
     flags = new_flags(len(result.columns["id"]))
     report = missingness(result.columns, flags)
     print(f"records\t{report.total}")
-    print(f"skipped_rows\t{result.error_count}")
+    print(f"skipped_rows\t{len(result.diagnostics)}")
     for field_name, fraction in report.missing.items():
         print(f"missing_{field_name}\t{fraction:.4f}")
     if args.out:
@@ -290,6 +297,8 @@ def cmd_train(args, config: PipelineConfig) -> int:
 
 
 def cmd_evaluate(args, config: PipelineConfig) -> int:
+    with _option("--k"):
+        evaluate.check_fold_count(args.k)
     lexicon_path, corpus = _require_files(config, "lexicon", "corpus")
     lexicon = Lexicon.from_tsv(lexicon_path)
     columns = _ingest(corpus).columns
@@ -311,7 +320,9 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
 
 
 def cmd_speedup(args, config: PipelineConfig) -> int:
-    worker_counts = [int(w) for w in args.worker_counts.split(",")]
+    with _option("--workers"):
+        worker_counts = [int(w) for w in args.worker_counts.split(",")]
+        evaluate.check_worker_counts(worker_counts)
     if args.synthetic:
         X, labels = synth_labeled_points(args.synthetic, dim=config.dim, seed=config.seed)
     else:
@@ -327,9 +338,11 @@ def cmd_speedup(args, config: PipelineConfig) -> int:
 
 
 def cmd_impute_category(args, config: PipelineConfig) -> int:
+    if bool(args.truth) != bool(args.report):
+        raise ConfigError("--truth and --report are given together or not at all")
     model_path, lexicon_path, corpus = _require_files(config, "model", "lexicon", "corpus")
     # read first, so that a bad truth file fails before --out is written
-    truth = GroundTruth.read(_require_file(args.truth, "truth")) if args.truth and args.report else None
+    truth = GroundTruth.read(_require_file(args.truth, "truth")) if args.truth else None
     lexicon = Lexicon.from_tsv(lexicon_path)
     columns = _ingest(corpus).columns
     flags = new_flags(len(columns["id"]))
@@ -432,7 +445,8 @@ def cmd_geocode(args, config: PipelineConfig) -> int:
 
 
 def cmd_kfunction(args, config: PipelineConfig) -> int:
-    radii = spatial.check_radii([float(r) for r in args.radii.split(",")])
+    with _option("--radii"):
+        radii = spatial.check_radii([float(r) for r in args.radii.split(",")])
     columns = _ingest(_require_file(config.corpus, "corpus")).columns
     lons = [lon for lon in columns["lon"] if lon is not None]
     if len(lons) < 2:
@@ -679,11 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_dir", metavar="OUT", required=True)
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--seed", dest="synth_seed", metavar="SEED", type=int, default=7)
-    p.add_argument("--lexicon-seed", dest="lexicon_seed", type=int, default=101)
-    p.add_argument("--missing-category", type=float, default=0.4364)
-    p.add_argument("--missing-postcode", type=float, default=0.2575)
-    p.add_argument("--missing-data-source", type=float, default=0.3106)
-    p.add_argument("--ambiguity", type=float, default=0.30)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="read a record TSV and report missingness")

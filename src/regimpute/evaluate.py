@@ -32,10 +32,15 @@ class FoldPlan:
     seed: int
 
 
-def kfold(n: int, k: int, seed: int) -> FoldPlan:
-    """Seeded shuffle, then round-robin assignment; sizes differ by <= 1."""
+def check_fold_count(k: int) -> None:
+    """ValueError unless k folds can be made of some number of records."""
     if k < 2:
         raise ValueError("k must be >= 2")
+
+
+def kfold(n: int, k: int, seed: int) -> FoldPlan:
+    """Seeded shuffle, then round-robin assignment; sizes differ by <= 1."""
+    check_fold_count(k)
     if n < k:
         raise ValueError(f"cannot split {n} records into {k} folds")
     order = list(range(n))
@@ -151,6 +156,15 @@ class SpeedupCurve:
         ))
 
 
+def check_worker_counts(worker_counts: Sequence[int]) -> None:
+    """ValueError unless every count is at least 1 and 1, the ratio's
+    baseline, is among them."""
+    if not worker_counts or any(w < 1 for w in worker_counts):
+        raise ValueError("worker counts must be >= 1")
+    if 1 not in worker_counts:
+        raise ValueError("worker counts must include 1 (the ratio baseline)")
+
+
 def speedup(
     method: str,
     X,
@@ -163,10 +177,7 @@ def speedup(
     Only naive_bayes uses the workers. Worker counts beyond the machine's
     cores are allowed; oversubscription then shows up as a flattening or
     declining ratio."""
-    if not worker_counts or any(w < 1 for w in worker_counts):
-        raise ValueError("worker counts must be >= 1")
-    if 1 not in worker_counts:
-        raise ValueError("worker counts must include 1 (the ratio baseline)")
+    check_worker_counts(worker_counts)
     classes = classify.infer_classes(labels)
     seconds: dict[int, float] = {}
     for w in worker_counts:

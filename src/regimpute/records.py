@@ -115,10 +115,6 @@ class IngestResult:
             in zip(*map(self.columns.__getitem__, _FIELDS))
         ]
 
-    @property
-    def error_count(self) -> int:
-        return len(self.diagnostics)
-
 
 @dataclass(frozen=True)
 class MissingnessReport:

@@ -116,9 +116,6 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
     @classmethod
     def from_tsv(cls, path: str | Path) -> "Lexicon":
         entries: dict[str, str] = {}

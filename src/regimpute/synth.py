@@ -10,7 +10,9 @@ recoverable from the name and the city from any field that carries it.
 
 Masking then removes field values at configured rates and an ambiguity
 rate strips the AD prefix from addresses, with every removed value kept in
-the GroundTruth sidecar.
+the GroundTruth sidecar. SynthConfig holds what a run varies: the record
+count and seed, the masking rates and the world's shape; the lexicon seed,
+the missing-name rate and the shared-word and suffix pools are fixed.
 """
 
 from __future__ import annotations
@@ -28,16 +30,19 @@ from .segmenter import Lexicon
 from .vectorizer import count_rows
 
 _WORD_LEN = 3
+_LEXICON_SEED = 101
+_MISSING_NAME = 0.0003
+_SHARED_WORDS = 8  # feature words any category's names may carry
+_SUFFIXES = 4  # company suffixes
+_SHARED_WORD_RATE = 0.4  # share of names with one shared word
 
 
 @dataclass(frozen=True)
 class SynthConfig:
     n: int
     seed: int = 7
-    lexicon_seed: int = 101
     # Per-field missing rates; defaults model the missingness profile of
     # a large real registration database.
-    missing_name: float = 0.0003
     missing_category: float = 0.4364
     missing_address: float = 0.0019
     missing_postcode: float = 0.2575
@@ -50,19 +55,14 @@ class SynthConfig:
     streets_per_county: int = 5
     street_pool: int = 60
     words_per_category: int = 12
-    shared_words: int = 8
-    suffixes: int = 4
-    shared_word_rate: float = 0.4
 
     def check(self) -> None:
         rates = {
-            "missing_name": self.missing_name,
             "missing_category": self.missing_category,
             "missing_address": self.missing_address,
             "missing_postcode": self.missing_postcode,
             "missing_data_source": self.missing_data_source,
             "ambiguity": self.ambiguity,
-            "shared_word_rate": self.shared_word_rate,
         }
         for name, rate in rates.items():
             if not 0.0 <= rate <= 1.0:
@@ -75,7 +75,7 @@ class SynthConfig:
 
 @dataclass
 class SynthWorld:
-    """Everything derived from (lexicon_seed, shape parameters)."""
+    """Everything derived from the lexicon seed and the shape parameters."""
 
     lexicon: Lexicon
     gazetteer: list[PostcodeEntry]
@@ -101,7 +101,7 @@ def _word_factory(rng: random.Random):
 
 def synth_world(config: SynthConfig) -> SynthWorld:
     config.check()
-    rng = random.Random(config.lexicon_seed)
+    rng = random.Random(_LEXICON_SEED)
     make = _word_factory(rng)
 
     entries: dict[str, str] = {}
@@ -138,12 +138,12 @@ def synth_world(config: SynthConfig) -> SynthWorld:
             pool.append(word)
         category_words[symbol] = pool
     shared_pool = []
-    for _ in range(config.shared_words):
+    for _ in range(_SHARED_WORDS):
         word = make()
         entries[word] = "n"
         shared_pool.append(word)
     suffix_pool = []
-    for _ in range(config.suffixes):
+    for _ in range(_SUFFIXES):
         word = make()
         entries[word] = "x"
         suffix_pool.append(word)
@@ -175,7 +175,7 @@ def synth(config: SynthConfig) -> tuple[list[EnterpriseRecord], GroundTruth]:
         province, city, county, street, postcode = world.leaves[rng.randrange(len(world.leaves))]
         symbol = CATEGORIES[rng.randrange(len(CATEGORIES))]
         feats = [rng.choice(world.category_words[symbol]) for _ in range(rng.randint(1, 3))]
-        if rng.random() < config.shared_word_rate:
+        if rng.random() < _SHARED_WORD_RATE:
             feats.append(rng.choice(world.shared_pool))
         name = city + "".join(feats) + rng.choice(world.suffix_pool)
         number = rng.randint(1, 200)
@@ -194,7 +194,7 @@ def synth(config: SynthConfig) -> tuple[list[EnterpriseRecord], GroundTruth]:
             reg_year=year,
         )
 
-        if rng.random() < config.missing_name:
+        if rng.random() < _MISSING_NAME:
             truth.set(rec_id, "name", name)
             rec.name = None
         if rng.random() < config.missing_category:

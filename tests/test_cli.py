@@ -276,7 +276,7 @@ def test_kfunction_rejects_non_finite_radii_before_reading(tmp_path, monkeypatch
     read = []
     monkeypatch.setattr(cli_module, "ingest", lambda path: read.append(path))
     out = tmp_path / "k.tsv"
-    assert main(["kfunction", "--corpus", str(corpus), "--radii", radii, "--out", str(out)]) == 1
+    assert main(["kfunction", "--corpus", str(corpus), "--radii", radii, "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
     assert read == []
     assert not out.exists()
@@ -880,6 +880,45 @@ def test_impute_category_reads_the_truth_before_writing_out(synth_dir, tmp_path,
     else:
         assert code == 1 and "not a ground-truth sidecar" in err
     assert list(out.iterdir()) == []
+
+
+# --- option values are checked before a command reads or writes ------------
+
+# case -> (the command's arguments, the option whose value is bad)
+INPUTS = ["--corpus", "{synth}/corpus.tsv", "--lexicon", "{synth}/lexicon.tsv"]
+BAD_OPTION_VALUES = {
+    "synth-negative-n": (["synth", "--n", "-5", "--out", "{out}/made"], "--n"),
+    "evaluate-one-fold": (["evaluate", *INPUTS, "--k", "1", "--out", "{out}/made"], "--k"),
+    "speedup-without-1": (["speedup", *INPUTS, "--workers", "2", "--out", "{out}/s.tsv"], "--workers"),
+    "speedup-zero-workers": (["speedup", *INPUTS, "--workers", "0,1", "--out", "{out}/s.tsv"], "--workers"),
+    "speedup-not-a-number": (["speedup", *INPUTS, "--workers", "x", "--out", "{out}/s.tsv"], "--workers"),
+    "impute-category-report-only": (["impute-category", *INPUTS, "--model", "{model}", "--out", "{out}/o.tsv",
+                                     "--report", "{out}/r.tsv"], "--report"),
+    "impute-category-truth-only": (["impute-category", *INPUTS, "--model", "{model}", "--out", "{out}/o.tsv",
+                                    "--truth", "{synth}/truth.tsv"], "--truth"),
+    "kfunction-not-a-number": (["kfunction", "--corpus", "{synth}/corpus.tsv", "--radii", "25,x",
+                                "--out", "{out}/k.tsv"], "--radii"),
+    "kfunction-decreasing": (["kfunction", "--corpus", "{synth}/corpus.tsv", "--radii", "50,25",
+                              "--out", "{out}/k.tsv"], "--radii"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_OPTION_VALUES)
+def test_a_bad_option_value_exits_2_before_reading_or_writing(synth_dir, tmp_path, monkeypatch, capsys, case):
+    args, flag = BAD_OPTION_VALUES[case]
+    out = tmp_path / "out"
+    out.mkdir()
+    model = tmp_path / "model.json"
+    model.write_text("{}", encoding="utf-8")
+    read = []
+    monkeypatch.setattr(cli_module, "ingest", lambda path: read.append(path))
+    monkeypatch.setattr(cli_module.Lexicon, "from_tsv", classmethod(lambda cls, path: read.append(path)))
+    before = sorted(tmp_path.rglob("*"))
+    assert main([arg.format(synth=synth_dir, out=out, model=model) for arg in args]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and flag in err
+    assert read == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # --- the category track beside the location track (workers >= 2) -----------

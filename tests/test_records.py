@@ -34,7 +34,7 @@ def test_ingest_chinese_category_row(tmp_path):
     path = tmp_path / "c.tsv"
     write_corpus(path, ["1\t武汉物业管理有限公司\t房地产业\t南京路16号\t430014\t2004年注册_湖北"])
     result = ingest(path)
-    assert result.error_count == 0
+    assert len(result.diagnostics) == 0
     rec = result.records[0]
     assert rec.category == "RE"
     assert rec.postcode == "430014"
@@ -52,7 +52,7 @@ def test_ingest_empty_optionals(tmp_path):
     path = tmp_path / "c.tsv"
     write_corpus(path, ["7\t\t\t\t\t"])
     result = ingest(path)
-    assert result.error_count == 0
+    assert len(result.diagnostics) == 0
     rec = result.records[0]
     assert rec.name is None
     assert rec.category is None
@@ -75,7 +75,7 @@ def test_ingest_skips_malformed_rows(tmp_path):
     )
     result = ingest(path)
     assert len(result.records) == 2
-    assert result.error_count == 2
+    assert len(result.diagnostics) == 2
     assert {d.line_no for d in result.diagnostics} == {3, 5}
 
 
@@ -92,7 +92,7 @@ def test_ingest_four_rows_one_malformed(tmp_path):
     )
     result = ingest(path)
     assert len(result.records) == 3
-    assert result.error_count == 1
+    assert len(result.diagnostics) == 1
 
 
 def test_ingest_reads_columns_by_header_name(tmp_path):
@@ -365,7 +365,7 @@ def test_roundtrip_field_for_field(tmp_path, small_corpus):
     path = tmp_path / "out.tsv"
     write_records(some, path)
     back = ingest(path)
-    assert back.error_count == 0
+    assert len(back.diagnostics) == 0
     assert len(back.records) == len(some)
     for a, b in zip(some, back.records):
         assert (a.id, a.name, a.category, a.address, a.postcode, a.data_source) == (
