@@ -10,28 +10,27 @@ command that takes a configuration key declares it with _add_config_flags,
 and main resolves the configuration once, before the handler runs, so the
 precedence and the value checks hold for every command; it also checks
 the directory of each file the command writes. The handler then checks
-each option value and each input file it will read (_require_files)
-before it reads or writes any file, so a configuration error reads and
-writes nothing; a value the library checks (synth --n, evaluate --k,
-speedup --workers, kfunction --radii) is checked by the same function,
-and its ValueError names the option (_option). Exit codes: 0 ok,
-1 stage failure, 2 configuration error. Stage timings go to the log and
-timings.tsv only, so every other artifact is byte-stable for a fixed
-configuration and seed. synth takes only the record count and seed; the
-masking rates are SynthConfig's defaults.
+its option values, a value the library checks (synth --n, evaluate --k,
+speedup --workers and --synthetic, kfunction --radii) by the same
+function, whose ValueError names the option (_option), and reads its
+input files through _read_inputs, which checks every one before it reads
+any; so a configuration error reads and writes nothing. impute-category
+checks its inputs the same way but reads --truth first, and the pipeline
+reads each input inside its stage. Exit codes: 0 ok, 1 stage failure,
+2 configuration error. Stage timings go to the log and timings.tsv only,
+so every other artifact is byte-stable for a fixed configuration and seed.
 
 Every command that reads a corpus works on its ingest columns
 (IngestResult.columns) and records its fills as imputed flags
-(records.new_flags). Only synth, which generates records, builds
-EnterpriseRecords. Each stage subcommand (ingest, train,
-impute-category, impute-postcode, impute-ad, impute-location, geocode)
-calls the function its pipeline stage calls; _read_tree builds every
-address tree and _geocode runs both geocode stages. The gazetteer,
-geocode and spatial functions are called through their modules
-(gazetteer.build), where perfbench's tracer wraps them. main freezes the
-objects that exist when the command starts, the imports' among them
-(gc.freeze), so the cyclic collector does not rescan them and a forked
-child does not copy their pages.
+(records.new_flags); only synth builds EnterpriseRecords. Each stage
+subcommand calls the function its pipeline stage calls: train and the
+pipeline train and save the model in _train_stage, _read_tree builds every
+address tree and _geocode runs both geocode stages. The gazetteer, geocode
+and spatial functions are called through their modules (gazetteer.build),
+where perfbench's tracer wraps them. main freezes the objects that exist
+when the command starts, the imports' among them (gc.freeze), so the
+cyclic collector does not rescan them and a forked child does not copy
+their pages.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from .records import (
     write_columns, write_records, write_tsv,
 )
 from .segmenter import Lexicon, segment_texts
-from .synth import SynthConfig, synth, synth_labeled_points, synth_world
+from .synth import SynthConfig, check_point_count, synth, synth_labeled_points, synth_world
 from .vectorizer import DEFAULT_DIM, build_labeled, vectorize_names, write_vectors
 
 log = logging.getLogger("regimpute")
@@ -145,12 +144,8 @@ class PipelineConfig:
 
 
 def _env_overrides() -> dict[str, str]:
-    out = {}
     prefix = "REGIMPUTE_"
-    for name, value in os.environ.items():
-        if name.startswith(prefix):
-            out[name[len(prefix):].lower()] = value
-    return out
+    return {name[len(prefix):].lower(): value for name, value in os.environ.items() if name.startswith(prefix)}
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -170,8 +165,7 @@ def _require_directory_of(path: str, what: str) -> None:
 
 
 def _require_files(config: PipelineConfig, *whats: str) -> list[Path]:
-    """The input file of each named configuration key, each checked
-    before the caller reads any of them."""
+    """The input file of each named configuration key, all checked."""
     return [_require_file(getattr(config, what), what) for what in whats]
 
 
@@ -190,6 +184,33 @@ def _ingest(corpus: Path):
     if result.diagnostics:
         log.info("stage=corpus skipped_rows=%d", len(result.diagnostics))
     return result
+
+
+def _read_tree(path: Path) -> tuple[gazetteer.AddressTree, int]:
+    """The address tree of a gazetteer file and the number of rows it rejected."""
+    entries, diagnostics = gazetteer.read_gazetteer(path)
+    return gazetteer.build(entries), len(diagnostics)
+
+
+def _read_inputs(config: PipelineConfig, *names: str) -> list:
+    """The named inputs (corpus, lexicon, gazetteer, model, keys), read in
+    the order given once every one is checked (_require_files). Each reader
+    is looked up when it is called, so a patch of it applies."""
+    readers = {"corpus": _ingest, "lexicon": Lexicon.from_tsv, "gazetteer": _read_tree,
+               "model": classify.load_model, "keys": geocode.read_keys}
+    return [readers[name](path) for name, path in zip(names, _require_files(config, *names))]
+
+
+def _train_stage(config: PipelineConfig, names, categories, lexicon: Lexicon, path: str):
+    """The train stage on the name and category columns: the model, saved
+    to path (None, and nothing saved, when no row is labelled), the
+    labelled count and the count of rows without a name."""
+    X, labels, nameless = build_labeled(names, categories, lexicon, config.dim)
+    if not labels:
+        return None, 0, nameless
+    model = classify.train(config.method, X, labels, _train_params(config), workers=config.workers)
+    classify.save_model(model, path)
+    return model, len(labels), nameless
 
 
 def _train_params(config: PipelineConfig) -> dict:
@@ -235,7 +256,7 @@ def cmd_synth(args, _config: None) -> int:
 
 
 def cmd_ingest(args, config: PipelineConfig) -> int:
-    result = ingest(_require_file(config.corpus, "corpus"))
+    [result] = _read_inputs(config, "corpus")
     flags = new_flags(len(result.columns["id"]))
     report = missingness(result.columns, flags)
     print(f"records\t{report.total}")
@@ -248,13 +269,8 @@ def cmd_ingest(args, config: PipelineConfig) -> int:
 
 
 def cmd_segment(args, config: PipelineConfig) -> int:
-    corpus = _require_file(config.corpus, "corpus") if args.text is None else None
-    lexicon = Lexicon.from_tsv(_require_file(config.lexicon, "lexicon"))
-    if corpus is None:
-        texts = [("-", args.text)]
-    else:
-        columns = _ingest(corpus).columns
-        texts = list(zip(columns["id"], columns["name"]))
+    lexicon, *corpus = _read_inputs(config, "lexicon", *(("corpus",) if args.text is None else ()))
+    texts = list(zip(corpus[0].columns["id"], corpus[0].columns["name"])) if corpus else [("-", args.text)]
     rows = [
         (rec_id, token.surface, token.pos, str(token.span[0]), str(token.span[1]))
         for (rec_id, _), tokens in zip(texts, segment_texts([text for _, text in texts], lexicon))
@@ -268,9 +284,8 @@ def cmd_segment(args, config: PipelineConfig) -> int:
 
 
 def cmd_vectorize(args, config: PipelineConfig) -> int:
-    lexicon_path, corpus = _require_files(config, "lexicon", "corpus")
-    lexicon = Lexicon.from_tsv(lexicon_path)
-    ids, names, categories = map(_ingest(corpus).columns.__getitem__, ("id", "name", "category"))
+    lexicon, corpus = _read_inputs(config, "lexicon", "corpus")
+    ids, names, categories = map(corpus.columns.__getitem__, ("id", "name", "category"))
     named = [i for i, name in enumerate(names) if name]
     X = vectorize_names([names[i] for i in named], lexicon, config.dim)
     write_vectors([ids[i] for i in named], [categories[i] or "" for i in named], X, args.out)
@@ -282,27 +297,22 @@ def cmd_train(args, config: PipelineConfig) -> int:
     if not config.model:
         raise ConfigError("model path not configured")
     _require_directory_of(config.model, "model")
-    lexicon_path, corpus = _require_files(config, "lexicon", "corpus")
-    lexicon = Lexicon.from_tsv(lexicon_path)
-    columns = _ingest(corpus).columns
-    X, labels, skipped = build_labeled(columns["name"], columns["category"], lexicon, config.dim)
-    if not labels:
+    lexicon, corpus = _read_inputs(config, "lexicon", "corpus")
+    timer = _StageTimer()
+    model, labelled, nameless = _train_stage(
+        config, corpus.columns["name"], corpus.columns["category"], lexicon, config.model)
+    if model is None:
         raise StageError("no labeled records to train on")
-    t0 = time.perf_counter()
-    model = classify.train(config.method, X, labels, _train_params(config), workers=config.workers)
-    log.info("stage=train records=%d duration=%.3f", len(labels), time.perf_counter() - t0)
-    classify.save_model(model, config.model)
-    print(f"trained\t{config.method}\t{len(labels)}\tskipped_no_name\t{skipped}")
+    timer.record("train", labelled)
+    print(f"trained\t{config.method}\t{labelled}\tskipped_no_name\t{nameless}")
     return EXIT_OK
 
 
 def cmd_evaluate(args, config: PipelineConfig) -> int:
     with _option("--k"):
         evaluate.check_fold_count(args.k)
-    lexicon_path, corpus = _require_files(config, "lexicon", "corpus")
-    lexicon = Lexicon.from_tsv(lexicon_path)
-    columns = _ingest(corpus).columns
-    X, labels, _ = build_labeled(columns["name"], columns["category"], lexicon, config.dim)
+    lexicon, corpus = _read_inputs(config, "lexicon", "corpus")
+    X, labels, _ = build_labeled(corpus.columns["name"], corpus.columns["category"], lexicon, config.dim)
     plan = evaluate.kfold(len(labels), args.k, config.seed)
     report = evaluate.cross_validate(
         config.method, X, labels, plan, _train_params(config),
@@ -323,13 +333,13 @@ def cmd_speedup(args, config: PipelineConfig) -> int:
     with _option("--workers"):
         worker_counts = [int(w) for w in args.worker_counts.split(",")]
         evaluate.check_worker_counts(worker_counts)
-    if args.synthetic:
+    if args.synthetic is not None:
+        with _option("--synthetic"):
+            check_point_count(args.synthetic)
         X, labels = synth_labeled_points(args.synthetic, dim=config.dim, seed=config.seed)
     else:
-        lexicon_path, corpus = _require_files(config, "lexicon", "corpus")
-        lexicon = Lexicon.from_tsv(lexicon_path)
-        columns = _ingest(corpus).columns
-        X, labels, _ = build_labeled(columns["name"], columns["category"], lexicon, config.dim)
+        lexicon, corpus = _read_inputs(config, "lexicon", "corpus")
+        X, labels, _ = build_labeled(corpus.columns["name"], corpus.columns["category"], lexicon, config.dim)
     curve = evaluate.speedup(config.method, X, labels, worker_counts, _train_params(config))
     curve.write(args.out)
     for p in curve.points:
@@ -359,14 +369,8 @@ def cmd_impute_category(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _read_tree(path: Path) -> tuple[gazetteer.AddressTree, int]:
-    """The address tree of a gazetteer file and the number of rows it rejected."""
-    entries, diagnostics = gazetteer.read_gazetteer(path)
-    return gazetteer.build(entries), len(diagnostics)
-
-
 def cmd_build_gazetteer(args, config: PipelineConfig) -> int:
-    tree, rejected = _read_tree(_require_file(config.gazetteer, "gazetteer"))
+    [(tree, rejected)] = _read_inputs(config, "gazetteer")
     print(f"entries\t{len(tree)}")
     print(f"postcodes\t{len(tree.postcodes())}")
     print(f"rejected_rows\t{rejected}")
@@ -374,11 +378,8 @@ def cmd_build_gazetteer(args, config: PipelineConfig) -> int:
 
 
 def cmd_validate_gazetteer(args, config: PipelineConfig) -> int:
-    gazetteer_path, lexicon_path, corpus = _require_files(config, "gazetteer", "lexicon", "corpus")
-    tree, _ = _read_tree(gazetteer_path)
-    lexicon = Lexicon.from_tsv(lexicon_path)
-    columns = _ingest(corpus).columns
-    report = gazetteer.validate(tree, columns["address"], columns["postcode"], lexicon)
+    (tree, _), lexicon, corpus = _read_inputs(config, "gazetteer", "lexicon", "corpus")
+    report = gazetteer.validate(tree, corpus.columns["address"], corpus.columns["postcode"], lexicon)
     print(f"evaluated\t{report.evaluated}")
     print(f"match_rate\t{report.match_rate:.4f}")
     print(f"presence_rate\t{report.presence_rate:.4f}")
@@ -387,10 +388,8 @@ def cmd_validate_gazetteer(args, config: PipelineConfig) -> int:
 
 def _impute_locations(config: PipelineConfig, steps: tuple[str, ...], out: str) -> locimpute.LocationReport:
     """The impute-location stage, or one of its steps, on the corpus, written to out."""
-    gazetteer_path, lexicon_path, corpus = _require_files(config, "gazetteer", "lexicon", "corpus")
-    tree, _ = _read_tree(gazetteer_path)
-    lexicon = Lexicon.from_tsv(lexicon_path)
-    columns = _ingest(corpus).columns
+    (tree, _), lexicon, corpus = _read_inputs(config, "gazetteer", "lexicon", "corpus")
+    columns = corpus.columns
     flags = new_flags(len(columns["id"]))
     report = locimpute.impute_locations(columns, flags, tree, lexicon, steps=steps)
     write_columns(columns, flags, out)
@@ -420,13 +419,13 @@ def cmd_impute_location(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _geocode(columns: dict[str, list], flags: dict[str, bytearray], provider, keys: Path, rate: float,
-             out: str | Path) -> tuple[list[str], list[str], list[str]]:
-    """geocode_columns on the columns and flags in place, with the key file's
-    keys (rate 0 paces nothing), then coordinates.tsv written to out: its lon
+def _geocode(columns: dict[str, list], flags: dict[str, bytearray], provider, keys: list[geocode.ApiKey],
+             rate: float, out: str | Path) -> tuple[list[str], list[str], list[str]]:
+    """geocode_columns on the columns and flags in place, with the keys
+    (rate 0 paces nothing), then coordinates.tsv written to out: its lon
     and lat text, formatted once for it and a records file, and the status
     column."""
-    statuses = geocode.geocode_columns(columns, flags, provider, geocode.read_keys(keys), rate=rate or None)
+    statuses = geocode.geocode_columns(columns, flags, provider, keys, rate=rate or None)
     lon_text, lat_text = format_coordinates(columns["lon"]), format_coordinates(columns["lat"])
     geocode.write_results(columns["id"], lon_text, lat_text, statuses, out)
     return lon_text, lat_text, statuses
@@ -434,8 +433,8 @@ def _geocode(columns: dict[str, list], flags: dict[str, bytearray], provider, ke
 
 def cmd_geocode(args, config: PipelineConfig) -> int:
     provider = _make_provider(config)
-    keys, corpus = _require_files(config, "keys", "corpus")
-    columns = _ingest(corpus).columns
+    keys, corpus = _read_inputs(config, "keys", "corpus")
+    columns = corpus.columns
     flags = new_flags(len(columns["id"]))
     lon_text, lat_text, statuses = _geocode(columns, flags, provider, keys, config.rate, args.out)
     if args.merged_out:
@@ -447,7 +446,7 @@ def cmd_geocode(args, config: PipelineConfig) -> int:
 def cmd_kfunction(args, config: PipelineConfig) -> int:
     with _option("--radii"):
         radii = spatial.check_radii([float(r) for r in args.radii.split(",")])
-    columns = _ingest(_require_file(config.corpus, "corpus")).columns
+    columns = _read_inputs(config, "corpus")[0].columns
     lons = [lon for lon in columns["lon"] if lon is not None]
     if len(lons) < 2:
         raise StageError("need at least two records with coordinates")
@@ -471,8 +470,8 @@ def cmd_export(args, config: PipelineConfig) -> int:
         year_range = (args.from_year, args.to_year)
         if None not in year_range and args.from_year > args.to_year:
             raise ConfigError(f"--from-year {args.from_year} is after --to-year {args.to_year}")
-    result = _ingest(_require_file(config.corpus, "corpus"))
-    report = spatial.export_geojson(result, args.out, category=category, year_range=year_range)
+    [corpus] = _read_inputs(config, "corpus")
+    report = spatial.export_geojson(corpus, args.out, category=category, year_range=year_range)
     print(f"written\t{report.written}")
     print(f"skipped_no_coordinates\t{report.skipped_no_coordinates}")
     return EXIT_OK
@@ -607,11 +606,9 @@ def _category_track(timer, config, skip, names, categories, lexicon, out):
     rows, fills, model = [], [], None
     with _stage("train"):
         if "train" not in skip:
-            X, labels, _ = build_labeled(names, categories, lexicon, config.dim)
-            if labels:
-                model = classify.train(config.method, X, labels, _train_params(config), workers=config.workers)
-                classify.save_model(model, config.model or str(out / "model.json"))
-            rows.append(timer.lap("train", len(labels)))
+            path = config.model or str(out / "model.json")
+            model, labelled, _ = _train_stage(config, names, categories, lexicon, path)
+            rows.append(timer.lap("train", labelled))
         elif "impute-category" not in skip:  # the saved model stands in for the skipped stage
             model = classify.load_model(config.model)
     with _stage("impute-category"):
@@ -639,7 +636,8 @@ def _location_track(timer, config, skip, columns, flags, lexicon, out, gazetteer
     with _stage("geocode"):
         if "geocode" not in skip:
             # holding the text until the report leaves the 200k peak memory as it is
-            lon_text, lat_text, _ = _geocode(columns, flags, provider, keys, config.rate, out / "coordinates.tsv")
+            lon_text, lat_text, _ = _geocode(columns, flags, provider, geocode.read_keys(keys), config.rate,
+                                             out / "coordinates.tsv")
             timer.record("geocode", len(columns["id"]))
             return lon_text, lat_text
     return None, None
@@ -689,100 +687,90 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="regimpute", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("synth", cmd_synth, "generate a synthetic corpus with ground truth")
     p.add_argument("--out", dest="out_dir", metavar="OUT", required=True)
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--seed", dest="synth_seed", metavar="SEED", type=int, default=7)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="read a record TSV and report missingness")
+    p = command("ingest", cmd_ingest, "read a record TSV and report missingness")
     p.add_argument("--out")
     _add_config_flags(p, "corpus")
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("segment", help="tokenize text or corpus names")
+    p = command("segment", cmd_segment, "tokenize text or corpus names")
     p.add_argument("--text")
     p.add_argument("--out")
     _add_config_flags(p, "lexicon", "corpus")
-    p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("vectorize", help="hash record names to sparse vectors")
+    p = command("vectorize", cmd_vectorize, "hash record names to sparse vectors")
     p.add_argument("--out", required=True)
     _add_config_flags(p, "corpus", "lexicon", "dim")
-    p.set_defaults(func=cmd_vectorize)
 
-    p = sub.add_parser("train", help="train a classifier on labeled records")
+    p = command("train", cmd_train, "train a classifier on labeled records")
     _add_config_flags(p, "model", "corpus", "lexicon", "method", "dim", "workers", "alpha", "iters", "step", "l2")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="k-fold cross-validation")
+    p = command("evaluate", cmd_evaluate, "k-fold cross-validation")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--out", dest="out_dir", metavar="OUT", required=True)
     p.add_argument("--measure-alloc", action="store_true")
     _add_config_flags(p, "corpus", "lexicon", "method", "dim", "workers", "seed",
                       "alpha", "iters", "step", "l2")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("speedup", help="training wall-time versus worker count")
+    p = command("speedup", cmd_speedup, "training wall-time versus worker count")
     p.add_argument("--workers", dest="worker_counts", metavar="WORKERS", required=True,
-                   help="comma-separated counts, must include 1")
+                   help="comma-separated distinct counts, must include 1")
     p.add_argument("--synthetic", type=int, help="benchmark on N generated vectors")
     p.add_argument("--out", required=True)
     _add_config_flags(p, "corpus", "lexicon", "method", "dim", "seed", "alpha", "iters", "step", "l2")
-    p.set_defaults(func=cmd_speedup)
 
-    p = sub.add_parser("impute-category", help="fill missing categories from names")
+    p = command("impute-category", cmd_impute_category, "fill missing categories from names")
     p.add_argument("--out", required=True)
     p.add_argument("--truth")
     p.add_argument("--report")
     _add_config_flags(p, "corpus", "lexicon", "model")
-    p.set_defaults(func=cmd_impute_category)
 
-    p = sub.add_parser("build-gazetteer", help="build and summarize the address tree")
+    p = command("build-gazetteer", cmd_build_gazetteer, "build and summarize the address tree")
     _add_config_flags(p, "gazetteer")
-    p.set_defaults(func=cmd_build_gazetteer)
 
-    p = sub.add_parser("validate-gazetteer", help="coverage of the tree on complete records")
+    p = command("validate-gazetteer", cmd_validate_gazetteer, "coverage of the tree on complete records")
     _add_config_flags(p, "gazetteer", "corpus", "lexicon")
-    p.set_defaults(func=cmd_validate_gazetteer)
 
     for name, func in (
         ("impute-postcode", cmd_impute_postcode),
         ("impute-ad", cmd_impute_ad),
         ("impute-location", cmd_impute_location),
     ):
-        p = sub.add_parser(name, help=f"{name.replace('-', ' ')} stage")
+        p = command(name, func, f"{name.replace('-', ' ')} stage")
         p.add_argument("--out", required=True)
         if name == "impute-location":
             p.add_argument("--report")
         _add_config_flags(p, "corpus", "lexicon", "gazetteer")
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("geocode", help="geocode record addresses")
+    p = command("geocode", cmd_geocode, "geocode record addresses")
     p.add_argument("--out", required=True)
     p.add_argument("--merged-out", dest="merged_out")
     _add_config_flags(p, "corpus", "keys", "provider", "rate", "url_template")
-    p.set_defaults(func=cmd_geocode)
 
-    p = sub.add_parser("kfunction", help="Ripley K curve over record coordinates")
+    p = command("kfunction", cmd_kfunction, "Ripley K curve over record coordinates")
     p.add_argument("--radii", required=True, help="comma-separated, increasing, km")
     p.add_argument("--out", required=True)
     _add_config_flags(p, "corpus")
-    p.set_defaults(func=cmd_kfunction)
 
-    p = sub.add_parser("export", help="GeoJSON point export with filters")
+    p = command("export", cmd_export, "GeoJSON point export with filters")
     p.add_argument("--out", required=True)
     p.add_argument("--category", help="symbol, English or Chinese name")
     p.add_argument("--from-year", dest="from_year", type=int)
     p.add_argument("--to-year", dest="to_year", type=int)
     _add_config_flags(p, "corpus")
-    p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("pipeline", help="run the full workflow")
+    p = command("pipeline", cmd_pipeline, "run the full workflow")
     p.add_argument("--config")
     p.add_argument("--skip", help="comma-separated stage names")
     _add_config_flags(p, *_CONFIG_FLAGS)
-    p.set_defaults(func=cmd_pipeline)
 
     return parser
 

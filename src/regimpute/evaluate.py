@@ -157,10 +157,12 @@ class SpeedupCurve:
 
 
 def check_worker_counts(worker_counts: Sequence[int]) -> None:
-    """ValueError unless every count is at least 1 and 1, the ratio's
-    baseline, is among them."""
+    """ValueError unless every count is at least 1, no count repeats and 1,
+    the ratio's baseline, is among them."""
     if not worker_counts or any(w < 1 for w in worker_counts):
         raise ValueError("worker counts must be >= 1")
+    if len(set(worker_counts)) < len(worker_counts):
+        raise ValueError(f"worker counts must not repeat, got {list(worker_counts)}")
     if 1 not in worker_counts:
         raise ValueError("worker counts must include 1 (the ratio baseline)")
 

@@ -218,6 +218,12 @@ def synth(config: SynthConfig) -> tuple[list[EnterpriseRecord], GroundTruth]:
     return records, truth
 
 
+def check_point_count(n: int) -> None:
+    """ValueError unless n, a labelled point count, is at least 1."""
+    if n < 1:
+        raise ValueError(f"point count must be >= 1, got {n}")
+
+
 def synth_labeled_points(
     n: int,
     dim: int = 1024,
@@ -233,6 +239,7 @@ def synth_labeled_points(
     and each pool row counts entries_per_vector random column draws. The
     matrix stores every copy, so it grows with n: about 100 MB at a
     million rows of 8 entries."""
+    check_point_count(n)
     if classes is None:
         classes = CATEGORIES[:n_classes]
     rng = random.Random(seed)

@@ -604,6 +604,24 @@ def test_lr_pipeline_model_does_not_depend_on_workers(synth_dir, tmp_path):
     assert models[0] == models[1]
 
 
+@pytest.mark.parametrize("method", ["logistic_regression", "naive_bayes"])
+def test_train_writes_the_model_the_pipeline_writes(synth_dir, tmp_path, capsys, method):
+    # both run the one train stage, so one configuration gives one model.json
+    keys = write_keys(tmp_path / "keys.tsv")
+    config = ["--method", method, "--dim", DIM, "--iters", "20"]
+    skip = "impute-category,build-gazetteer,impute-location,geocode,report"
+    for workers in ("1", "2"):
+        model = tmp_path / f"train_w{workers}.json"
+        assert main(["train", *corpus_args(synth_dir), *config, "--workers", workers, "--model", str(model)]) == 0
+        out = tmp_path / f"pipeline_w{workers}"
+        args = pipeline_args(synth_dir, out, keys)
+        args[args.index("--method") + 1] = method
+        assert main(args + [*config, "--workers", workers, "--skip", skip]) == 0
+        assert (out / "model.json").read_bytes() == model.read_bytes(), workers
+    assert (tmp_path / "train_w1.json").read_bytes() == (tmp_path / "train_w2.json").read_bytes()
+    assert capsys.readouterr().out.startswith(f"trained\t{method}\t")
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--provider", "bogus"),
     ("--method", "bogus"),
@@ -845,9 +863,27 @@ def output_args(command, out):
     }.get(command, [])
 
 
+def record_reads(monkeypatch, read):
+    """Patch the reader of each input file (corpus, lexicon, gazetteer,
+    model, keys and truth) to note the path it is given, then read it."""
+    def noted(reader):
+        def read_noted(path):
+            read.append(path)
+            return reader(path)
+        return read_noted
+
+    for owner, name in ((cli_module, "ingest"), (cli_module.gazetteer, "read_gazetteer"),
+                        (cli_module.classify, "load_model"), (cli_module.geocode, "read_keys"),
+                        (cli_module.Lexicon, "from_tsv"), (cli_module.GroundTruth, "read")):
+        reader = noted(getattr(owner, name))
+        monkeypatch.setattr(owner, name, staticmethod(reader) if isinstance(owner, type) else reader)
+
+
 @pytest.mark.parametrize("command,missing", [(c, m) for c, files in INPUT_FILES.items() for m in files])
-def test_a_missing_input_exits_2_before_any_file_is_read(tmp_path, capsys, command, missing):
+def test_a_missing_input_exits_2_before_any_file_is_read(tmp_path, monkeypatch, capsys, command, missing):
     # every other input is malformed, so reading one first would exit 1
+    read = []
+    record_reads(monkeypatch, read)
     out = tmp_path / "out"
     out.mkdir()
     paths = {name: tmp_path / f"{name}.tsv" for name in INPUT_FILES[command]}
@@ -860,6 +896,7 @@ def test_a_missing_input_exits_2_before_any_file_is_read(tmp_path, capsys, comma
     assert main(argv) == 2
     assert f"configuration error: {missing} file not found: {paths[missing]}" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+    assert read == []
 
 
 @pytest.mark.parametrize("truth", ["missing", "malformed"])
@@ -892,6 +929,11 @@ BAD_OPTION_VALUES = {
     "speedup-without-1": (["speedup", *INPUTS, "--workers", "2", "--out", "{out}/s.tsv"], "--workers"),
     "speedup-zero-workers": (["speedup", *INPUTS, "--workers", "0,1", "--out", "{out}/s.tsv"], "--workers"),
     "speedup-not-a-number": (["speedup", *INPUTS, "--workers", "x", "--out", "{out}/s.tsv"], "--workers"),
+    "speedup-repeated-workers": (["speedup", *INPUTS, "--workers", "1,1", "--out", "{out}/s.tsv"], "--workers"),
+    "speedup-zero-synthetic": (["speedup", *INPUTS, "--workers", "1,2", "--synthetic", "0",
+                                "--out", "{out}/s.tsv"], "--synthetic"),
+    "speedup-negative-synthetic": (["speedup", *INPUTS, "--workers", "1,2", "--synthetic", "-5",
+                                    "--out", "{out}/s.tsv"], "--synthetic"),
     "impute-category-report-only": (["impute-category", *INPUTS, "--model", "{model}", "--out", "{out}/o.tsv",
                                      "--report", "{out}/r.tsv"], "--report"),
     "impute-category-truth-only": (["impute-category", *INPUTS, "--model", "{model}", "--out", "{out}/o.tsv",
@@ -913,6 +955,7 @@ def test_a_bad_option_value_exits_2_before_reading_or_writing(synth_dir, tmp_pat
     read = []
     monkeypatch.setattr(cli_module, "ingest", lambda path: read.append(path))
     monkeypatch.setattr(cli_module.Lexicon, "from_tsv", classmethod(lambda cls, path: read.append(path)))
+    monkeypatch.setattr(cli_module, "synth_labeled_points", lambda n, **kwargs: read.append(n))
     before = sorted(tmp_path.rglob("*"))
     assert main([arg.format(synth=synth_dir, out=out, model=model) for arg in args]) == 2
     err = capsys.readouterr().err
